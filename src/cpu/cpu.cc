@@ -1,6 +1,7 @@
 #include "cpu/cpu.hh"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 
 #include "isa/isa.hh"
@@ -77,10 +78,18 @@ using program::DynInst;
 using program::Trace;
 using isa::OpClass;
 
-namespace
+// The pipeline model lives in a named namespace, not an anonymous one:
+// the sampling profiler symbolizes frames with dladdr, which sees only
+// externally linked functions, and each stage should show up in a
+// profile under its own name.
+namespace detail
 {
 
 constexpr std::uint32_t Unknown = 0xFFFFFFFFu;
+/** End of an intrusive slot list (waiter lists, wheel buckets). */
+constexpr std::uint32_t NoSlot = 0xFFFFFFFFu;
+/** "No future event" for the idle-cycle skip. */
+constexpr std::uint64_t NoEvent = ~std::uint64_t{0};
 
 /** Functional-unit pools. */
 enum class FuPool : std::uint8_t { Alu, MulDiv, Fp, Mem };
@@ -143,11 +152,17 @@ struct RobEntry
     std::uint32_t issueC = 0;
     std::uint32_t completeC = 0;
     std::uint32_t readyC = Unknown; ///< known once producers issued
-    /** Producer this entry last blocked on: readiness cannot change
-     *  until that dep's resultCycle is set, so the issue scan skips
-     *  the full dependency walk until then. */
-    DynIdx waitDep = program::NoDep;
+    /** Next slot on the one list an unissued entry sits in: its
+     *  blocking producer's waiter list, or its wheel bucket. */
+    std::uint32_t next = NoSlot;
     bool issued = false;
+};
+
+/** Issue-side state of one dynamic instruction as a producer. */
+struct Producer
+{
+    std::uint32_t resultC = Unknown; ///< completion cycle, once issued
+    std::uint32_t waiters = NoSlot;  ///< ROB slots blocked on it
 };
 
 struct FqEntry
@@ -166,7 +181,797 @@ struct PipeEntry
     std::uint32_t readyC;
 };
 
-} // namespace
+/** Which front-end stall counter a cycle is charged to. */
+enum class Stall : std::uint8_t { None, Icache, Redirect, Rd };
+
+/** What the fetch stage did in one cycle. */
+struct FetchOutcome
+{
+    unsigned fetched = 0;   ///< fetch slots used
+    bool delivered = false; ///< anything entered the fetch queue
+    bool sawMiss = false;   ///< this cycle's window missed the i-cache
+    bool blocked = false;   ///< fetch was blocked on entry
+    bool active = false;    ///< i-cache access or redirect resolved
+};
+
+/**
+ * The pipeline of one runTrace call.  Each cycle runs the stages in
+ * reverse pipeline order (commit, issue, dispatch, decode, fetch), so a
+ * stage sees the state its successor left at the end of the previous
+ * cycle.  Issue is event-driven and a cycle in which nothing happens
+ * lets the clock jump to the next event (DESIGN.md §7).
+ */
+class Pipeline
+{
+  public:
+    Pipeline(const Trace &trace, const CpuConfig &config,
+             const mem::MemConfig &memConfig, bpu::BranchPredictor &bpu,
+             const std::vector<std::uint8_t> *critMask,
+             const std::unordered_set<program::InstUid> *criticalSet);
+
+    // The interval registry views stats_ by address.
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
+
+    /** Simulate to the last commit; the stats of the post-warmup
+     *  window. */
+    CpuStats run();
+
+  private:
+    /** Future ready cycles closer than this go into the wheel; farther
+     *  ones wait in the overflow list.  A power of two. */
+    static constexpr std::uint64_t kWheelSize = 1024;
+
+    // Stage functions, kept out of line so the profiler attributes
+    // samples to each stage.
+    [[gnu::noinline]] bool commit();
+    [[gnu::noinline]] bool issue();
+    [[gnu::noinline]] bool dispatch();
+    [[gnu::noinline]] bool decode();
+    [[gnu::noinline]] FetchOutcome fetch();
+    [[gnu::noinline]] Stall attributeStalls(const FetchOutcome &f);
+    [[gnu::noinline]] void skipIdle(Stall stall);
+
+    void observe();
+    void charge(Stall stall, std::uint64_t cycles);
+    void traceSpans(const RobEntry &head, std::uint32_t commitC);
+
+    bool isCritStatic(DynIdx idx) const;
+    void resolveOperands(std::uint32_t slot);
+    void wake(DynIdx producer);
+    void schedule(std::uint32_t slot);
+    void pushBucket(std::uint32_t slot);
+    void makeEligible(std::uint32_t slot);
+    std::uint64_t nextEvent() const;
+
+    const Trace &trace_;
+    const CpuConfig &config_;
+    const mem::MemConfig &memConfig_;
+    bpu::BranchPredictor &bpu_;
+    const std::vector<std::uint8_t> *critMask_;
+    const DynIdx n_;
+
+    CpuStats stats_;
+    CpuStats warmupSnapshot_;
+    mem::MemorySystem memory_;
+    mem::EFetchPredictor efetch_;
+
+    /** Per-dynamic-index criticality flags, flattened once per run from
+     *  the uid set (empty when no set is given). */
+    std::vector<std::uint8_t> critDyn_;
+    const bool usePriority_;
+
+    std::vector<Producer> producers_;
+
+    std::uint64_t cycle_ = 0;
+    std::uint64_t committed_ = 0;
+    bool warmupDone_;
+    std::uint64_t nextSample_;
+
+    DynIdx fetchIdx_ = 0;
+    std::uint64_t fetchBlockedUntil_ = 0;
+    bool blockedOnIcache_ = false;
+    DynIdx haltBranch_ = -1; ///< mispredicted branch gating fetch
+    std::uint64_t cdpLatencyUntil_ = 0;
+    double pendingSupplyStall_ = 0.0; ///< I-side stall cycles to attribute
+
+    std::deque<FqEntry> fetchQ_;
+    std::deque<PipeEntry> decodePipe_;
+    const std::size_t decodePipeCap_;
+
+    std::vector<RobEntry> rob_;
+    std::size_t robHead_ = 0, robCount_ = 0;
+
+    std::array<FuSet, 4> fus_; ///< indexed by FuPool
+
+    // Issue queue.  An unissued ROB entry is in exactly one place: the
+    // waiter list of a producer that has not issued, a wheel bucket or
+    // the overflow list (ready cycle known, in the future), or
+    // `eligible_` (ready cycle reached).
+    std::vector<std::uint32_t> wheel_;     ///< bucket heads by cycle
+    std::size_t wheelCount_ = 0;
+    std::vector<std::uint32_t> overflow_;  ///< ready beyond the horizon
+    std::uint64_t overflowMin_ = NoEvent;
+    std::vector<std::uint32_t> eligible_;  ///< ready, in program order
+    std::vector<std::uint32_t> critFirst_; ///< prioritized issue order
+
+    stats::StatRegistry reg_;
+    const bool sampling_;
+    stats::TraceEventWriter *const tsink_;
+    std::uint64_t tracedInsts_ = 0;
+};
+
+Pipeline::Pipeline(const Trace &trace, const CpuConfig &config,
+                   const mem::MemConfig &memConfig,
+                   bpu::BranchPredictor &bpu,
+                   const std::vector<std::uint8_t> *critMask,
+                   const std::unordered_set<program::InstUid> *criticalSet)
+    : trace_(trace), config_(config), memConfig_(memConfig), bpu_(bpu),
+      critMask_(critMask), n_(static_cast<DynIdx>(trace.size())),
+      memory_(memConfig),
+      usePriority_((config.aluPrioritization || config.backendPrio) &&
+                   criticalSet != nullptr),
+      producers_(trace.size()),
+      warmupDone_(config.warmupCommits == 0),
+      nextSample_(config.statsInterval),
+      decodePipeCap_(static_cast<std::size_t>(config.decodeWidth) * 2 *
+                     (config.frontendLatency + 1)),
+      rob_(config.robSize),
+      fus_{FuSet(config.intAluUnits), FuSet(config.mulDivUnits),
+           FuSet(config.fpUnits), FuSet(config.memPorts)},
+      wheel_(kWheelSize, NoSlot),
+      sampling_(config.intervals != nullptr && config.statsInterval > 0),
+      tsink_(config.traceSink)
+{
+    // Flatten the per-uid criticality set into a per-dynamic-index byte
+    // mask once per run, so the issue prioritization and the prefetch
+    // hook index an array instead of probing a hash set per
+    // instruction.  Uids are dense (Program::allocUid is sequential),
+    // so the intermediate per-uid table is small.
+    if (criticalSet != nullptr) {
+        program::InstUid maxUid = 0;
+        for (const DynInst &d : trace.insts)
+            maxUid = std::max(maxUid, d.staticUid);
+        std::vector<std::uint8_t> critUid(
+            static_cast<std::size_t>(maxUid) + 1, 0);
+        for (const program::InstUid uid : *criticalSet) {
+            if (uid <= maxUid)
+                critUid[uid] = 1;
+        }
+        critDyn_.resize(trace.size());
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            critDyn_[i] = critUid[trace.insts[i].staticUid];
+    }
+    eligible_.reserve(config.robSize);
+    critFirst_.reserve(config.robSize);
+
+    // Interval rows hold *cumulative raw* values: the registry views
+    // the live `stats_` object, whose derived fields (cycles, mem) are
+    // refreshed right before each sample.  Warmup subtraction happens
+    // only on the returned totals, so (lastRow - warmupRow) reproduces
+    // the reported post-warmup numbers.
+    if (sampling_) {
+        stats_.registerStats(reg_, "cpu");
+        stats_.mem.registerStats(reg_, "mem");
+    }
+    if (tsink_) {
+        tsink_->setProcessName(0, "cpu pipeline");
+        tsink_->setThreadName(0, 1, "fetch");
+        tsink_->setThreadName(0, 2, "decode");
+        tsink_->setThreadName(0, 3, "issueWait");
+        tsink_->setThreadName(0, 4, "execute");
+        tsink_->setThreadName(0, 5, "commitWait");
+    }
+}
+
+bool
+Pipeline::isCritStatic(DynIdx idx) const
+{
+    return !critDyn_.empty() &&
+           critDyn_[static_cast<std::size_t>(idx)] != 0;
+}
+
+/** Report the post-warmup window only. */
+void
+subtractWarmup(CpuStats &stats, const CpuStats &warm)
+{
+    auto sub = [](std::uint64_t &a, std::uint64_t b) {
+        a = a >= b ? a - b : 0;
+    };
+    sub(stats.cycles, warm.cycles);
+    sub(stats.committed, warm.committed);
+    sub(stats.stallForIIcache, warm.stallForIIcache);
+    sub(stats.stallForIRedirect, warm.stallForIRedirect);
+    sub(stats.stallForRd, warm.stallForRd);
+    sub(stats.decodeCdpBubbles, warm.decodeCdpBubbles);
+    sub(stats.fetchedBytes, warm.fetchedBytes);
+    sub(stats.condBranches, warm.condBranches);
+    sub(stats.mispredicts, warm.mispredicts);
+    sub(stats.fetchWindows, warm.fetchWindows);
+    auto subBreak = [](StageBreakdown &a, const StageBreakdown &b) {
+        a.fetch -= b.fetch;
+        a.decode -= b.decode;
+        a.issueWait -= b.issueWait;
+        a.execute -= b.execute;
+        a.commitWait -= b.commitWait;
+        a.insts -= b.insts;
+    };
+    subBreak(stats.all, warm.all);
+    subBreak(stats.crit, warm.crit);
+    auto subCache = [&](mem::CacheStats &a, const mem::CacheStats &b) {
+        sub(a.accesses, b.accesses);
+        sub(a.misses, b.misses);
+        sub(a.prefetchFills, b.prefetchFills);
+        sub(a.prefetchHits, b.prefetchHits);
+    };
+    subCache(stats.mem.icache, warm.mem.icache);
+    subCache(stats.mem.dcache, warm.mem.dcache);
+    subCache(stats.mem.l2, warm.mem.l2);
+    sub(stats.mem.dram.reads, warm.mem.dram.reads);
+    sub(stats.mem.dram.rowHits, warm.mem.dram.rowHits);
+    sub(stats.mem.dram.rowConflicts, warm.mem.dram.rowConflicts);
+    sub(stats.mem.dram.activates, warm.mem.dram.activates);
+    sub(stats.mem.dram.totalLatency, warm.mem.dram.totalLatency);
+    sub(stats.mem.storeAccesses, warm.mem.storeAccesses);
+}
+
+CpuStats
+Pipeline::run()
+{
+    const std::uint64_t cycleLimit =
+        200ull * trace_.size() + 1000000ull;
+
+    while (committed_ < static_cast<std::uint64_t>(n_)) {
+        critics_assert(cycle_ < cycleLimit,
+                       "pipeline deadlock at cycle ", cycle_,
+                       " committed ", committed_, "/", n_);
+        const bool committed = commit();
+        const bool hadEligible = issue();
+        const bool dispatched = dispatch();
+        const bool decoded = decode();
+        const FetchOutcome fetched = fetch();
+        const Stall stall = attributeStalls(fetched);
+        observe();
+        if (committed || hadEligible || dispatched || decoded ||
+            fetched.active) {
+            ++cycle_;
+        } else {
+            skipIdle(stall);
+        }
+    }
+
+    stats_.cycles = cycle_;
+    stats_.committed = committed_;
+    stats_.mem = memory_.stats();
+    stats_.efetchAccuracy = efetch_.accuracy();
+    // Final forced row: cumulative end-of-run values, before any warmup
+    // subtraction (a repeated index overwrites the periodic row).
+    if (sampling_)
+        config_.intervals->sample(reg_, committed_);
+    critics_debug("cpu", committed_, " insts in ", cycle_,
+                  " cycles (warmup ", config_.warmupCommits, ")");
+    if (config_.warmupCommits > 0)
+        subtractWarmup(stats_, warmupSnapshot_);
+    return stats_;
+}
+
+bool
+Pipeline::commit()
+{
+    unsigned comm = 0;
+    while (comm < config_.commitWidth && robCount_ > 0) {
+        const RobEntry &head = rob_[robHead_];
+        if (!head.issued || head.completeC > cycle_)
+            break;
+        const auto commitC = static_cast<std::uint32_t>(cycle_);
+        auto account = [&](StageBreakdown &b) {
+            b.fetch += (head.popC - head.fetchC) + head.fetchLead;
+            b.decode += head.dispatchC - head.popC;
+            b.issueWait += head.issueC - head.dispatchC;
+            b.execute += head.completeC - head.issueC;
+            b.commitWait += commitC - head.completeC;
+            ++b.insts;
+        };
+        account(stats_.all);
+        if (critMask_ && (*critMask_)[head.dyn])
+            account(stats_.crit);
+        if (tsink_ && warmupDone_ &&
+            tracedInsts_ < config_.traceMaxInsts) {
+            traceSpans(head, commitC);
+        }
+        robHead_ = (robHead_ + 1) % config_.robSize;
+        --robCount_;
+        ++committed_;
+        ++comm;
+    }
+    return comm > 0;
+}
+
+void
+Pipeline::traceSpans(const RobEntry &head, std::uint32_t commitC)
+{
+    // One span per stage, on the stage's own track, so the viewer shows
+    // the classic pipeline diagram.  ts is in simulated cycles
+    // (rendered as microseconds).
+    const char *op = isa::opClassName(trace_.insts[head.dyn].op);
+    const auto dyn = static_cast<double>(head.dyn);
+    auto span = [&](std::uint32_t from, std::uint32_t to,
+                    std::uint32_t tid) {
+        if (to > from)
+            tsink_->complete(op, "pipeline", from, to - from, 0, tid,
+                             "dyn", dyn);
+    };
+    span(head.fetchC, head.popC, 1);
+    span(head.popC, head.dispatchC, 2);
+    span(head.dispatchC, head.issueC, 3);
+    span(head.issueC, head.completeC, 4);
+    span(head.completeC, commitC, 5);
+    ++tracedInsts_;
+}
+
+/**
+ * Find the entry's ready cycle, or park it on the first producer that
+ * has not issued.  resultC is written only at issue and always exceeds
+ * the issue cycle, so readiness found here, at dispatch or wake-up,
+ * equals readiness found at the start of the next cycle's issue, and
+ * the entry becomes eligible in cycle readyC.
+ */
+void
+Pipeline::resolveOperands(std::uint32_t slot)
+{
+    RobEntry &entry = rob_[slot];
+    const DynInst &d = trace_.insts[entry.dyn];
+    std::uint32_t ready = entry.dispatchC + 1;
+    for (const DynIdx dep : {d.dep0, d.dep1}) {
+        if (dep == program::NoDep)
+            continue;
+        Producer &p = producers_[static_cast<std::size_t>(dep)];
+        if (p.resultC == Unknown) {
+            entry.next = p.waiters;
+            p.waiters = slot;
+            return;
+        }
+        ready = std::max(ready, p.resultC);
+    }
+    entry.readyC = ready;
+    schedule(slot);
+}
+
+void
+Pipeline::wake(DynIdx producer)
+{
+    Producer &p = producers_[static_cast<std::size_t>(producer)];
+    std::uint32_t slot = p.waiters;
+    p.waiters = NoSlot;
+    while (slot != NoSlot) {
+        const std::uint32_t next = rob_[slot].next;
+        resolveOperands(slot);
+        slot = next;
+    }
+}
+
+void
+Pipeline::schedule(std::uint32_t slot)
+{
+    const std::uint64_t ready = rob_[slot].readyC;
+    if (ready - cycle_ < kWheelSize) {
+        pushBucket(slot);
+    } else {
+        overflow_.push_back(slot);
+        overflowMin_ = std::min(overflowMin_, ready);
+    }
+}
+
+void
+Pipeline::pushBucket(std::uint32_t slot)
+{
+    // Invariant: cycle_ <= readyC < cycle_ + kWheelSize, and every
+    // bucket is drained in its own cycle (skipIdle never jumps past a
+    // non-empty one), so a bucket holds only entries for one cycle.
+    RobEntry &entry = rob_[slot];
+    std::uint32_t &head = wheel_[entry.readyC & (kWheelSize - 1)];
+    entry.next = head;
+    head = slot;
+    ++wheelCount_;
+}
+
+void
+Pipeline::makeEligible(std::uint32_t slot)
+{
+    // Program order is dyn order: dispatch is in order.
+    const DynIdx dyn = rob_[slot].dyn;
+    auto pos = eligible_.end();
+    while (pos != eligible_.begin() && rob_[*(pos - 1)].dyn > dyn)
+        --pos;
+    eligible_.insert(pos, slot);
+}
+
+bool
+Pipeline::issue()
+{
+    if (!overflow_.empty() && overflowMin_ - cycle_ < kWheelSize) {
+        std::uint64_t rest = NoEvent;
+        std::size_t kept = 0;
+        for (const std::uint32_t slot : overflow_) {
+            const std::uint64_t ready = rob_[slot].readyC;
+            if (ready - cycle_ < kWheelSize) {
+                pushBucket(slot);
+            } else {
+                overflow_[kept++] = slot;
+                rest = std::min(rest, ready);
+            }
+        }
+        overflow_.resize(kept);
+        overflowMin_ = rest;
+    }
+    std::uint32_t &bucket = wheel_[cycle_ & (kWheelSize - 1)];
+    for (std::uint32_t slot = bucket; slot != NoSlot;) {
+        const std::uint32_t next = rob_[slot].next;
+        makeEligible(slot);
+        --wheelCount_;
+        slot = next;
+    }
+    bucket = NoSlot;
+    if (eligible_.empty())
+        return false;
+
+    const std::vector<std::uint32_t> *order = &eligible_;
+    if (usePriority_) {
+        // Critical first, each half in program order.
+        critFirst_.clear();
+        for (const std::uint32_t slot : eligible_) {
+            if (isCritStatic(rob_[slot].dyn))
+                critFirst_.push_back(slot);
+        }
+        for (const std::uint32_t slot : eligible_) {
+            if (!isCritStatic(rob_[slot].dyn))
+                critFirst_.push_back(slot);
+        }
+        order = &critFirst_;
+    }
+
+    unsigned issuedCount = 0;
+    // Pools found busy this cycle: no unit frees up within a cycle.
+    unsigned busyPools = 0;
+    for (const std::uint32_t slot : *order) {
+        if (issuedCount >= config_.issueWidth)
+            break;
+        RobEntry &entry = rob_[slot];
+        const DynInst &d = trace_.insts[entry.dyn];
+        const FuPool pool = poolOf(d.op);
+        const unsigned poolBit = 1u << static_cast<unsigned>(pool);
+        if (busyPools & poolBit)
+            continue;
+        FuSet &fus = fus_[static_cast<std::size_t>(pool)];
+
+        std::uint32_t completeC;
+        if (pool == FuPool::Mem) {
+            // Acquire the port before touching the cache model.
+            if (!fus.tryIssue(cycle_, cycle_ + 1)) {
+                busyPools |= poolBit;
+                continue;
+            }
+            if (d.isLoad()) {
+                const auto res = memory_.load(d.memAddr, cycle_);
+                completeC = static_cast<std::uint32_t>(
+                    cycle_ + res.latency);
+            } else {
+                memory_.store(d.memAddr, cycle_);
+                completeC = static_cast<std::uint32_t>(cycle_ + 1);
+            }
+        } else {
+            completeC = static_cast<std::uint32_t>(
+                cycle_ + isa::execLatency(d.op));
+            const std::uint64_t hold =
+                unpipelined(d.op) ? completeC : cycle_ + 1;
+            if (!fus.tryIssue(cycle_, hold)) {
+                busyPools |= poolBit;
+                continue;
+            }
+        }
+
+        entry.issued = true;
+        entry.issueC = static_cast<std::uint32_t>(cycle_);
+        entry.completeC = completeC;
+        producers_[static_cast<std::size_t>(entry.dyn)].resultC =
+            completeC;
+        wake(entry.dyn);
+        ++issuedCount;
+    }
+
+    if (issuedCount > 0) {
+        eligible_.erase(std::remove_if(eligible_.begin(), eligible_.end(),
+                                       [&](std::uint32_t slot) {
+                                           return rob_[slot].issued;
+                                       }),
+                        eligible_.end());
+    }
+    return true;
+}
+
+bool
+Pipeline::dispatch()
+{
+    // Decode/rename pipe -> ROB.
+    unsigned dispatchBytes = 0;
+    bool any = false;
+    while (dispatchBytes < config_.frontendBytes && !decodePipe_.empty() &&
+           robCount_ < config_.robSize) {
+        const PipeEntry &pe = decodePipe_.front();
+        if (pe.readyC > cycle_)
+            break;
+        dispatchBytes += trace_.insts[pe.dyn].sizeBytes;
+        const auto slot = static_cast<std::uint32_t>(
+            (robHead_ + robCount_) % config_.robSize);
+        RobEntry &entry = rob_[slot];
+        entry = RobEntry{};
+        entry.dyn = pe.dyn;
+        entry.fetchC = pe.fetchC;
+        entry.fetchLead = pe.fetchLead;
+        entry.popC = pe.popC;
+        entry.dispatchC = static_cast<std::uint32_t>(cycle_);
+        ++robCount_;
+        decodePipe_.pop_front();
+        resolveOperands(slot);
+        any = true;
+    }
+    return any;
+}
+
+bool
+Pipeline::decode()
+{
+    // Fetch queue -> decode/rename pipe.  The decoder consumes word
+    // slots: one 32-bit instruction or a pair of 16-bit ones per slot,
+    // so 16-bit code doubles the front-end instruction rate (the
+    // paper's fetch-bandwidth argument for the Thumb format).
+    unsigned decodeBytes = 0;
+    bool any = false;
+    while (decodeBytes < config_.frontendBytes && !fetchQ_.empty() &&
+           decodePipe_.size() < decodePipeCap_) {
+        const FqEntry fe = fetchQ_.front();
+        fetchQ_.pop_front();
+        any = true;
+        decodeBytes += trace_.insts[fe.dyn].sizeBytes;
+        if (trace_.insts[fe.dyn].op == OpClass::Cdp) {
+            // The CDP is a decoder directive: it consumes its fetch and
+            // decode bytes and adds one cycle of decode *latency* while
+            // the format switch takes effect (the paper's conservative
+            // +1 decode-stage delay), but never enters the ROB and does
+            // not stall decode throughput.
+            cdpLatencyUntil_ = cycle_ + 1;
+            stats_.decodeCdpBubbles += config_.cdpExtraDecode;
+            ++committed_; // retires here for bookkeeping
+            continue;
+        }
+        const unsigned cdpPenalty =
+            cycle_ <= cdpLatencyUntil_ ? config_.cdpExtraDecode : 0;
+        decodePipe_.push_back(
+            {fe.dyn, fe.fetchC, fe.fetchLead,
+             static_cast<std::uint32_t>(cycle_),
+             static_cast<std::uint32_t>(
+                 cycle_ + config_.frontendLatency + cdpPenalty)});
+    }
+    return any;
+}
+
+FetchOutcome
+Pipeline::fetch()
+{
+    FetchOutcome out;
+    out.blocked = cycle_ < fetchBlockedUntil_;
+
+    if (haltBranch_ >= 0) {
+        const std::uint32_t resolved =
+            producers_[static_cast<std::size_t>(haltBranch_)].resultC;
+        if (resolved != Unknown) {
+            // The mispredicted branch has resolved; charge the
+            // redirect.
+            fetchBlockedUntil_ = std::max<std::uint64_t>(
+                fetchBlockedUntil_,
+                static_cast<std::uint64_t>(resolved) +
+                    config_.redirectPenalty);
+            blockedOnIcache_ = false;
+            haltBranch_ = -1;
+            out.active = true;
+        }
+    }
+
+    if (out.blocked || haltBranch_ >= 0 || fetchIdx_ >= n_)
+        return out;
+
+    std::uint64_t windowBase = 0;
+    bool haveWindow = false;
+    while (out.fetched < config_.fetchWidth &&
+           fetchQ_.size() < config_.fetchQueueSize && fetchIdx_ < n_) {
+        const DynInst &d = trace_.insts[fetchIdx_];
+        if (!haveWindow) {
+            windowBase = d.address &
+                ~static_cast<std::uint64_t>(config_.fetchBytes - 1);
+            const auto res = memory_.fetchInst(d.address, cycle_);
+            ++stats_.fetchWindows;
+            out.active = true;
+            if (res.latency > memConfig_.icache.hitLatency) {
+                // Miss (or in-flight fill): stall fetch until the line
+                // arrives; hits are pipelined.
+                fetchBlockedUntil_ =
+                    cycle_ + res.latency - memConfig_.icache.hitLatency;
+                blockedOnIcache_ = true;
+                out.sawMiss = true;
+                break;
+            }
+            haveWindow = true;
+        }
+        if (d.address < windowBase ||
+            d.address + d.sizeBytes > windowBase + config_.fetchBytes) {
+            break; // next fetch window, next cycle
+        }
+
+        fetchQ_.push_back(
+            {fetchIdx_, static_cast<std::uint32_t>(cycle_), 0.0f});
+        // A CDP shares its 32-bit word with the first 16-bit
+        // instruction (Fig. 9), so it does not consume a fetch slot of
+        // its own — only its bytes.
+        if (d.op != OpClass::Cdp)
+            ++out.fetched;
+        out.delivered = true;
+        stats_.fetchedBytes += d.sizeBytes;
+
+        // Mechanism hooks at fetch.
+        if (config_.criticalLoadPrefetch && d.isLoad() &&
+            isCritStatic(fetchIdx_)) {
+            memory_.prefetchData(d.memAddr, cycle_);
+        }
+        if (config_.efetch && d.op == OpClass::Call) {
+            const mem::Addr predicted =
+                efetch_.predictAndTrain(d.address, d.branchTarget);
+            if (predicted != 0) {
+                for (unsigned k = 0; k < 4; ++k)
+                    memory_.prefetchInst(predicted + 64ull * k, cycle_);
+            }
+        }
+
+        const DynIdx thisIdx = fetchIdx_;
+        ++fetchIdx_;
+
+        if (d.isControl()) {
+            if (d.isCond()) {
+                ++stats_.condBranches;
+                if (!bpu_.predictAndTrain(d.address, d.taken())) {
+                    ++stats_.mispredicts;
+                    haltBranch_ = thisIdx;
+                    break;
+                }
+            }
+            if (d.taken())
+                break; // taken transfer ends the fetch group
+        }
+    }
+    return out;
+}
+
+void
+Pipeline::charge(Stall stall, std::uint64_t cycles)
+{
+    // pendingSupplyStall_ only ever holds whole numbers, so adding a
+    // run of cycles at once is exact.
+    switch (stall) {
+      case Stall::None:
+        return;
+      case Stall::Icache:
+        stats_.stallForIIcache += cycles;
+        pendingSupplyStall_ += static_cast<double>(cycles);
+        return;
+      case Stall::Redirect:
+        stats_.stallForIRedirect += cycles;
+        pendingSupplyStall_ += static_cast<double>(cycles);
+        return;
+      case Stall::Rd:
+        stats_.stallForRd += cycles;
+        return;
+    }
+}
+
+Stall
+Pipeline::attributeStalls(const FetchOutcome &f)
+{
+    Stall stall = Stall::None;
+    if (!f.delivered && fetchIdx_ < n_) {
+        if (f.blocked || f.sawMiss)
+            stall = blockedOnIcache_ ? Stall::Icache : Stall::Redirect;
+        else if (haltBranch_ >= 0)
+            stall = Stall::Redirect;
+        else if (fetchQ_.size() >= config_.fetchQueueSize)
+            stall = Stall::Rd;
+        charge(stall, 1);
+    } else if (f.delivered && pendingSupplyStall_ > 0.0) {
+        // Attribute accumulated supply-stall cycles to the freshly
+        // fetched group: this is the inherited "fetch stage" time of
+        // these instructions in the Fig. 3 sense.
+        const unsigned delivered = std::max(f.fetched, 1u);
+        const float lead = static_cast<float>(
+            pendingSupplyStall_ / static_cast<double>(delivered));
+        for (std::size_t k = fetchQ_.size() - delivered;
+             k < fetchQ_.size(); ++k) {
+            fetchQ_[k].fetchLead = lead;
+        }
+        pendingSupplyStall_ = 0.0;
+    }
+    if (!f.blocked && cycle_ >= fetchBlockedUntil_ && haltBranch_ < 0)
+        blockedOnIcache_ = false;
+    return stall;
+}
+
+void
+Pipeline::observe()
+{
+    // Both are driven by commits, so they fall only on active cycles.
+    auto sampleNow = [&](std::uint64_t cyclesSoFar) {
+        stats_.cycles = cyclesSoFar;
+        stats_.committed = committed_;
+        stats_.mem = memory_.stats();
+        stats_.efetchAccuracy = efetch_.accuracy();
+        config_.intervals->sample(reg_, committed_);
+    };
+    if (!warmupDone_ && committed_ >= config_.warmupCommits) {
+        warmupDone_ = true;
+        warmupSnapshot_ = stats_;
+        warmupSnapshot_.cycles = cycle_ + 1;
+        warmupSnapshot_.committed = committed_;
+        warmupSnapshot_.mem = memory_.stats();
+        // Force a row at the warmup boundary so the post-warmup window
+        // can be recovered from the series alone.
+        if (sampling_)
+            sampleNow(cycle_ + 1);
+    }
+    if (sampling_ && committed_ >= nextSample_) {
+        sampleNow(cycle_ + 1);
+        while (nextSample_ <= committed_)
+            nextSample_ += config_.statsInterval;
+    }
+}
+
+/**
+ * The earliest cycle after this one at which some stage can act, or
+ * NoEvent.  In a cycle where nothing happened, only these clock
+ * comparisons can change an outcome: the ROB head's completion, an
+ * entry's ready cycle, the decode pipe head's latency and the end of a
+ * fetch block.  (Functional units matter only with something eligible,
+ * and such a cycle is never skipped.)
+ */
+std::uint64_t
+Pipeline::nextEvent() const
+{
+    std::uint64_t next = overflowMin_;
+    if (robCount_ > 0 && rob_[robHead_].issued)
+        next = std::min<std::uint64_t>(next, rob_[robHead_].completeC);
+    if (!decodePipe_.empty() && robCount_ < config_.robSize)
+        next = std::min<std::uint64_t>(next, decodePipe_.front().readyC);
+    if (cycle_ < fetchBlockedUntil_)
+        next = std::min(next, fetchBlockedUntil_);
+    if (wheelCount_ > 0) {
+        const std::uint64_t last = std::min(next, cycle_ + kWheelSize);
+        for (std::uint64_t c = cycle_ + 1; c < last; ++c) {
+            if (wheel_[c & (kWheelSize - 1)] != NoSlot)
+                return c;
+        }
+    }
+    return next;
+}
+
+void
+Pipeline::skipIdle(Stall stall)
+{
+    // Cycles until the next event repeat this one exactly, including
+    // its stall charge; jump over them.
+    const std::uint64_t next = nextEvent();
+    critics_assert(next != NoEvent, "pipeline deadlock at cycle ", cycle_,
+                   " committed ", committed_, "/", n_);
+    charge(stall, next - cycle_ - 1);
+    cycle_ = next;
+}
+
+} // namespace detail
 
 CpuStats
 runTrace(const Trace &trace, const CpuConfig &config,
@@ -179,524 +984,9 @@ runTrace(const Trace &trace, const CpuConfig &config,
                        critMask->size() == trace.size(),
                    "crit mask size mismatch");
 
-    const auto n = static_cast<DynIdx>(trace.size());
-    CpuStats stats;
-    mem::MemorySystem memory(memConfig);
-    mem::EFetchPredictor efetch;
-
-    // Completion cycle of every dynamic instruction (Unknown until the
-    // instruction issues).  Producers referenced by a consumer are
-    // always either in the window or already complete, but keeping the
-    // whole array also supports far-away (loop-carried) dependences.
-    std::vector<std::uint32_t> resultCycle(trace.size(), Unknown);
-
-    const bool usePriority =
-        (config.aluPrioritization || config.backendPrio) &&
-        criticalSet != nullptr;
-
-    // Flatten the per-uid criticality set into a per-dynamic-index byte
-    // mask once per run, so the issue partition and the prefetch hook
-    // index an array instead of probing a hash set per instruction.
-    // Uids are dense (Program::allocUid is sequential), so the
-    // intermediate per-uid table is small.
-    std::vector<std::uint8_t> critDyn;
-    if (criticalSet != nullptr) {
-        program::InstUid maxUid = 0;
-        for (const DynInst &d : trace.insts)
-            maxUid = std::max(maxUid, d.staticUid);
-        std::vector<std::uint8_t> critUid(
-            static_cast<std::size_t>(maxUid) + 1, 0);
-        for (const program::InstUid uid : *criticalSet) {
-            if (uid <= maxUid)
-                critUid[uid] = 1;
-        }
-        critDyn.resize(trace.size());
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            critDyn[i] = critUid[trace.insts[i].staticUid];
-    }
-
-    auto isCritStatic = [&](DynIdx idx) {
-        if (criticalSet == nullptr)
-            return false;
-        return critDyn[static_cast<std::size_t>(idx)] != 0;
-    };
-
-    // ---- Pipeline state --------------------------------------------------
-    std::uint64_t cycle = 0;
-    DynIdx fetchIdx = 0;
-    std::uint64_t fetchBlockedUntil = 0;
-    bool blockedOnIcache = false;
-    DynIdx haltBranch = -1; ///< mispredicted branch gating fetch
-    std::uint64_t decodeStallUntil = 0;
-    std::uint64_t cdpLatencyUntil = 0;
-    double pendingSupplyStall = 0.0; ///< I-side stall cycles to attribute
-
-    std::deque<FqEntry> fetchQ;
-    std::deque<PipeEntry> decodePipe;
-    const std::size_t decodePipeCap =
-        static_cast<std::size_t>(config.decodeWidth) * 2 *
-        (config.frontendLatency + 1);
-
-    std::vector<RobEntry> rob(config.robSize);
-    std::size_t robHead = 0, robCount = 0;
-
-    FuSet alus(config.intAluUnits);
-    FuSet muldivs(config.mulDivUnits);
-    FuSet fpus(config.fpUnits);
-    FuSet memPorts(config.memPorts);
-
-    std::uint64_t committed = 0;
-    bool warmupDone = (config.warmupCommits == 0);
-    CpuStats warmupSnapshot;
-    std::vector<std::size_t> eligible;
-    eligible.reserve(config.robSize);
-
-    // ROB slots still waiting to issue, in program order: the issue
-    // scan walks only these, instead of re-walking every in-flight
-    // instruction (most of which have long since issued) with a
-    // modulo per step.  Dispatch appends; a stable compaction after
-    // issue preserves program order, so the eligible vector comes out
-    // element-for-element identical to a full ROB rescan.
-    std::vector<std::size_t> unissued;
-    unissued.reserve(config.robSize);
-
-    // ---- Observability hooks ---------------------------------------------
-    // Interval rows hold *cumulative raw* values: the registry views the
-    // live `stats` object, whose derived fields (cycles, mem) are
-    // refreshed right before each sample.  Warmup subtraction happens
-    // only on the returned totals, so (lastRow - warmupRow) reproduces
-    // the reported post-warmup numbers.
-    const bool sampling =
-        config.intervals != nullptr && config.statsInterval > 0;
-    stats::StatRegistry reg;
-    if (sampling) {
-        stats.registerStats(reg, "cpu");
-        stats.mem.registerStats(reg, "mem");
-    }
-    std::uint64_t nextSample = config.statsInterval;
-    auto sampleNow = [&](std::uint64_t cyclesSoFar) {
-        stats.cycles = cyclesSoFar;
-        stats.committed = committed;
-        stats.mem = memory.stats();
-        stats.efetchAccuracy = efetch.accuracy();
-        config.intervals->sample(reg, committed);
-    };
-
-    stats::TraceEventWriter *tsink = config.traceSink;
-    std::uint64_t tracedInsts = 0;
-    if (tsink) {
-        tsink->setProcessName(0, "cpu pipeline");
-        tsink->setThreadName(0, 1, "fetch");
-        tsink->setThreadName(0, 2, "decode");
-        tsink->setThreadName(0, 3, "issueWait");
-        tsink->setThreadName(0, 4, "execute");
-        tsink->setThreadName(0, 5, "commitWait");
-    }
-
-    const std::uint64_t cycleLimit =
-        200ull * trace.size() + 1000000ull;
-
-    while (committed < static_cast<std::uint64_t>(n)) {
-        critics_assert(cycle < cycleLimit,
-                       "pipeline deadlock at cycle ", cycle,
-                       " committed ", committed, "/", n);
-
-        // ---- Commit -----------------------------------------------------
-        unsigned comm = 0;
-        while (comm < config.commitWidth && robCount > 0) {
-            RobEntry &head = rob[robHead];
-            if (!head.issued || head.completeC > cycle)
-                break;
-            const auto commitC = static_cast<std::uint32_t>(cycle);
-            auto account = [&](StageBreakdown &b) {
-                b.fetch += (head.popC - head.fetchC) + head.fetchLead;
-                b.decode += head.dispatchC - head.popC;
-                b.issueWait += head.issueC - head.dispatchC;
-                b.execute += head.completeC - head.issueC;
-                b.commitWait += commitC - head.completeC;
-                ++b.insts;
-            };
-            account(stats.all);
-            if (critMask && (*critMask)[head.dyn])
-                account(stats.crit);
-            if (tsink && warmupDone &&
-                tracedInsts < config.traceMaxInsts) {
-                // One span per stage, on the stage's own track, so the
-                // viewer shows the classic pipeline diagram.  ts is in
-                // simulated cycles (rendered as microseconds).
-                const char *op =
-                    isa::opClassName(trace.insts[head.dyn].op);
-                const auto dyn = static_cast<double>(head.dyn);
-                auto span = [&](std::uint32_t from, std::uint32_t to,
-                                std::uint32_t tid) {
-                    if (to > from) {
-                        tsink->complete(op, "pipeline", from, to - from,
-                                        0, tid, "dyn", dyn);
-                    }
-                };
-                span(head.fetchC, head.popC, 1);
-                span(head.popC, head.dispatchC, 2);
-                span(head.dispatchC, head.issueC, 3);
-                span(head.issueC, head.completeC, 4);
-                span(head.completeC, commitC, 5);
-                ++tracedInsts;
-            }
-            robHead = (robHead + 1) % config.robSize;
-            --robCount;
-            ++committed;
-            ++comm;
-        }
-
-        // ---- Issue ------------------------------------------------------
-        eligible.clear();
-        // Program-order enumeration over the not-yet-issued set.  Two
-        // shortcuts keep the per-cycle cost to a couple of loads per
-        // waiting entry: a known readyC is compared directly, and an
-        // entry blocked on a producer is skipped until that producer's
-        // resultCycle appears — readiness cannot change before then,
-        // and resultCycle is only written after this scan, so the
-        // entry unblocks in exactly the cycle a full rescan would.
-        for (const std::size_t slot : unissued) {
-            RobEntry &entry = rob[slot];
-            std::uint32_t ready = entry.readyC;
-            if (ready == Unknown) {
-                if (entry.waitDep != program::NoDep &&
-                    resultCycle[entry.waitDep] == Unknown) {
-                    continue;
-                }
-                const DynInst &d = trace.insts[entry.dyn];
-                ready = entry.dispatchC + 1;
-                bool known = true;
-                for (const DynIdx dep : {d.dep0, d.dep1}) {
-                    if (dep == program::NoDep)
-                        continue;
-                    const std::uint32_t rc = resultCycle[dep];
-                    if (rc == Unknown) {
-                        entry.waitDep = dep;
-                        known = false;
-                        break;
-                    }
-                    ready = std::max(ready, rc);
-                }
-                if (!known)
-                    continue;
-                entry.readyC = ready;
-            }
-            if (cycle >= ready)
-                eligible.push_back(slot);
-        }
-
-        if (usePriority && !eligible.empty()) {
-            std::stable_partition(eligible.begin(), eligible.end(),
-                [&](std::size_t slot) {
-                    return isCritStatic(rob[slot].dyn);
-                });
-        }
-
-        unsigned issuedCount = 0;
-        for (const std::size_t slot : eligible) {
-            if (issuedCount >= config.issueWidth)
-                break;
-            RobEntry &entry = rob[slot];
-            const DynInst &d = trace.insts[entry.dyn];
-            const FuPool pool = poolOf(d.op);
-            FuSet &fus = pool == FuPool::Alu ? alus
-                       : pool == FuPool::MulDiv ? muldivs
-                       : pool == FuPool::Fp ? fpus : memPorts;
-
-            std::uint32_t completeC;
-            if (pool == FuPool::Mem) {
-                // Acquire the port before touching the cache model.
-                if (!fus.tryIssue(cycle, cycle + 1))
-                    continue;
-                if (d.isLoad()) {
-                    const auto res = memory.load(d.memAddr, cycle);
-                    completeC = static_cast<std::uint32_t>(
-                        cycle + res.latency);
-                } else {
-                    memory.store(d.memAddr, cycle);
-                    completeC = static_cast<std::uint32_t>(cycle + 1);
-                }
-            } else {
-                completeC = static_cast<std::uint32_t>(
-                    cycle + isa::execLatency(d.op));
-                const std::uint64_t hold =
-                    unpipelined(d.op) ? completeC : cycle + 1;
-                if (!fus.tryIssue(cycle, hold))
-                    continue;
-            }
-
-            entry.issued = true;
-            entry.issueC = static_cast<std::uint32_t>(cycle);
-            entry.completeC = completeC;
-            resultCycle[entry.dyn] = completeC;
-            ++issuedCount;
-        }
-
-        if (issuedCount > 0) {
-            unissued.erase(
-                std::remove_if(unissued.begin(), unissued.end(),
-                               [&](std::size_t slot) {
-                                   return rob[slot].issued;
-                               }),
-                unissued.end());
-        }
-
-        // ---- Dispatch (decode/rename pipe -> ROB) -------------------------
-        unsigned dispatchBytes = 0;
-        const unsigned frontBytes = config.frontendBytes;
-        while (dispatchBytes < frontBytes && !decodePipe.empty() &&
-               robCount < config.robSize) {
-            const PipeEntry &pe = decodePipe.front();
-            if (pe.readyC > cycle)
-                break;
-            dispatchBytes += trace.insts[pe.dyn].sizeBytes;
-            const std::size_t slot =
-                (robHead + robCount) % config.robSize;
-            RobEntry &entry = rob[slot];
-            entry = RobEntry{};
-            entry.dyn = pe.dyn;
-            entry.fetchC = pe.fetchC;
-            entry.fetchLead = pe.fetchLead;
-            entry.popC = pe.popC;
-            entry.dispatchC = static_cast<std::uint32_t>(cycle);
-            ++robCount;
-            unissued.push_back(slot);
-            decodePipe.pop_front();
-        }
-
-        // ---- Decode (fetch queue -> decode/rename pipe) --------------------
-        // The decoder consumes word slots: one 32-bit instruction or a
-        // pair of 16-bit ones per slot, so 16-bit code doubles the
-        // front-end instruction rate (the paper's fetch-bandwidth
-        // argument for the Thumb format).
-        unsigned decodeBytes = 0;
-        while (decodeBytes < frontBytes && !fetchQ.empty() &&
-               decodePipe.size() < decodePipeCap &&
-               cycle >= decodeStallUntil) {
-            const FqEntry fe = fetchQ.front();
-            fetchQ.pop_front();
-            decodeBytes += trace.insts[fe.dyn].sizeBytes;
-            if (trace.insts[fe.dyn].op == OpClass::Cdp) {
-                // The CDP is a decoder directive: it consumes its fetch
-                // and decode bytes and adds one cycle of decode *latency*
-                // while the format switch takes effect (the paper's
-                // conservative +1 decode-stage delay), but never enters
-                // the ROB and does not stall decode throughput.
-                cdpLatencyUntil = cycle + 1;
-                stats.decodeCdpBubbles += config.cdpExtraDecode;
-                ++committed; // retires here for bookkeeping
-                continue;
-            }
-            const unsigned cdpPenalty =
-                cycle <= cdpLatencyUntil ? config.cdpExtraDecode : 0;
-            decodePipe.push_back(
-                {fe.dyn, fe.fetchC, fe.fetchLead,
-                 static_cast<std::uint32_t>(cycle),
-                 static_cast<std::uint32_t>(
-                     cycle + config.frontendLatency + cdpPenalty)});
-        }
-
-        // ---- Fetch --------------------------------------------------------
-        unsigned fetched = 0;
-        bool deliveredAny = false;
-        bool sawIcacheMissNow = false;
-        const bool blocked = cycle < fetchBlockedUntil;
-
-        if (haltBranch >= 0 && resultCycle[haltBranch] != Unknown) {
-            // The mispredicted branch has resolved; charge the redirect.
-            fetchBlockedUntil = std::max<std::uint64_t>(
-                fetchBlockedUntil,
-                static_cast<std::uint64_t>(resultCycle[haltBranch]) +
-                    config.redirectPenalty);
-            blockedOnIcache = false;
-            haltBranch = -1;
-        }
-
-        if (!blocked && haltBranch < 0 && fetchIdx < n) {
-            std::uint64_t windowBase = 0;
-            bool haveWindow = false;
-            while (fetched < config.fetchWidth &&
-                   fetchQ.size() < config.fetchQueueSize &&
-                   fetchIdx < n) {
-                const DynInst &d = trace.insts[fetchIdx];
-                if (!haveWindow) {
-                    windowBase = d.address &
-                        ~static_cast<std::uint64_t>(
-                            config.fetchBytes - 1);
-                    const auto res =
-                        memory.fetchInst(d.address, cycle);
-                    ++stats.fetchWindows;
-                    if (res.latency > memConfig.icache.hitLatency) {
-                        // Miss (or in-flight fill): stall fetch until
-                        // the line arrives; hits are pipelined.
-                        fetchBlockedUntil =
-                            cycle + res.latency -
-                            memConfig.icache.hitLatency;
-                        blockedOnIcache = true;
-                        sawIcacheMissNow = true;
-                        break;
-                    }
-                    haveWindow = true;
-                }
-                if (d.address < windowBase ||
-                    d.address + d.sizeBytes >
-                        windowBase + config.fetchBytes) {
-                    break; // next fetch window, next cycle
-                }
-
-                fetchQ.push_back(
-                    {fetchIdx, static_cast<std::uint32_t>(cycle), 0.0f});
-                // A CDP shares its 32-bit word with the first 16-bit
-                // instruction (Fig. 9), so it does not consume a fetch
-                // slot of its own — only its bytes.
-                if (d.op != OpClass::Cdp)
-                    ++fetched;
-                deliveredAny = true;
-                stats.fetchedBytes += d.sizeBytes;
-
-                // Mechanism hooks at fetch.
-                if (config.criticalLoadPrefetch && d.isLoad() &&
-                    isCritStatic(fetchIdx)) {
-                    memory.prefetchData(d.memAddr, cycle);
-                }
-                if (config.efetch && d.op == OpClass::Call) {
-                    const mem::Addr predicted = efetch.predictAndTrain(
-                        d.address, d.branchTarget);
-                    if (predicted != 0) {
-                        for (unsigned k = 0; k < 4; ++k) {
-                            memory.prefetchInst(predicted + 64ull * k,
-                                                cycle);
-                        }
-                    }
-                }
-
-                const DynIdx thisIdx = fetchIdx;
-                ++fetchIdx;
-
-                if (d.isControl()) {
-                    if (d.isCond()) {
-                        ++stats.condBranches;
-                        const bool correct =
-                            bpu.predictAndTrain(d.address, d.taken());
-                        if (!correct) {
-                            ++stats.mispredicts;
-                            haltBranch = thisIdx;
-                            break;
-                        }
-                    }
-                    if (d.taken())
-                        break; // taken transfer ends the fetch group
-                }
-            }
-        }
-
-        // ---- Front-end stall attribution ----------------------------------
-        if (!deliveredAny && fetchIdx < n) {
-            if (blocked || sawIcacheMissNow) {
-                if (blockedOnIcache)
-                    ++stats.stallForIIcache;
-                else
-                    ++stats.stallForIRedirect;
-                pendingSupplyStall += 1.0;
-            } else if (haltBranch >= 0) {
-                ++stats.stallForIRedirect;
-                pendingSupplyStall += 1.0;
-            } else if (fetchQ.size() >= config.fetchQueueSize) {
-                ++stats.stallForRd;
-            }
-        } else if (deliveredAny && pendingSupplyStall > 0.0) {
-            // Attribute accumulated supply-stall cycles to the freshly
-            // fetched group: this is the inherited "fetch stage" time
-            // of these instructions in the Fig. 3 sense.
-            const unsigned delivered = std::max(fetched, 1u);
-            const float lead = static_cast<float>(
-                pendingSupplyStall / static_cast<double>(delivered));
-            for (std::size_t k = fetchQ.size() - delivered;
-                 k < fetchQ.size(); ++k) {
-                fetchQ[k].fetchLead = lead;
-            }
-            pendingSupplyStall = 0.0;
-        }
-        if (!blocked && cycle >= fetchBlockedUntil && haltBranch < 0)
-            blockedOnIcache = false;
-
-        if (!warmupDone && committed >= config.warmupCommits) {
-            warmupDone = true;
-            warmupSnapshot = stats;
-            warmupSnapshot.cycles = cycle + 1;
-            warmupSnapshot.committed = committed;
-            warmupSnapshot.mem = memory.stats();
-            // Force a row at the warmup boundary so the post-warmup
-            // window can be recovered from the series alone.
-            if (sampling)
-                sampleNow(cycle + 1);
-        }
-        if (sampling && committed >= nextSample) {
-            sampleNow(cycle + 1);
-            while (nextSample <= committed)
-                nextSample += config.statsInterval;
-        }
-
-        ++cycle;
-    }
-
-    stats.cycles = cycle;
-    stats.committed = committed;
-    stats.mem = memory.stats();
-    stats.efetchAccuracy = efetch.accuracy();
-    // Final forced row: cumulative end-of-run values, before any warmup
-    // subtraction (a repeated index overwrites the periodic row).
-    if (sampling)
-        config.intervals->sample(reg, committed);
-    critics_debug("cpu", committed, " insts in ", cycle,
-                  " cycles (warmup ", config.warmupCommits, ")");
-
-    if (config.warmupCommits > 0) {
-        // Report the post-warmup window only.
-        auto sub = [](std::uint64_t &a, std::uint64_t b) {
-            a = a >= b ? a - b : 0;
-        };
-        sub(stats.cycles, warmupSnapshot.cycles);
-        sub(stats.committed, warmupSnapshot.committed);
-        sub(stats.stallForIIcache, warmupSnapshot.stallForIIcache);
-        sub(stats.stallForIRedirect, warmupSnapshot.stallForIRedirect);
-        sub(stats.stallForRd, warmupSnapshot.stallForRd);
-        sub(stats.decodeCdpBubbles, warmupSnapshot.decodeCdpBubbles);
-        sub(stats.fetchedBytes, warmupSnapshot.fetchedBytes);
-        sub(stats.condBranches, warmupSnapshot.condBranches);
-        sub(stats.mispredicts, warmupSnapshot.mispredicts);
-        sub(stats.fetchWindows, warmupSnapshot.fetchWindows);
-        auto subBreak = [](StageBreakdown &a, const StageBreakdown &b) {
-            a.fetch -= b.fetch;
-            a.decode -= b.decode;
-            a.issueWait -= b.issueWait;
-            a.execute -= b.execute;
-            a.commitWait -= b.commitWait;
-            a.insts -= b.insts;
-        };
-        subBreak(stats.all, warmupSnapshot.all);
-        subBreak(stats.crit, warmupSnapshot.crit);
-        auto subCache = [&](mem::CacheStats &a,
-                            const mem::CacheStats &b) {
-            sub(a.accesses, b.accesses);
-            sub(a.misses, b.misses);
-            sub(a.prefetchFills, b.prefetchFills);
-            sub(a.prefetchHits, b.prefetchHits);
-        };
-        subCache(stats.mem.icache, warmupSnapshot.mem.icache);
-        subCache(stats.mem.dcache, warmupSnapshot.mem.dcache);
-        subCache(stats.mem.l2, warmupSnapshot.mem.l2);
-        sub(stats.mem.dram.reads, warmupSnapshot.mem.dram.reads);
-        sub(stats.mem.dram.rowHits, warmupSnapshot.mem.dram.rowHits);
-        sub(stats.mem.dram.rowConflicts,
-            warmupSnapshot.mem.dram.rowConflicts);
-        sub(stats.mem.dram.activates, warmupSnapshot.mem.dram.activates);
-        sub(stats.mem.dram.totalLatency,
-            warmupSnapshot.mem.dram.totalLatency);
-        sub(stats.mem.storeAccesses, warmupSnapshot.mem.storeAccesses);
-    }
-    return stats;
+    detail::Pipeline pipeline(trace, config, memConfig, bpu, critMask,
+                              criticalSet);
+    return pipeline.run();
 }
 
 } // namespace critics::cpu

@@ -15,6 +15,13 @@
  * breakdowns can be reported for any instruction subset (e.g. the
  * high-fanout "critical" instructions).
  *
+ * The model is cycle-exact but event-driven (DESIGN.md §7): each stage
+ * is its own function, a producer's issue wakes the instructions
+ * waiting on it, instructions with a known ready cycle wait in a
+ * timing wheel, and cycles in which no stage can act are skipped in
+ * one step, with their stall cycles charged in bulk.  A pipeline with
+ * no future event is reported as deadlocked at once.
+ *
  * Hooks for the evaluated mechanisms:
  *   - criticality set (profiled, PC-indexed) marks instructions for the
  *     ALU-prioritization and critical-load-prefetch baselines;
