@@ -4,7 +4,8 @@
 # worker kill -9'd mid-batch (the supervisor must restart it and the
 # batch must still finish clean), resubmit the identical batch and
 # demand it is answered entirely from the warm store (zero new
-# simulations), SIGTERM-drain the daemon, and finally diff the served
+# simulations), check the served store holds each job's record exactly
+# once after both, SIGTERM-drain the daemon, and finally diff the served
 # result store bit-for-bit against a direct `critics_cli run` of the
 # same grid — the service layer must be invisible in the numbers.
 #
@@ -61,10 +62,13 @@ JOB="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$WORK/submit1.json")"
 [ -n "$JOB" ] || { echo "submit returned no job id"; exit 1; }
 
 # Anchor the pattern on the absolute binary path so pgrep can only
-# match real serve-worker processes, never this script's own cmdline.
+# match real serve-worker processes, never this script's own cmdline,
+# and only children of this daemon, never the workers of another
+# daemon running from the same binary (a concurrent obs_smoke).
 VICTIM=""
 for _ in $(seq 1 100); do
-    VICTIM="$(pgrep -f "^$CLI serve-worker" | head -1 || true)"
+    VICTIM="$(pgrep -P "$SERVER_PID" -f "^$CLI serve-worker" |
+        head -1 || true)"
     [ -n "$VICTIM" ] && break
     sleep 0.1
 done
@@ -76,6 +80,12 @@ echo "killed worker $VICTIM mid-batch"
 grep -q '"state":"done"' "$WORK/wait1.log"
 grep -q '"failed":0' "$WORK/wait1.log"
 [ "$(grep -c '"event":"job"' "$WORK/wait1.log")" -eq "$JOBS" ]
+# Every shard record was appended to the served store exactly once: a
+# doubled or torn fold changes the line count.
+store_lines() { wc -l <"$STORE" | tr -d ' '; }
+[ "$(store_lines)" -eq "$JOBS" ] || {
+    echo "served store holds $(store_lines) lines, want $JOBS"; exit 1
+}
 echo "cold batch survived the worker kill ($JOBS/$JOBS jobs ok)"
 
 # ---- 2. Warm resubmit: answered from the store, nothing simulated ---
@@ -86,6 +96,9 @@ grep -q "\"warm\":$JOBS" "$WORK/submit2.log"
 grep -q '"cold":0' "$WORK/submit2.log"
 grep -q '"simulated":0' "$WORK/submit2.log"
 [ "$(grep -c '"from-cache":true' "$WORK/submit2.log")" -eq "$JOBS" ]
+[ "$(store_lines)" -eq "$JOBS" ] || {
+    echo "warm resubmit changed the store: $(store_lines) lines"; exit 1
+}
 echo "warm resubmit served $JOBS/$JOBS jobs from the store"
 
 # ---- 3. SIGTERM drain ------------------------------------------------

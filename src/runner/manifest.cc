@@ -243,18 +243,24 @@ RunManifest::summaryLine() const
 std::string
 gitDescribe()
 {
-    std::FILE *pipe = ::popen(
-        "git describe --always --dirty 2>/dev/null", "r");
-    if (!pipe)
-        return "unknown";
-    std::array<char, 128> buf{};
-    std::string out;
-    while (std::fgets(buf.data(), buf.size(), pipe))
-        out += buf.data();
-    ::pclose(pipe);
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-        out.pop_back();
-    return out.empty() ? "unknown" : out;
+    // A popen costs ~5 ms and a serve daemon writes a manifest per
+    // batch: ask git once per process.
+    static const std::string described = [] {
+        std::FILE *pipe = ::popen(
+            "git describe --always --dirty 2>/dev/null", "r");
+        if (!pipe)
+            return std::string("unknown");
+        std::array<char, 128> buf{};
+        std::string out;
+        while (std::fgets(buf.data(), buf.size(), pipe))
+            out += buf.data();
+        ::pclose(pipe);
+        while (!out.empty() &&
+               (out.back() == '\n' || out.back() == '\r'))
+            out.pop_back();
+        return out.empty() ? std::string("unknown") : out;
+    }();
+    return described;
 }
 
 } // namespace critics::runner

@@ -95,7 +95,8 @@ struct RunManifest
     std::string summaryLine() const;
 };
 
-/** `git describe --always --dirty`, or "unknown". */
+/** `git describe --always --dirty`, or "unknown"; computed once per
+ *  process. */
 std::string gitDescribe();
 
 } // namespace critics::runner

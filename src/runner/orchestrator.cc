@@ -193,7 +193,8 @@ Runner::run(const std::string &batchName,
     batch.outcomes.resize(owned.size());
     batch.manifest.batch = manifestName;
     batch.manifest.schema = kResultSchemaVersion;
-    batch.manifest.gitDescribe = runner::gitDescribe();
+    if (options_.writeManifest) // a popen; only manifests record it
+        batch.manifest.gitDescribe = runner::gitDescribe();
     batch.manifest.startedUnix = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::seconds>(
             std::chrono::system_clock::now().time_since_epoch())

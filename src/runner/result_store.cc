@@ -313,6 +313,93 @@ readResultRecords(const std::string &path)
     return records;
 }
 
+namespace
+{
+
+/** The index fields of one current-schema store record. */
+struct StoreLine
+{
+    std::string hash;
+    std::string spec;
+    sim::RunResult result;
+};
+
+/**
+ * Parse one store line.  nullopt for anything that is not a record of
+ * this schema; `malformed` is set when the line is not a record at all
+ * (e.g. truncated by an interrupt), as opposed to another schema's.
+ */
+std::optional<StoreLine>
+parseStoreLine(const std::string &line, bool &malformed)
+{
+    malformed = false;
+    const auto record = parseJson(line);
+    if (!record || !record->isObject()) {
+        malformed = true;
+        return std::nullopt;
+    }
+    const JsonValue *schema = record->find("schema");
+    if (!schema || schema->asInt() != kResultSchemaVersion)
+        return std::nullopt;
+    const JsonValue *hash = record->find("hash");
+    const JsonValue *spec = record->find("spec");
+    const JsonValue *result = record->find("result");
+    if (!hash || !spec || !result)
+        return std::nullopt;
+    auto hashText = hash->asString();
+    auto specText = spec->asString();
+    if (!hashText || !specText)
+        return std::nullopt;
+    auto parsed = resultFromJson(*result);
+    if (!parsed) {
+        malformed = true;
+        return std::nullopt;
+    }
+    return StoreLine{std::move(*hashText), std::move(*specText),
+                     *parsed};
+}
+
+/**
+ * Call `onLine` on every non-empty newline-terminated line of `fd`
+ * from byte `from` on (newline stripped), reading in bounded chunks.
+ * Returns the bytes consumed: up to just past the last newline, so an
+ * unterminated tail is left for a later call.
+ */
+template <typename OnLine>
+std::uint64_t
+forEachLine(int fd, std::uint64_t from, OnLine &&onLine)
+{
+    std::string chunk(std::size_t{1} << 16, '\0');
+    std::string pending; // bytes [from + consumed, offset)
+    std::string line;
+    std::uint64_t offset = from;
+    std::uint64_t consumed = 0;
+    for (;;) {
+        const ssize_t got = ::pread(fd, chunk.data(), chunk.size(),
+                                    static_cast<off_t>(offset));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            break;
+        offset += static_cast<std::uint64_t>(got);
+        pending.append(chunk.data(), static_cast<std::size_t>(got));
+        std::size_t start = 0;
+        for (std::size_t nl;
+             (nl = pending.find('\n', start)) != std::string::npos;
+             start = nl + 1) {
+            if (nl > start) {
+                line.assign(pending, start, nl - start);
+                onLine(line);
+            }
+        }
+        consumed += start;
+        pending.erase(0, start);
+    }
+    return consumed;
+}
+
+} // namespace
+
 std::string
 cacheDir()
 {
@@ -327,7 +414,7 @@ ResultStore::ResultStore(std::string path) : path_(std::move(path))
 {
     if (path_.empty())
         path_ = cacheDir() + "/results.jsonl";
-    load();
+    refresh();
 }
 
 ResultStore::~ResultStore()
@@ -335,6 +422,8 @@ ResultStore::~ResultStore()
     std::lock_guard<std::mutex> guard(lock_);
     if (fd_ >= 0)
         ::close(fd_);
+    if (readFd_ >= 0)
+        ::close(readFd_);
 }
 
 void
@@ -345,7 +434,8 @@ ResultStore::openLocked()
         std::error_code ec;
         std::filesystem::create_directories(dir, ec);
     }
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                 0644);
     if (fd_ < 0) {
         critics_warn("cannot open result cache ", path_,
                      " for append; results will not persist");
@@ -353,53 +443,95 @@ ResultStore::openLocked()
 }
 
 void
-ResultStore::reload()
+ResultStore::refresh()
 {
     std::lock_guard<std::mutex> guard(lock_);
-    entries_.clear();
-    load();
+    refreshLocked();
 }
 
 void
-ResultStore::load()
+ResultStore::refreshLocked()
 {
-    std::ifstream in(path_);
-    if (!in)
+    struct stat viaPath{};
+    if (::stat(path_.c_str(), &viaPath) != 0) {
+        forgetLocked(); // removed, or not created yet
         return;
-    std::string line;
-    std::size_t malformed = 0;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        const auto record = parseJson(line);
-        if (!record || !record->isObject()) {
-            ++malformed; // e.g. a line truncated by an interrupt
-            continue;
-        }
-        const JsonValue *schema = record->find("schema");
-        if (!schema || schema->asInt() != kResultSchemaVersion)
-            continue;
-        const JsonValue *hash = record->find("hash");
-        const JsonValue *spec = record->find("spec");
-        const JsonValue *result = record->find("result");
-        if (!hash || !spec || !result)
-            continue;
-        const auto hashText = hash->asString();
-        const auto specText = spec->asString();
-        if (!hashText || !specText)
-            continue;
-        auto parsed = resultFromJson(*result);
-        if (!parsed) {
-            ++malformed;
-            continue;
-        }
-        // Last record wins: later appends supersede earlier ones.
-        entries_[*hashText] = Entry{*specText, *parsed};
     }
+    struct stat viaFd{};
+    const bool sameFile =
+        readFd_ >= 0 && ::fstat(readFd_, &viaFd) == 0 &&
+        viaFd.st_dev == viaPath.st_dev &&
+        viaFd.st_ino == viaPath.st_ino &&
+        static_cast<std::uint64_t>(viaPath.st_size) >= indexed_;
+    if (!sameFile) {
+        // First load, or a rewriter replaced the file (or something
+        // truncated it): the indexed prefix is gone, start over.
+        forgetLocked();
+        readFd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+        if (readFd_ < 0)
+            return;
+    }
+    indexFromLocked();
+}
+
+void
+ResultStore::indexFromLocked()
+{
+    std::size_t malformed = 0;
+    indexed_ += forEachLine(readFd_, indexed_, [&](const std::string &line) {
+        ++parsedLines_;
+        bool bad = false;
+        auto record = parseStoreLine(line, bad);
+        malformed += bad ? 1 : 0;
+        if (record) {
+            // Last record wins: later appends supersede earlier ones.
+            entries_[record->hash] =
+                Entry{std::move(record->spec), record->result};
+        }
+    });
     if (malformed > 0) {
         critics_warn("result cache ", path_, ": skipped ", malformed,
                      " malformed record(s)");
     }
+}
+
+void
+ResultStore::forgetLocked()
+{
+    if (readFd_ >= 0) {
+        ::close(readFd_);
+        readFd_ = -1;
+    }
+    indexed_ = 0;
+    entries_.clear();
+}
+
+std::size_t
+ResultStore::absorb(const std::string &shardPath)
+{
+    const int fd = ::open(shardPath.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return 0; // a shard that ran nothing wrote no store
+    std::string lines;
+    std::size_t records = 0;
+    forEachLine(fd, 0, [&](const std::string &line) {
+        bool malformed = false;
+        if (parseStoreLine(line, malformed)) {
+            lines += line;
+            lines += '\n';
+            ++records;
+        }
+    });
+    ::close(fd);
+    if (records == 0)
+        return 0;
+    std::lock_guard<std::mutex> guard(lock_);
+    appendLocked(lines);
+    inserts_ += records;
+    // Indexes the absorbed lines, and anything other processes
+    // appended since the last refresh.
+    refreshLocked();
+    return records;
 }
 
 std::optional<sim::RunResult>
@@ -442,10 +574,6 @@ ResultStore::insert(const std::string &hashHex, const std::string &spec,
                     const std::string &app, const std::string &variant,
                     const sim::RunResult &result)
 {
-    std::lock_guard<std::mutex> guard(lock_);
-    if (fd_ < 0)
-        openLocked();
-
     const std::uint64_t now = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::seconds>(
             std::chrono::system_clock::now().time_since_epoch())
@@ -461,54 +589,63 @@ ResultStore::insert(const std::string &hashHex, const std::string &spec,
     const std::string record =
         w.str() + ",\"result\":" + resultToJson(result) + "}\n";
 
+    std::lock_guard<std::mutex> guard(lock_);
     entries_[hashHex] = Entry{spec, result};
     ++inserts_;
-    if (fd_ >= 0) {
-        // One record = one write(2) to an O_APPEND descriptor under
-        // an exclusive flock: concurrent writer processes (shards,
-        // parallel sweeps) serialize whole lines and can never
-        // interleave partial ones.  A crash mid-write leaves at most
-        // one truncated tail line, which loads skip.
-        ::flock(fd_, LOCK_EX);
-        // A cache rewriter (merge/compact/gc) holds this same lock
-        // across its temp+rename; if one ran while we were blocked,
-        // this descriptor now points at the orphaned old inode and
-        // the append would vanish with it.  Revalidate that the path
-        // still names our inode, reopening (and re-locking) if not.
-        for (int attempt = 0; attempt < 8 && fd_ >= 0; ++attempt) {
-            struct stat viaFd{}, viaPath{};
-            if (::fstat(fd_, &viaFd) != 0)
-                break;
-            if (::stat(path_.c_str(), &viaPath) == 0 &&
-                viaFd.st_dev == viaPath.st_dev &&
-                viaFd.st_ino == viaPath.st_ino) {
-                break; // still the live file
-            }
-            ::flock(fd_, LOCK_UN);
-            ::close(fd_);
-            fd_ = -1;
-            openLocked();
-            if (fd_ >= 0)
-                ::flock(fd_, LOCK_EX);
-        }
-    }
-    if (fd_ >= 0) {
-        const char *data = record.data();
-        std::size_t left = record.size();
-        while (left > 0) {
-            const ssize_t wrote = ::write(fd_, data, left);
-            if (wrote <= 0) {
-                if (wrote < 0 && errno == EINTR)
-                    continue;
-                critics_warn("short write to result cache ", path_,
-                             "; record may be truncated");
-                break;
-            }
-            data += wrote;
-            left -= static_cast<std::size_t>(wrote);
+    appendLocked(record);
+}
+
+void
+ResultStore::appendLocked(const std::string &lines)
+{
+    if (fd_ < 0)
+        openLocked();
+    if (fd_ < 0)
+        return;
+    // One append = one write(2) to an O_APPEND descriptor under an
+    // exclusive flock: concurrent writer processes (shards, parallel
+    // sweeps) serialize whole lines and can never interleave partial
+    // ones.  A crash mid-write leaves at most one truncated tail
+    // line, which loads skip.
+    ::flock(fd_, LOCK_EX);
+    // A cache rewriter (merge/compact/gc) holds this same lock across
+    // its temp+rename; if one ran while we were blocked, this
+    // descriptor now points at the orphaned old inode and the append
+    // would vanish with it.  Revalidate that the path still names our
+    // inode, reopening (and re-locking) if not.
+    for (int attempt = 0; attempt < 8 && fd_ >= 0; ++attempt) {
+        struct stat viaFd{}, viaPath{};
+        if (::fstat(fd_, &viaFd) != 0)
+            break;
+        if (::stat(path_.c_str(), &viaPath) == 0 &&
+            viaFd.st_dev == viaPath.st_dev &&
+            viaFd.st_ino == viaPath.st_ino) {
+            break; // still the live file
         }
         ::flock(fd_, LOCK_UN);
+        ::close(fd_);
+        fd_ = -1;
+        openLocked();
+        if (fd_ >= 0)
+            ::flock(fd_, LOCK_EX);
     }
+    if (fd_ < 0)
+        return;
+    const char *data = lines.data();
+    std::size_t left = lines.size();
+    while (left > 0) {
+        const ssize_t wrote = ::write(fd_, data, left);
+        if (wrote <= 0) {
+            if (wrote < 0 && errno == EINTR)
+                continue;
+            critics_warn("short write to result cache ", path_,
+                         "; record may be truncated");
+            break;
+        }
+        data += wrote;
+        left -= static_cast<std::size_t>(wrote);
+    }
+    ::flock(fd_, LOCK_UN);
 }
 
 std::size_t
@@ -557,6 +694,8 @@ ResultStore::registerStats(stats::StatRegistry &reg,
     reg.addCounter(prefix + ".inserts", inserts_, "records appended");
     reg.addCounter(prefix + ".collisions", collisions_,
                    "hash matches with a different stored spec");
+    reg.addCounter(prefix + ".parsedLines", parsedLines_,
+                   "store lines parsed since construction");
     reg.addFormula(prefix + ".entries",
                    [this] { return static_cast<double>(size()); },
                    "records resident");
@@ -572,7 +711,7 @@ ResultStore::clear()
     }
     std::error_code ec;
     std::filesystem::remove(path_, ec);
-    entries_.clear();
+    forgetLocked();
 }
 
 } // namespace critics::runner

@@ -6,20 +6,36 @@
  * bit-exactly (doubles as hex-floats), so a warm run reproduces a cold
  * run's tables digit for digit.
  *
- * Multi-writer guarantee: each record is appended as a single write(2)
- * to an O_APPEND descriptor under an exclusive flock(), so any number
- * of processes (shards of one sweep, concurrent sweeps) may append to
- * the same file without ever interleaving partial lines — the kernel
- * serializes whole records.  The only non-atomic failure mode left is
- * a process dying mid-write, which leaves at most one truncated tail
- * line; loads skip it.  In-process, a mutex serializes appends across
- * the worker threads.
+ * Multi-writer guarantee: each append (one record from insert(), or a
+ * shard's records from absorb()) is a single write(2) to an O_APPEND
+ * descriptor under an exclusive flock(), so any number of processes
+ * (shards of one sweep, concurrent sweeps) may append to the same file
+ * without ever interleaving partial lines — the kernel serializes
+ * whole records.  The only non-atomic failure mode left is a process
+ * dying mid-write, which leaves at most one truncated tail line.  In-
+ * process, a mutex serializes appends across the worker threads.
  *
  * Cache rewriters (`cache merge/compact/gc`) hold the same flock
  * across their temp+rename replacement of the file; an appender that
  * wakes up holding a lock on the replaced inode detects the swap
  * (path no longer names its inode) and reopens before writing, so no
  * record is ever appended to an orphaned file.
+ *
+ * Incremental index: the in-memory index covers the file up to the
+ * byte just past the last newline-terminated line it parsed, and the
+ * store keeps an O_RDONLY descriptor on the file it indexed.  That
+ * descriptor pins the inode, so its number cannot be reused by a later
+ * rewrite and mistaken for the indexed file.  refresh() parses only
+ * the bytes appended since, as long as the path still names the
+ * pinned inode and the file has not shrunk; after a rewriter swapped
+ * the inode, a truncation or a removal it re-reads (or forgets) the
+ * whole file.  Construction is a refresh() from offset 0.  Only
+ * newline-terminated lines are indexed: an unterminated tail is a
+ * write in progress or a torn record, and stays unindexed until its
+ * newline lands (a torn record never gets one; the next append makes
+ * it part of a malformed line).  The invariant every test checks:
+ * after any sequence of appends, rewrites and removals, the index
+ * after refresh() equals the one a fresh ResultStore(path) builds.
  */
 
 #ifndef CRITICS_RUNNER_RESULT_STORE_HH
@@ -134,14 +150,35 @@ class ResultStore
     /** Delete the backing file and forget all records. */
     void clear();
 
-    /** Drop the in-memory index and re-read the backing file — how a
-     *  long-running daemon picks up records appended by worker
-     *  processes or a completed `cache merge`. */
-    void reload();
+    /**
+     * Bring the index up to date with the backing file: parse only the
+     * lines appended since the last refresh, or re-read the whole file
+     * if it was replaced, truncated or removed (see the file comment).
+     * How a long-running daemon picks up records appended by other
+     * processes or a completed `cache merge`.
+     */
+    void refresh();
+
+    /**
+     * Append the well-formed, newline-terminated current-schema records
+     * of the store file `shardPath` verbatim (the shard writer's
+     * bytes, as `cache merge` keeps them) in one flock-guarded append,
+     * then index them.  Malformed, old-schema and unterminated lines
+     * are dropped; a missing file absorbs nothing.  Like insert(), it
+     * does not deduplicate: a record whose hash is already stored is
+     * appended and supersedes the older one.  Returns the number of
+     * records appended.
+     */
+    std::size_t absorb(const std::string &shardPath);
 
   private:
-    void load();
-    void openLocked(); ///< open the append fd (caller holds lock_)
+    void refreshLocked();
+    void indexFromLocked(); ///< parse [indexed_, EOF) of readFd_
+    void forgetLocked();    ///< drop the index and the pinned inode
+    void openLocked();      ///< open the append fd (caller holds lock_)
+    /** One flock-guarded O_APPEND write of whole lines, revalidating
+     *  that the append fd still names the live file. */
+    void appendLocked(const std::string &lines);
 
     struct Entry
     {
@@ -152,7 +189,12 @@ class ResultStore
     mutable std::mutex lock_;
     std::string path_;
     std::unordered_map<std::string, Entry> entries_;
-    int fd_ = -1; ///< lazily-opened O_APPEND descriptor
+    int fd_ = -1;     ///< lazily-opened O_APPEND descriptor
+    int readFd_ = -1; ///< O_RDONLY on the indexed file (pins its inode)
+    std::uint64_t indexed_ = 0; ///< bytes of readFd_ parsed so far
+    /** Store lines parsed since construction (a full load counts
+     *  every line, an incremental refresh only the new ones). */
+    std::uint64_t parsedLines_ = 0;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
     std::uint64_t inserts_ = 0;

@@ -15,7 +15,6 @@
 
 #include "obs/obs.hh"
 #include "obs/span.hh"
-#include "runner/cache_admin.hh"
 #include "runner/orchestrator.hh"
 #include "runner/shard.hh"
 #include "serve/supervisor.hh"
@@ -756,7 +755,7 @@ Server::runInProcess(const std::shared_ptr<Batch> &batch)
         event.error = outcome.error;
         recordEvent(batch, event);
     }
-    store_.reload();
+    store_.refresh();
 }
 
 void
@@ -899,18 +898,12 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
     WorkerSupervisor supervisor(supOptions);
     supervisor.run(argvs);
 
-    // Fold every shard store back into the shared one so the next
-    // submission of these specs is warm, then drop the scratch files.
-    std::vector<std::string> inputs = {store_.path()};
+    // Append every shard store's records to the shared one (and the
+    // index) so the next submission of these specs is warm: the cost
+    // is the batch's new records, not the store's size.  Then drop
+    // the scratch files.
     for (std::size_t i = 0; i < scratch.size(); i += 2)
-        inputs.push_back(scratch[i]);
-    if (inputs.size() > 1) {
-        if (!runner::mergeStores(store_.path(), inputs)) {
-            critics_warn("serve: merging shard stores into ",
-                         store_.path(), " failed");
-        }
-        store_.reload();
-    }
+        store_.absorb(scratch[i]);
     for (const auto &path : scratch) {
         std::error_code ec;
         std::filesystem::remove(path, ec);

@@ -17,8 +17,8 @@
  *   - a client disconnect never cancels a job — the batch keeps
  *     running and a later status/wait replays its full event log;
  *   - SIGTERM (requestShutdown) drains the in-flight batch, fails the
- *     queued ones with a clear error, merges/flushes everything and
- *     returns from wait().
+ *     queued ones with a clear error, appends its shard stores'
+ *     records to the shared store and returns from wait().
  *
  * Threading: one accept loop, one scheduler (batches execute one at a
  * time — simulator jobs already saturate the machine through the

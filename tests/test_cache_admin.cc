@@ -25,7 +25,9 @@
 #include "runner/result_store.hh"
 #include "runner/shard.hh"
 #include "runner/sigint.hh"
+#include "stats/registry.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 
 using namespace critics;
 using namespace critics::runner;
@@ -101,6 +103,21 @@ makeLine(const JobSpec &spec, const sim::RunResult &result,
         .field("writtenUnix", writtenUnix)
         .field("spec", spec.specString());
     return w.str() + ",\"result\":" + resultToJson(result) + "}\n";
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+appendBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << bytes;
 }
 
 std::size_t
@@ -317,6 +334,162 @@ TEST(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
               static_cast<std::size_t>(kWriters * kRecords));
     EXPECT_EQ(readResultRecords(file.str()).size(),
               static_cast<std::size_t>(kWriters * kRecords));
+}
+
+// ---------------------------------------------------------------------------
+// Incremental refresh and shard absorb
+
+TEST(ResultStore, RefreshParsesOnlyAppendedLines)
+{
+    TempPath file("critics-refresh-count");
+    constexpr std::size_t kRecords = 6;
+    {
+        ResultStore writer(file.str());
+        for (std::size_t i = 0; i < kRecords; ++i)
+            writer.insert(tinySpec(i), sampleResult(1.0 * i));
+    }
+    ResultStore live(file.str());
+    stats::StatRegistry reg;
+    live.registerStats(reg, "runner.cache");
+    const stats::StatDef *parsed = reg.find("runner.cache.parsedLines");
+    ASSERT_NE(parsed, nullptr);
+    EXPECT_EQ(parsed->eval(), static_cast<double>(kRecords));
+
+    ResultStore(file.str()).insert(tinySpec(kRecords), sampleResult());
+    live.refresh();
+    // One new line parsed, not the whole store again.
+    EXPECT_EQ(parsed->eval(), static_cast<double>(kRecords + 1));
+    EXPECT_EQ(live.size(), kRecords + 1);
+    EXPECT_TRUE(live.lookup(tinySpec(kRecords)).has_value());
+
+    live.refresh(); // nothing new: nothing parsed
+    EXPECT_EQ(parsed->eval(), static_cast<double>(kRecords + 1));
+}
+
+TEST(ResultStore, AbsorbAppendsOnlyGoodLines)
+{
+    TempPath file("critics-absorb"), shard("critics-absorb-shard");
+    ResultStore live(file.str());
+    live.insert(tinySpec(1), sampleResult(1.0));
+    const std::string before = fileBytes(file.str());
+
+    const std::string good = makeLine(tinySpec(2), sampleResult(2.0), 7);
+    std::string torn = makeLine(tinySpec(4), sampleResult(4.0), 7);
+    torn.pop_back(); // a complete record, but its newline never landed
+    appendBytes(shard.str(),
+                good + "{\"schema\":1,\"hash\":\"mangled\n" +
+                    makeLine(tinySpec(3), sampleResult(), 7, "",
+                             kResultSchemaVersion + 1) +
+                    torn);
+
+    setQuiet(true);
+    EXPECT_EQ(live.absorb(shard.str()), 1u);
+    EXPECT_EQ(live.absorb(shard.str() + ".missing"), 0u);
+    setQuiet(false);
+    EXPECT_EQ(fileBytes(file.str()), before + good); // byte for byte
+
+    ResultStore fresh(file.str());
+    EXPECT_EQ(live.size(), 2u);
+    EXPECT_EQ(fresh.size(), 2u);
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+        const auto want = fresh.lookup(tinySpec(seed));
+        const auto got = live.lookup(tinySpec(seed));
+        ASSERT_EQ(got.has_value(), want.has_value()) << seed;
+        if (want) {
+            EXPECT_EQ(resultToJson(*got), resultToJson(*want));
+        }
+    }
+    EXPECT_TRUE(live.lookup(tinySpec(2)).has_value());
+}
+
+TEST(ResultStore, RefreshMatchesFreshLoad)
+{
+    // A long-lived store refreshed after every step of a seeded mix of
+    // appends, torn tails, absorbs, rewrites (inode swaps) and
+    // removals must index exactly what a fresh load of the file does.
+    TempPath file("critics-refresh-prop"), shard("critics-refresh-shard");
+    constexpr std::uint64_t kSpecs = 10;
+    std::vector<JobSpec> specs;
+    for (std::uint64_t i = 0; i < kSpecs; ++i)
+        specs.push_back(tinySpec(i));
+
+    Rng rng(20181020);
+    ResultStore live(file.str());
+    bool tailPending = false;
+    std::uint64_t now = 1000;
+    auto randomLine = [&] {
+        const JobSpec &spec = specs[rng.below(kSpecs)];
+        return makeLine(spec, sampleResult(rng.uniform()), ++now);
+    };
+    setQuiet(true);
+    for (int step = 0; step < 120; ++step) {
+        const std::uint64_t op = rng.below(8);
+        SCOPED_TRACE("step " + std::to_string(step) + " op " +
+                     std::to_string(op));
+        switch (op) {
+          case 0:
+          case 1: // insert by another process's store
+            ResultStore(file.str())
+                .insert(specs[rng.below(kSpecs)],
+                        sampleResult(rng.uniform()));
+            tailPending = false;
+            break;
+          case 2: { // absorb a shard with a malformed line in it
+            std::filesystem::remove(shard.str());
+            appendBytes(shard.str(),
+                        randomLine() + "not a record\n" + randomLine());
+            live.absorb(shard.str());
+            tailPending = false;
+            break;
+          }
+          case 3: // a record without its newline, later completed
+            if (tailPending) {
+                appendBytes(file.str(), "\n");
+            } else {
+                std::string line = randomLine();
+                line.pop_back();
+                appendBytes(file.str(), line);
+            }
+            tailPending = !tailPending;
+            break;
+          case 4:
+            ASSERT_TRUE(compactStore(file.str()).has_value());
+            tailPending = false;
+            break;
+          case 5: {
+            GcOptions opt;
+            opt.maxBytes = 4096 * (1 + rng.below(6));
+            ASSERT_TRUE(gcStore(file.str(), opt).has_value());
+            tailPending = false;
+            break;
+          }
+          case 6: {
+            std::filesystem::remove(shard.str());
+            appendBytes(shard.str(), randomLine());
+            ASSERT_TRUE(
+                mergeStores(file.str(), {file.str(), shard.str()})
+                    .has_value());
+            tailPending = false;
+            break;
+          }
+          case 7:
+            std::filesystem::remove(file.str());
+            tailPending = false;
+            break;
+        }
+        live.refresh();
+        ResultStore fresh(file.str());
+        ASSERT_EQ(live.size(), fresh.size());
+        for (const JobSpec &spec : specs) {
+            const auto want = fresh.lookup(spec);
+            const auto got = live.lookup(spec);
+            ASSERT_EQ(got.has_value(), want.has_value());
+            if (want) {
+                ASSERT_EQ(resultToJson(*got), resultToJson(*want));
+            }
+        }
+    }
+    setQuiet(false);
 }
 
 // ---------------------------------------------------------------------------
