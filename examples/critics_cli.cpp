@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <functional>
@@ -77,6 +78,7 @@
 #include "stats/trace_event.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/number.hh"
 #include "support/table.hh"
 #include "verify/trace_check.hh"
 #include "verify/verify.hh"
@@ -303,9 +305,9 @@ cmdDiff(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--rel") {
-            opt.relThreshold = std::stod(next());
+            opt.relThreshold = doubleFlag(arg, next());
         } else if (arg == "--abs") {
-            opt.absThreshold = std::stod(next());
+            opt.absThreshold = doubleFlag(arg, next());
         } else if (arg == "--store") {
             storePath = next();
         } else if (!arg.empty() && arg[0] == '-') {
@@ -405,9 +407,9 @@ cmdLint(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = uintFlag(arg, next());
         } else if (arg == "--min-run") {
-            minRun = static_cast<unsigned>(std::stoul(next()));
+            minRun = static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
         } else if (arg == "--trace") {
             withTrace = true;
         } else if (arg == "--out") {
@@ -608,9 +610,9 @@ cmdBench(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = uintFlag(arg, next());
         } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(std::stoul(next()));
+            reps = static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
         } else if (arg == "--label") {
             label = next();
         } else if (arg == "--out") {
@@ -942,7 +944,7 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = uintFlag(arg, next());
         } else if (arg == "--batch") {
             batchName = next();
         } else if (arg == "--no-cache") {
@@ -962,7 +964,7 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats-interval") {
-            statsInterval = std::stoull(next());
+            statsInterval = uintFlag(arg, next());
         } else if (arg == "--stats-out") {
             statsOut = next();
         } else if (arg == "--trace-out") {
@@ -1172,39 +1174,45 @@ cmdReport(int argc, char **argv)
     return 0;
 }
 
-/** "900", "900s", "15m", "12h" or "30d" → seconds. */
+/** `flag`'s value "900", "900s", "15m", "12h" or "30d" → seconds. */
 std::uint64_t
-parseDuration(const std::string &text)
+parseDuration(const std::string &flag, const std::string &text)
 {
-    if (text.empty())
-        critics_fatal("empty duration");
     std::uint64_t scale = 1;
     std::string digits = text;
-    switch (text.back()) {
+    switch (text.empty() ? '\0' : text.back()) {
       case 'd': scale = 86400; digits.pop_back(); break;
       case 'h': scale = 3600; digits.pop_back(); break;
       case 'm': scale = 60; digits.pop_back(); break;
       case 's': scale = 1; digits.pop_back(); break;
       default: break;
     }
-    return std::stoull(digits) * scale;
+    const auto value = parseUint(digits, kUintMax / scale);
+    if (!value) {
+        critics_fatal(flag, " wants a duration like 900, 900s, 15m, ",
+                      "12h or 30d, got '", text, "'");
+    }
+    return *value * scale;
 }
 
-/** "65536", "512K", "512M" or "2G" → bytes. */
+/** `flag`'s value "65536", "512K", "512M" or "2G" → bytes. */
 std::uintmax_t
-parseBytes(const std::string &text)
+parseBytes(const std::string &flag, const std::string &text)
 {
-    if (text.empty())
-        critics_fatal("empty size");
     std::uintmax_t scale = 1;
     std::string digits = text;
-    switch (text.back()) {
+    switch (text.empty() ? '\0' : text.back()) {
       case 'K': case 'k': scale = 1024ull; digits.pop_back(); break;
       case 'M': case 'm': scale = 1024ull << 10; digits.pop_back(); break;
       case 'G': case 'g': scale = 1024ull << 20; digits.pop_back(); break;
       default: break;
     }
-    return std::stoull(digits) * scale;
+    const auto value = parseUint(digits, kUintMax / scale);
+    if (!value) {
+        critics_fatal(flag, " wants a size like 65536, 512K, 512M or ",
+                      "2G, got '", text, "'");
+    }
+    return *value * scale;
 }
 
 int
@@ -1260,9 +1268,9 @@ cmdCacheGc(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--max-age") {
-            opt.maxAgeSeconds = parseDuration(next());
+            opt.maxAgeSeconds = parseDuration(arg, next());
         } else if (arg == "--max-bytes") {
-            opt.maxBytes = parseBytes(next());
+            opt.maxBytes = parseBytes(arg, next());
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
         } else {
@@ -1364,7 +1372,8 @@ unsigned short
 resolvePort(const std::string &portArg, const std::string &portFile)
 {
     if (!portArg.empty())
-        return static_cast<unsigned short>(std::stoul(portArg));
+        return static_cast<unsigned short>(
+            uintFlag("--port", portArg, 65535));
     if (!portFile.empty()) {
         std::ifstream in(portFile);
         unsigned port = 0;
@@ -1450,19 +1459,19 @@ cmdServe(int argc, char **argv)
         if (arg == "--host") {
             options.host = next();
         } else if (arg == "--port") {
-            options.port =
-                static_cast<unsigned short>(std::stoul(next()));
+            options.port = static_cast<unsigned short>(
+                uintFlag(arg, next(), 65535));
         } else if (arg == "--port-file") {
             options.portFile = next();
         } else if (arg == "--workers") {
             options.workers =
-                static_cast<unsigned>(std::stoul(next()));
+                static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
         } else if (arg == "--max-restarts") {
             options.maxRestarts =
-                static_cast<unsigned>(std::stoul(next()));
+                static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
         } else if (arg == "--attempts") {
             options.maxAttempts =
-                static_cast<unsigned>(std::stoul(next()));
+                static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
         } else if (arg == "--cache-file") {
             options.cachePath = next();
         } else if (arg == "--trace-out") {
@@ -1548,13 +1557,13 @@ cmdSubmit(int argc, char **argv)
         } else if (arg == "--variants") {
             request.submit.variants = next();
         } else if (arg == "--insts") {
-            request.submit.insts = std::stoull(next());
+            request.submit.insts = uintFlag(arg, next());
         } else if (arg == "--batch") {
             request.submit.batch = next();
         } else if (arg == "--refresh") {
             request.submit.refresh = true;
         } else if (arg == "--sleep-ms") {
-            request.submit.sleepMs = std::stoull(next());
+            request.submit.sleepMs = uintFlag(arg, next());
         } else if (arg == "--no-wait") {
             noWait = true;
         } else {
@@ -1721,7 +1730,7 @@ cmdTop(int argc, char **argv)
         } else if (arg == "--port-file") {
             portFile = next();
         } else if (arg == "--interval") {
-            interval = std::stod(next());
+            interval = doubleFlag(arg, next());
         } else if (arg == "--once") {
             once = true;
         } else {
@@ -1825,7 +1834,7 @@ cmdProf(int argc, char **argv)
         if (arg == "--top") {
             if (i + 1 >= argc)
                 critics_fatal("--top needs a value");
-            topN = std::stoul(argv[++i]);
+            topN = uintFlag(arg, argv[++i]);
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
         } else {
@@ -1870,11 +1879,11 @@ legacySingleRun(int argc, char **argv)
         } else if (arg == "--variant") {
             variantName = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = uintFlag(arg, next());
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats-interval") {
-            statsInterval = std::stoull(next());
+            statsInterval = uintFlag(arg, next());
         } else if (arg == "--stats-out") {
             statsOut = next();
         } else if (arg == "--trace-out") {
@@ -1996,8 +2005,6 @@ main(int argc, char **argv)
     // instead of std::terminate.
     try {
         return run(argc, argv);
-    } catch (const std::invalid_argument &) {
-        std::fprintf(stderr, "error: malformed numeric argument\n");
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
     }

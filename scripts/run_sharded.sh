@@ -50,7 +50,7 @@ pids=()
 stores=()
 for k in $(seq 1 "$SHARDS"); do
     store="$CACHE_DIR/results.shard-$k-of-$SHARDS.jsonl"
-    rm -f "$store"
+    rm -f "$store" "$store.lock" # the store and its lock sidecar
     stores+=("$store")
     "$CLI" run "${RUN_ARGS[@]}" --shard "$k/$SHARDS" &
     pids+=($!)
@@ -69,7 +69,7 @@ if [ "$CHECK" -eq 1 ]; then
     # Re-run unsharded into a scratch store (all jobs hit the
     # simulator again) and demand zero drift against the merge.
     REF="$CACHE_DIR/results.unsharded-check.jsonl"
-    rm -f "$REF"
+    rm -f "$REF" "$REF.lock"
     "$CLI" run "${RUN_ARGS[@]}" --cache-file "$REF"
     "$CLI" diff "$REF" "$MERGED"
     echo "sharded run matches unsharded run"

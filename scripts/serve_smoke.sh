@@ -5,7 +5,8 @@
 # batch must still finish clean), resubmit the identical batch and
 # demand it is answered entirely from the warm store (zero new
 # simulations), check the served store holds each job's record exactly
-# once after both, SIGTERM-drain the daemon, and finally diff the served
+# once after both and that no scratch shard store (or its lock sidecar)
+# outlives its batch, SIGTERM-drain the daemon, and finally diff the served
 # result store bit-for-bit against a direct `critics_cli run` of the
 # same grid — the service layer must be invisible in the numbers.
 #
@@ -86,6 +87,13 @@ store_lines() { wc -l <"$STORE" | tr -d ' '; }
 [ "$(store_lines)" -eq "$JOBS" ] || {
     echo "served store holds $(store_lines) lines, want $JOBS"; exit 1
 }
+# The batch's scratch shard stores were removed with their sidecars.
+no_shard_stores() {
+    local left
+    left="$(find "$(dirname "$STORE")" -name 'results.*.shard-*')"
+    [ -z "$left" ] || { echo "left behind by a batch: $left"; exit 1; }
+}
+no_shard_stores
 echo "cold batch survived the worker kill ($JOBS/$JOBS jobs ok)"
 
 # ---- 2. Warm resubmit: answered from the store, nothing simulated ---
@@ -99,6 +107,7 @@ grep -q '"simulated":0' "$WORK/submit2.log"
 [ "$(store_lines)" -eq "$JOBS" ] || {
     echo "warm resubmit changed the store: $(store_lines) lines"; exit 1
 }
+no_shard_stores
 echo "warm resubmit served $JOBS/$JOBS jobs from the store"
 
 # ---- 3. SIGTERM drain ------------------------------------------------

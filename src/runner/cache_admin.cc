@@ -1,7 +1,5 @@
 #include "runner/cache_admin.hh"
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +9,6 @@
 #include <fstream>
 #include <unordered_map>
 
-#include "runner/json.hh"
 #include "runner/result_store.hh"
 #include "support/logging.hh"
 
@@ -21,49 +18,13 @@ namespace critics::runner
 namespace
 {
 
-/** One store line, classified but with its bytes kept verbatim. */
-struct ScannedLine
+/** A kept record: its bytes verbatim, and what gc orders it by. */
+struct KeptLine
 {
-    enum class Kind { Good, OldSchema, Malformed };
-
-    std::string line; ///< exact bytes, newline stripped
+    std::string bytes; ///< exact bytes, newline stripped
     std::string hash;
     std::uint64_t writtenUnix = 0;
-    Kind kind = Kind::Malformed;
-    bool orphan = false; ///< hash field != hash(spec)
 };
-
-ScannedLine
-scanLine(std::string line)
-{
-    ScannedLine scanned;
-    scanned.line = std::move(line);
-    const auto doc = parseJson(scanned.line);
-    if (!doc || !doc->isObject())
-        return scanned;
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->asInt()) {
-        return scanned;
-    }
-    if (*schema->asInt() != kResultSchemaVersion) {
-        scanned.kind = ScannedLine::Kind::OldSchema;
-        return scanned;
-    }
-    const JsonValue *hash = doc->find("hash");
-    const JsonValue *spec = doc->find("spec");
-    const JsonValue *result = doc->find("result");
-    if (!hash || !hash->asString() || !spec || !spec->asString() ||
-        !result || !resultFromJson(*result)) {
-        return scanned;
-    }
-    scanned.hash = *hash->asString();
-    if (const JsonValue *v = doc->find("writtenUnix"))
-        scanned.writtenUnix = v->asUint().value_or(0);
-    scanned.kind = ScannedLine::Kind::Good;
-    scanned.orphan =
-        hashHexOf(hashSpecString(*spec->asString())) != scanned.hash;
-    return scanned;
-}
 
 std::uintmax_t
 fileBytes(const std::string &path)
@@ -74,115 +35,71 @@ fileBytes(const std::string &path)
 }
 
 /**
- * RAII exclusive flock on a store file — the same lock ResultStore
- * appenders take around each write(2).  Held across a rewriter's
- * whole fold + temp + rename sequence, it guarantees (a) the fold
- * never reads a half-written line and (b) no appender writes to the
- * about-to-be-orphaned inode while the rename swings the name to the
- * new file: a blocked appender wakes up holding a lock on the old
- * inode, notices the path now names a different file, and reopens
- * (see ResultStore::insert).
- */
-class StoreLock
-{
-  public:
-    explicit StoreLock(const std::string &path)
-    {
-        const auto dir = std::filesystem::path(path).parent_path();
-        if (!dir.empty()) {
-            std::error_code ec;
-            std::filesystem::create_directories(dir, ec);
-        }
-        fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-        if (fd_ >= 0)
-            ::flock(fd_, LOCK_EX);
-    }
-
-    ~StoreLock()
-    {
-        if (fd_ >= 0) {
-            ::flock(fd_, LOCK_UN);
-            ::close(fd_);
-        }
-    }
-
-    StoreLock(const StoreLock &) = delete;
-    StoreLock &operator=(const StoreLock &) = delete;
-
-    bool held() const { return fd_ >= 0; }
-
-  private:
-    int fd_ = -1;
-};
-
-/**
- * Read `path` line by line, folding Good lines into `kept` with
- * later-record-wins dedup at the first-seen position (the store's
- * load semantics) and counting everything dropped.  `dropOrphans`
- * distinguishes compact/gc (drop + count) from merge (keep + count).
+ * Fold the Good lines of `path` into `kept` with later-record-wins
+ * dedup at the first-seen position (the store's load semantics),
+ * counting everything dropped.  Rewrites run under the StoreLock and
+ * fold only finished stores, so an unterminated tail is torn and
+ * counts as malformed.  `dropOrphans` (stored hash != hash of stored
+ * spec) distinguishes compact/gc (drop + count) from merge (keep +
+ * count).
  */
 void
 foldStore(const std::string &path, bool dropOrphans,
-          std::vector<ScannedLine> &kept,
+          std::vector<KeptLine> &kept,
           std::unordered_map<std::string, std::size_t> &byHash,
           CacheAdminStats &stats)
 {
-    std::ifstream in(path);
-    if (!in)
-        return;
-    ++stats.filesRead;
-    stats.bytesBefore += fileBytes(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        ScannedLine scanned = scanLine(std::move(line));
-        line.clear();
-        switch (scanned.kind) {
-          case ScannedLine::Kind::Malformed:
+    const auto consumed = scanStore(path, [&](StoreLine &line) {
+        switch (line.kind) {
+          case StoreLine::Kind::Malformed:
             ++stats.malformed;
-            continue;
-          case ScannedLine::Kind::OldSchema:
+            return;
+          case StoreLine::Kind::OldSchema:
             ++stats.oldSchema;
-            continue;
-          case ScannedLine::Kind::Good:
+            return;
+          case StoreLine::Kind::Good:
             break;
         }
-        if (scanned.orphan) {
+        const ResultRecord &record = line.record;
+        if (hashHexOf(hashSpecString(record.spec)) != record.hash) {
             ++stats.orphans;
             if (dropOrphans)
-                continue;
+                return;
         }
-        const auto it = byHash.find(scanned.hash);
+        KeptLine keep{std::move(line.bytes), record.hash,
+                      record.writtenUnix};
+        const auto it = byHash.find(keep.hash);
         if (it != byHash.end()) {
             ++stats.superseded;
-            kept[it->second] = std::move(scanned); // last wins
+            kept[it->second] = std::move(keep); // last wins
         } else {
-            byHash.emplace(scanned.hash, kept.size());
-            kept.push_back(std::move(scanned));
+            byHash.emplace(keep.hash, kept.size());
+            kept.push_back(std::move(keep));
         }
-    }
+    });
+    if (!consumed)
+        return;
+    ++stats.filesRead;
+    const std::uintmax_t bytes = fileBytes(path);
+    stats.bytesBefore += bytes;
+    if (bytes > *consumed)
+        ++stats.malformed;
 }
 
 /** Replace `path` with `kept`'s lines via temp-file + rename. */
 bool
 writeStore(const std::string &path,
-           const std::vector<ScannedLine> &kept,
+           const std::vector<KeptLine> &kept,
            CacheAdminStats &stats)
 {
-    const auto dir = std::filesystem::path(path).parent_path();
-    if (!dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-    }
     const std::string temp =
         path + ".tmp-" + std::to_string(::getpid());
     {
         std::ofstream out(temp, std::ios::trunc);
         if (!out)
             return false;
-        for (const auto &scanned : kept)
-            out << scanned.line << '\n';
+        for (const auto &entry : kept)
+            out << entry.bytes << '\n';
         if (!out)
             return false;
     }
@@ -228,11 +145,10 @@ mergeStores(const std::string &outPath,
             const std::vector<std::string> &inputs)
 {
     CacheAdminStats stats;
-    std::vector<ScannedLine> kept;
+    std::vector<KeptLine> kept;
     std::unordered_map<std::string, std::size_t> byHash;
-    // The output store may have live appenders (it is the shared
-    // result tier under `serve`), and may itself be one of the
-    // inputs: hold its writer lock across the whole fold + rewrite.
+    // The output store may have live appenders and may itself be one
+    // of the inputs: hold its lock across the whole fold + rewrite.
     StoreLock lock(outPath);
     for (const auto &input : inputs)
         foldStore(input, /*dropOrphans=*/false, kept, byHash, stats);
@@ -249,20 +165,7 @@ mergeStores(const std::string &outPath,
 std::optional<CacheAdminStats>
 compactStore(const std::string &path)
 {
-    CacheAdminStats stats;
-    if (!std::filesystem::exists(path))
-        return stats; // nothing on disk: an empty store is compact
-    std::vector<ScannedLine> kept;
-    std::unordered_map<std::string, std::size_t> byHash;
-    // Exclude concurrent appenders for the whole fold + rewrite, so
-    // no record lands on the inode the rename is about to orphan.
-    StoreLock lock(path);
-    foldStore(path, /*dropOrphans=*/true, kept, byHash, stats);
-    if (stats.filesRead == 0)
-        return stats;
-    if (!writeStore(path, kept, stats))
-        return std::nullopt;
-    return stats;
+    return gcStore(path, GcOptions{}); // gc without bounds
 }
 
 std::optional<CacheAdminStats>
@@ -270,12 +173,9 @@ gcStore(const std::string &path, const GcOptions &opt)
 {
     CacheAdminStats stats;
     if (!std::filesystem::exists(path))
-        return stats;
-    std::vector<ScannedLine> kept;
+        return stats; // nothing on disk: an empty store is compact
+    std::vector<KeptLine> kept;
     std::unordered_map<std::string, std::size_t> byHash;
-    // Same appender exclusion as compactStore: without it a writer
-    // racing the temp+rename appends to the replaced (now orphaned)
-    // inode and the record is silently lost.
     StoreLock lock(path);
     foldStore(path, /*dropOrphans=*/true, kept, byHash, stats);
     if (stats.filesRead == 0)
@@ -292,13 +192,13 @@ gcStore(const std::string &path, const GcOptions &opt)
         }
         const std::uint64_t cutoff =
             now > opt.maxAgeSeconds ? now - opt.maxAgeSeconds : 0;
-        std::vector<ScannedLine> young;
-        for (auto &scanned : kept) {
+        std::vector<KeptLine> young;
+        for (auto &entry : kept) {
             // Unstamped (pre-timestamp) records count as infinitely
             // old: gc is the one place age must be conservative.
-            if (scanned.writtenUnix > 0 &&
-                scanned.writtenUnix >= cutoff) {
-                young.push_back(std::move(scanned));
+            if (entry.writtenUnix > 0 &&
+                entry.writtenUnix >= cutoff) {
+                young.push_back(std::move(entry));
             } else {
                 ++stats.expired;
             }
@@ -308,8 +208,8 @@ gcStore(const std::string &path, const GcOptions &opt)
 
     if (opt.maxBytes > 0) {
         std::uintmax_t total = 0;
-        for (const auto &scanned : kept)
-            total += scanned.line.size() + 1;
+        for (const auto &entry : kept)
+            total += entry.bytes.size() + 1;
         if (total > opt.maxBytes) {
             // Evict oldest first, ties broken by file order.
             std::vector<std::size_t> order(kept.size());
@@ -325,10 +225,10 @@ gcStore(const std::string &path, const GcOptions &opt)
                 if (total <= opt.maxBytes)
                     break;
                 evict[i] = true;
-                total -= kept[i].line.size() + 1;
+                total -= kept[i].bytes.size() + 1;
                 ++stats.evicted;
             }
-            std::vector<ScannedLine> survivors;
+            std::vector<KeptLine> survivors;
             for (std::size_t i = 0; i < kept.size(); ++i) {
                 if (!evict[i])
                     survivors.push_back(std::move(kept[i]));

@@ -9,13 +9,12 @@
  * All three operations preserve surviving records *byte-for-byte*
  * (lines are copied, never re-serialized), so a merged or compacted
  * store reproduces the original run's report digit for digit — the
- * same hexfloat round-trip guarantee the store itself makes.  Rewrites
- * go through a temp file in the destination directory followed by a
- * rename, so a crash mid-operation never corrupts the original, and
- * hold the destination store's writer flock for the whole fold +
- * rename so a concurrent appender can never write to the inode the
- * rename orphans (ResultStore::insert revalidates and reopens after
- * the lock).
+ * same hexfloat round-trip guarantee the store itself makes.  They
+ * read through the store's one scanner (scanStore) and rewrite through
+ * a temp file in the destination directory followed by a rename, so a
+ * crash mid-operation never corrupts the original.  The destination's
+ * StoreLock is held across the whole fold + rename, which excludes
+ * appenders and other rewriters (see result_store.hh).
  */
 
 #ifndef CRITICS_RUNNER_CACHE_ADMIN_HH
@@ -89,8 +88,9 @@ struct GcOptions
 };
 
 /**
- * Bound a store's growth: compact (as compactStore), then apply the
- * age and size bounds of `opt`, evicting oldest records first.
+ * Bound a store's growth: compact (compactStore is gcStore without
+ * bounds), then apply the age and size bounds of `opt`, evicting
+ * oldest records first.
  */
 std::optional<CacheAdminStats> gcStore(const std::string &path,
                                        const GcOptions &opt);

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "runner/json.hh"
+#include "support/json.hh"
 
 namespace critics::runner
 {
@@ -41,7 +41,7 @@ class SpecBuilder
     void
     add(const char *key, double value)
     {
-        os_ << key << '=' << hexFloat(value) << ';';
+        os_ << key << '=' << json::hexFloat(value) << ';';
     }
 
     void
@@ -49,7 +49,7 @@ class SpecBuilder
     {
         os_ << key << '=';
         for (const double v : values)
-            os_ << hexFloat(v) << ',';
+            os_ << json::hexFloat(v) << ',';
         os_ << ';';
     }
 

@@ -6,8 +6,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "runner/json.hh"
 #include "runner/result_store.hh"
+#include "support/json.hh"
 
 namespace critics::runner
 {
@@ -58,7 +58,7 @@ RunManifest::throughput() const
 std::string
 RunManifest::toJson() const
 {
-    JsonWriter w;
+    json::JsonWriter w;
     w.beginObject()
         .field("schema", schema)
         .field("batch", batch)
@@ -139,30 +139,30 @@ RunManifest::read(const std::string &path, RunManifest &out)
         return false;
     std::stringstream buffer;
     buffer << in.rdbuf();
-    const auto doc = parseJson(buffer.str());
+    const auto doc = json::parseJson(buffer.str());
     if (!doc || !doc->isObject())
         return false;
 
     out = RunManifest{};
-    if (const JsonValue *v = doc->find("batch"))
+    if (const json::JsonValue *v = doc->find("batch"))
         out.batch = v->asString().value_or("");
-    if (const JsonValue *v = doc->find("git"))
+    if (const json::JsonValue *v = doc->find("git"))
         out.gitDescribe = v->asString().value_or("");
-    if (const JsonValue *v = doc->find("schema"))
+    if (const json::JsonValue *v = doc->find("schema"))
         out.schema = static_cast<int>(v->asInt().value_or(0));
-    if (const JsonValue *v = doc->find("startedUnix"))
+    if (const json::JsonValue *v = doc->find("startedUnix"))
         out.startedUnix = v->asUint().value_or(0);
-    if (const JsonValue *v = doc->find("wallSeconds"))
+    if (const json::JsonValue *v = doc->find("wallSeconds"))
         out.wallSeconds = v->asDouble().value_or(0.0);
-    if (const JsonValue *v = doc->find("interrupted"))
+    if (const json::JsonValue *v = doc->find("interrupted"))
         out.interrupted = v->asBool().value_or(false);
-    if (const JsonValue *v = doc->find("traceId"))
+    if (const json::JsonValue *v = doc->find("traceId"))
         out.traceId = v->asString().value_or("");
     // Optional (absent in manifests written before the counters).
-    if (const JsonValue *rs = doc->find("runnerStats");
+    if (const json::JsonValue *rs = doc->find("runnerStats");
         rs && rs->isObject()) {
         auto uint = [&](const char *key) {
-            const JsonValue *v = rs->find(key);
+            const json::JsonValue *v = rs->find(key);
             return v ? v->asUint().value_or(0) : 0;
         };
         out.runnerStats.cacheHits = uint("cacheHits");
@@ -177,41 +177,41 @@ RunManifest::read(const std::string &path, RunManifest &out)
         out.runnerStats.verifyAdvisories = uint("verifyAdvisories");
     }
     // Optional (absent in unsharded manifests).
-    if (const JsonValue *sh = doc->find("shard");
+    if (const json::JsonValue *sh = doc->find("shard");
         sh && sh->isObject()) {
         auto uint = [&](const char *key) {
-            const JsonValue *v = sh->find(key);
+            const json::JsonValue *v = sh->find(key);
             return v ? v->asUint().value_or(0) : 0;
         };
         out.shardIndex = static_cast<unsigned>(uint("index"));
         out.shardCount = static_cast<unsigned>(uint("count"));
         out.shardTotalJobs = uint("totalJobs");
     }
-    const JsonValue *jobs = doc->find("jobs");
+    const json::JsonValue *jobs = doc->find("jobs");
     if (jobs && jobs->isArray()) {
         for (const auto &elem : jobs->elements) {
             if (!elem.isObject())
                 continue;
             JobRecord job;
-            if (const JsonValue *v = elem.find("app"))
+            if (const json::JsonValue *v = elem.find("app"))
                 job.app = v->asString().value_or("");
-            if (const JsonValue *v = elem.find("variant"))
+            if (const json::JsonValue *v = elem.find("variant"))
                 job.variant = v->asString().value_or("");
-            if (const JsonValue *v = elem.find("hash"))
+            if (const json::JsonValue *v = elem.find("hash"))
                 job.hash = v->asString().value_or("");
-            if (const JsonValue *v = elem.find("ok"))
+            if (const json::JsonValue *v = elem.find("ok"))
                 job.ok = v->asBool().value_or(false);
-            if (const JsonValue *v = elem.find("fromCache"))
+            if (const json::JsonValue *v = elem.find("fromCache"))
                 job.fromCache = v->asBool().value_or(false);
-            if (const JsonValue *v = elem.find("attempts")) {
+            if (const json::JsonValue *v = elem.find("attempts")) {
                 job.attempts =
                     static_cast<unsigned>(v->asUint().value_or(0));
             }
-            if (const JsonValue *v = elem.find("wallSeconds"))
+            if (const json::JsonValue *v = elem.find("wallSeconds"))
                 job.wallSeconds = v->asDouble().value_or(0.0);
-            if (const JsonValue *v = elem.find("simInsts"))
+            if (const json::JsonValue *v = elem.find("simInsts"))
                 job.simInsts = v->asUint().value_or(0);
-            if (const JsonValue *v = elem.find("error"))
+            if (const json::JsonValue *v = elem.find("error"))
                 job.error = v->asString().value_or("");
             out.jobs.push_back(std::move(job));
         }

@@ -9,10 +9,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
-#include "runner/json.hh"
 #include "stats/registry.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace critics::runner
@@ -22,7 +21,7 @@ namespace
 {
 
 void
-writeStage(JsonWriter &w, const char *key,
+writeStage(json::JsonWriter &w, const char *key,
            const cpu::StageBreakdown &s)
 {
     w.beginObject(key)
@@ -36,7 +35,8 @@ writeStage(JsonWriter &w, const char *key,
 }
 
 void
-writeCache(JsonWriter &w, const char *key, const mem::CacheStats &c)
+writeCache(json::JsonWriter &w, const char *key,
+           const mem::CacheStats &c)
 {
     w.beginObject(key)
         .field("accesses", c.accesses)
@@ -48,9 +48,9 @@ writeCache(JsonWriter &w, const char *key, const mem::CacheStats &c)
 
 template <typename T>
 bool
-readUint(const JsonValue &obj, const char *key, T &out)
+readUint(const json::JsonValue &obj, const char *key, T &out)
 {
-    const JsonValue *v = obj.find(key);
+    const json::JsonValue *v = obj.find(key);
     if (!v)
         return false;
     const auto parsed = v->asUint();
@@ -61,9 +61,9 @@ readUint(const JsonValue &obj, const char *key, T &out)
 }
 
 bool
-readDouble(const JsonValue &obj, const char *key, double &out)
+readDouble(const json::JsonValue &obj, const char *key, double &out)
 {
-    const JsonValue *v = obj.find(key);
+    const json::JsonValue *v = obj.find(key);
     if (!v)
         return false;
     const auto parsed = v->asDouble();
@@ -74,10 +74,10 @@ readDouble(const JsonValue &obj, const char *key, double &out)
 }
 
 bool
-readStage(const JsonValue &parent, const char *key,
+readStage(const json::JsonValue &parent, const char *key,
           cpu::StageBreakdown &s)
 {
-    const JsonValue *obj = parent.find(key);
+    const json::JsonValue *obj = parent.find(key);
     if (!obj || !obj->isObject())
         return false;
     return readDouble(*obj, "fetch", s.fetch) &&
@@ -89,9 +89,10 @@ readStage(const JsonValue &parent, const char *key,
 }
 
 bool
-readCache(const JsonValue &parent, const char *key, mem::CacheStats &c)
+readCache(const json::JsonValue &parent, const char *key,
+          mem::CacheStats &c)
 {
-    const JsonValue *obj = parent.find(key);
+    const json::JsonValue *obj = parent.find(key);
     if (!obj || !obj->isObject())
         return false;
     return readUint(*obj, "accesses", c.accesses) &&
@@ -106,7 +107,7 @@ std::string
 resultToJson(const sim::RunResult &result)
 {
     const cpu::CpuStats &c = result.cpu;
-    JsonWriter w;
+    json::JsonWriter w;
     w.beginObject();
 
     w.beginObject("cpu")
@@ -176,13 +177,13 @@ resultToJson(const sim::RunResult &result)
 }
 
 std::optional<sim::RunResult>
-resultFromJson(const JsonValue &json)
+resultFromJson(const json::JsonValue &json)
 {
     if (!json.isObject())
         return std::nullopt;
     sim::RunResult r;
 
-    const JsonValue *cpu = json.find("cpu");
+    const json::JsonValue *cpu = json.find("cpu");
     if (!cpu || !cpu->isObject())
         return std::nullopt;
     cpu::CpuStats &c = r.cpu;
@@ -201,7 +202,7 @@ resultFromJson(const JsonValue &json)
           readStage(*cpu, "crit", c.crit))) {
         return std::nullopt;
     }
-    const JsonValue *m = cpu->find("mem");
+    const json::JsonValue *m = cpu->find("mem");
     if (!m || !m->isObject())
         return std::nullopt;
     if (!(readCache(*m, "icache", c.mem.icache) &&
@@ -210,8 +211,8 @@ resultFromJson(const JsonValue &json)
           readUint(*m, "storeAccesses", c.mem.storeAccesses))) {
         return std::nullopt;
     }
-    const JsonValue *dram = m->find("dram");
-    const JsonValue *stride = m->find("stride");
+    const json::JsonValue *dram = m->find("dram");
+    const json::JsonValue *stride = m->find("stride");
     if (!dram || !dram->isObject() || !stride || !stride->isObject())
         return std::nullopt;
     if (!(readUint(*dram, "reads", c.mem.dram.reads) &&
@@ -224,7 +225,7 @@ resultFromJson(const JsonValue &json)
         return std::nullopt;
     }
 
-    const JsonValue *energy = json.find("energy");
+    const json::JsonValue *energy = json.find("energy");
     if (!energy || !energy->isObject())
         return std::nullopt;
     energy::EnergyBreakdown &e = r.energy;
@@ -237,7 +238,7 @@ resultFromJson(const JsonValue &json)
         return std::nullopt;
     }
 
-    const JsonValue *pass = json.find("pass");
+    const json::JsonValue *pass = json.find("pass");
     if (!pass || !pass->isObject())
         return std::nullopt;
     compiler::PassStats &p = r.pass;
@@ -266,112 +267,73 @@ resultFromJson(const JsonValue &json)
     return r;
 }
 
-std::vector<ResultRecord>
-readResultRecords(const std::string &path)
-{
-    std::vector<ResultRecord> records;
-    std::unordered_map<std::string, std::size_t> byHash;
-    std::ifstream in(path);
-    if (!in)
-        return records;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        const auto doc = parseJson(line);
-        if (!doc || !doc->isObject())
-            continue;
-        const JsonValue *schema = doc->find("schema");
-        if (!schema || schema->asInt() != kResultSchemaVersion)
-            continue;
-        const JsonValue *result = doc->find("result");
-        if (!result)
-            continue;
-        auto parsed = resultFromJson(*result);
-        if (!parsed)
-            continue;
-        ResultRecord record;
-        auto str = [&](const char *key) {
-            const JsonValue *v = doc->find(key);
-            return v ? v->asString().value_or("") : std::string{};
-        };
-        record.hash = str("hash");
-        record.app = str("app");
-        record.variant = str("variant");
-        record.spec = str("spec");
-        if (const JsonValue *v = doc->find("writtenUnix"))
-            record.writtenUnix = v->asUint().value_or(0);
-        record.result = *parsed;
-        const auto it = byHash.find(record.hash);
-        if (it != byHash.end())
-            records[it->second] = std::move(record); // last wins
-        else {
-            byHash.emplace(record.hash, records.size());
-            records.push_back(std::move(record));
-        }
-    }
-    return records;
-}
-
 namespace
 {
 
-/** The index fields of one current-schema store record. */
-struct StoreLine
+/** write(2) all of `bytes`, resuming after EINTR; false if short. */
+bool
+writeAll(int fd, const std::string &bytes)
 {
-    std::string hash;
-    std::string spec;
-    sim::RunResult result;
-};
-
-/**
- * Parse one store line.  nullopt for anything that is not a record of
- * this schema; `malformed` is set when the line is not a record at all
- * (e.g. truncated by an interrupt), as opposed to another schema's.
- */
-std::optional<StoreLine>
-parseStoreLine(const std::string &line, bool &malformed)
-{
-    malformed = false;
-    const auto record = parseJson(line);
-    if (!record || !record->isObject()) {
-        malformed = true;
-        return std::nullopt;
+    const char *data = bytes.data();
+    std::size_t left = bytes.size();
+    while (left > 0) {
+        const ssize_t wrote = ::write(fd, data, left);
+        if (wrote < 0 && errno == EINTR)
+            continue;
+        if (wrote <= 0)
+            return false;
+        data += wrote;
+        left -= static_cast<std::size_t>(wrote);
     }
-    const JsonValue *schema = record->find("schema");
-    if (!schema || schema->asInt() != kResultSchemaVersion)
-        return std::nullopt;
-    const JsonValue *hash = record->find("hash");
-    const JsonValue *spec = record->find("spec");
-    const JsonValue *result = record->find("result");
-    if (!hash || !spec || !result)
-        return std::nullopt;
-    auto hashText = hash->asString();
-    auto specText = spec->asString();
-    if (!hashText || !specText)
-        return std::nullopt;
-    auto parsed = resultFromJson(*result);
-    if (!parsed) {
-        malformed = true;
-        return std::nullopt;
-    }
-    return StoreLine{std::move(*hashText), std::move(*specText),
-                     *parsed};
+    return true;
 }
 
-/**
- * Call `onLine` on every non-empty newline-terminated line of `fd`
- * from byte `from` on (newline stripped), reading in bounded chunks.
- * Returns the bytes consumed: up to just past the last newline, so an
- * unterminated tail is left for a later call.
- */
-template <typename OnLine>
+/** Classify `line.bytes` and, for a Good line, fill `line.record`. */
+void
+classify(StoreLine &line)
+{
+    const auto doc = json::parseJson(line.bytes);
+    if (!doc || !doc->isObject())
+        return;
+    const json::JsonValue *schema = doc->find("schema");
+    if (!schema || !schema->asInt())
+        return;
+    if (*schema->asInt() != kResultSchemaVersion) {
+        line.kind = StoreLine::Kind::OldSchema;
+        return;
+    }
+    const json::JsonValue *hash = doc->find("hash");
+    const json::JsonValue *spec = doc->find("spec");
+    const json::JsonValue *result = doc->find("result");
+    if (!hash || !hash->asString() || !spec || !spec->asString() ||
+        !result) {
+        return;
+    }
+    auto parsed = resultFromJson(*result);
+    if (!parsed)
+        return;
+    auto str = [&](const char *key) {
+        const json::JsonValue *v = doc->find(key);
+        return v ? v->asString().value_or("") : std::string{};
+    };
+    ResultRecord &record = line.record;
+    record.hash = *hash->asString();
+    record.spec = *spec->asString();
+    record.app = str("app");
+    record.variant = str("variant");
+    if (const json::JsonValue *v = doc->find("writtenUnix"))
+        record.writtenUnix = v->asUint().value_or(0);
+    record.result = *parsed;
+    line.kind = StoreLine::Kind::Good;
+}
+
+} // namespace
+
 std::uint64_t
-forEachLine(int fd, std::uint64_t from, OnLine &&onLine)
+scanStore(int fd, std::uint64_t from, const StoreLineFn &onLine)
 {
     std::string chunk(std::size_t{1} << 16, '\0');
     std::string pending; // bytes [from + consumed, offset)
-    std::string line;
     std::uint64_t offset = from;
     std::uint64_t consumed = 0;
     for (;;) {
@@ -388,7 +350,9 @@ forEachLine(int fd, std::uint64_t from, OnLine &&onLine)
              (nl = pending.find('\n', start)) != std::string::npos;
              start = nl + 1) {
             if (nl > start) {
-                line.assign(pending, start, nl - start);
+                StoreLine line;
+                line.bytes.assign(pending, start, nl - start);
+                classify(line);
                 onLine(line);
             }
         }
@@ -398,7 +362,63 @@ forEachLine(int fd, std::uint64_t from, OnLine &&onLine)
     return consumed;
 }
 
-} // namespace
+std::optional<std::uint64_t>
+scanStore(const std::string &path, const StoreLineFn &onLine)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return std::nullopt;
+    const std::uint64_t consumed = scanStore(fd, 0, onLine);
+    ::close(fd);
+    return consumed;
+}
+
+std::vector<ResultRecord>
+readResultRecords(const std::string &path)
+{
+    std::vector<ResultRecord> records;
+    std::unordered_map<std::string, std::size_t> byHash;
+    scanStore(path, [&](StoreLine &line) {
+        if (line.kind != StoreLine::Kind::Good)
+            return;
+        ResultRecord &record = line.record;
+        const auto it = byHash.find(record.hash);
+        if (it != byHash.end())
+            records[it->second] = std::move(record); // last wins
+        else {
+            byHash.emplace(record.hash, records.size());
+            records.push_back(std::move(record));
+        }
+    });
+    return records;
+}
+
+StoreLock::StoreLock(const std::string &storePath)
+{
+    const auto dir = std::filesystem::path(storePath).parent_path();
+    if (!dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+    }
+    fd_ = ::open((storePath + ".lock").c_str(),
+                 O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    while (fd_ >= 0 && ::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
+    }
+}
+
+StoreLock::~StoreLock()
+{
+    if (fd_ >= 0)
+        ::close(fd_); // releases the flock
+}
+
+void
+removeStore(const std::string &path)
+{
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    std::filesystem::remove(path + ".lock", ec);
+}
 
 std::string
 cacheDir()
@@ -424,22 +444,6 @@ ResultStore::~ResultStore()
         ::close(fd_);
     if (readFd_ >= 0)
         ::close(readFd_);
-}
-
-void
-ResultStore::openLocked()
-{
-    const auto dir = std::filesystem::path(path_).parent_path();
-    if (!dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-    }
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                 0644);
-    if (fd_ < 0) {
-        critics_warn("cannot open result cache ", path_,
-                     " for append; results will not persist");
-    }
 }
 
 void
@@ -478,16 +482,16 @@ void
 ResultStore::indexFromLocked()
 {
     std::size_t malformed = 0;
-    indexed_ += forEachLine(readFd_, indexed_, [&](const std::string &line) {
+    indexed_ += scanStore(readFd_, indexed_, [&](StoreLine &line) {
         ++parsedLines_;
-        bool bad = false;
-        auto record = parseStoreLine(line, bad);
-        malformed += bad ? 1 : 0;
-        if (record) {
-            // Last record wins: later appends supersede earlier ones.
-            entries_[record->hash] =
-                Entry{std::move(record->spec), record->result};
-        }
+        if (line.kind == StoreLine::Kind::Malformed)
+            ++malformed;
+        if (line.kind != StoreLine::Kind::Good)
+            return;
+        // Last record wins: later appends supersede earlier ones.
+        ResultRecord &record = line.record;
+        entries_[record.hash] =
+            Entry{std::move(record.spec), record.result};
     });
     if (malformed > 0) {
         critics_warn("result cache ", path_, ": skipped ", malformed,
@@ -509,22 +513,17 @@ ResultStore::forgetLocked()
 std::size_t
 ResultStore::absorb(const std::string &shardPath)
 {
-    const int fd = ::open(shardPath.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return 0; // a shard that ran nothing wrote no store
     std::string lines;
     std::size_t records = 0;
-    forEachLine(fd, 0, [&](const std::string &line) {
-        bool malformed = false;
-        if (parseStoreLine(line, malformed)) {
-            lines += line;
+    scanStore(shardPath, [&](StoreLine &line) {
+        if (line.kind == StoreLine::Kind::Good) {
+            lines += line.bytes;
             lines += '\n';
             ++records;
         }
     });
-    ::close(fd);
     if (records == 0)
-        return 0;
+        return 0; // also a shard that ran nothing and wrote no store
     std::lock_guard<std::mutex> guard(lock_);
     appendLocked(lines);
     inserts_ += records;
@@ -578,7 +577,7 @@ ResultStore::insert(const std::string &hashHex, const std::string &spec,
         std::chrono::duration_cast<std::chrono::seconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
-    JsonWriter w;
+    json::JsonWriter w;
     w.beginObject()
         .field("schema", kResultSchemaVersion)
         .field("hash", hashHex)
@@ -598,54 +597,36 @@ ResultStore::insert(const std::string &hashHex, const std::string &spec,
 void
 ResultStore::appendLocked(const std::string &lines)
 {
-    if (fd_ < 0)
-        openLocked();
-    if (fd_ < 0)
-        return;
-    // One append = one write(2) to an O_APPEND descriptor under an
-    // exclusive flock: concurrent writer processes (shards, parallel
-    // sweeps) serialize whole lines and can never interleave partial
-    // ones.  A crash mid-write leaves at most one truncated tail
-    // line, which loads skip.
-    ::flock(fd_, LOCK_EX);
-    // A cache rewriter (merge/compact/gc) holds this same lock across
-    // its temp+rename; if one ran while we were blocked, this
-    // descriptor now points at the orphaned old inode and the append
-    // would vanish with it.  Revalidate that the path still names our
-    // inode, reopening (and re-locking) if not.
-    for (int attempt = 0; attempt < 8 && fd_ >= 0; ++attempt) {
-        struct stat viaFd{}, viaPath{};
-        if (::fstat(fd_, &viaFd) != 0)
-            break;
-        if (::stat(path_.c_str(), &viaPath) == 0 &&
-            viaFd.st_dev == viaPath.st_dev &&
-            viaFd.st_ino == viaPath.st_ino) {
-            break; // still the live file
-        }
-        ::flock(fd_, LOCK_UN);
+    // One append = one write(2) to an O_APPEND descriptor under the
+    // StoreLock: concurrent writer processes (shards, parallel sweeps)
+    // serialize whole lines, and no rewriter can rename the file away
+    // until the write is done.  A crash mid-write leaves at most one
+    // unterminated tail, which the scanner never hands over.
+    StoreLock storeLock(path_);
+    struct stat viaFd{}, viaPath{};
+    if (fd_ >= 0 &&
+        (::fstat(fd_, &viaFd) != 0 ||
+         ::stat(path_.c_str(), &viaPath) != 0 ||
+         viaFd.st_dev != viaPath.st_dev ||
+         viaFd.st_ino != viaPath.st_ino)) {
+        // A rewriter replaced the file (or clear() removed it) since
+        // the last append: the descriptor names an orphaned inode.
         ::close(fd_);
         fd_ = -1;
-        openLocked();
-        if (fd_ >= 0)
-            ::flock(fd_, LOCK_EX);
     }
-    if (fd_ < 0)
-        return;
-    const char *data = lines.data();
-    std::size_t left = lines.size();
-    while (left > 0) {
-        const ssize_t wrote = ::write(fd_, data, left);
-        if (wrote <= 0) {
-            if (wrote < 0 && errno == EINTR)
-                continue;
-            critics_warn("short write to result cache ", path_,
-                         "; record may be truncated");
-            break;
+    if (fd_ < 0) {
+        fd_ = ::open(path_.c_str(),
+                     O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+        if (fd_ < 0) {
+            critics_warn("cannot open result cache ", path_,
+                         " for append; results will not persist");
+            return;
         }
-        data += wrote;
-        left -= static_cast<std::size_t>(wrote);
     }
-    ::flock(fd_, LOCK_UN);
+    if (!writeAll(fd_, lines)) {
+        critics_warn("short write to result cache ", path_,
+                     "; record may be truncated");
+    }
 }
 
 std::size_t
@@ -709,8 +690,11 @@ ResultStore::clear()
         ::close(fd_);
         fd_ = -1;
     }
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);
+    {
+        StoreLock storeLock(path_);
+        std::error_code ec;
+        std::filesystem::remove(path_, ec);
+    }
     forgetLocked();
 }
 

@@ -4,43 +4,41 @@
  * record per completed job, keyed by the JobSpec content hash and the
  * result schema version.  Records round-trip every RunResult field
  * bit-exactly (doubles as hex-floats), so a warm run reproduces a cold
- * run's tables digit for digit.
+ * run's tables digit for digit.  This module owns the store's whole
+ * on-disk protocol: its lock, its line reading and its line
+ * classification.
  *
- * Multi-writer guarantee: each append (one record from insert(), or a
- * shard's records from absorb()) is a single write(2) to an O_APPEND
- * descriptor under an exclusive flock(), so any number of processes
- * (shards of one sweep, concurrent sweeps) may append to the same file
- * without ever interleaving partial lines — the kernel serializes
- * whole records.  The only non-atomic failure mode left is a process
- * dying mid-write, which leaves at most one truncated tail line.  In-
- * process, a mutex serializes appends across the worker threads.
+ * The lock: every writer holds StoreLock, an exclusive flock(2) on the
+ * sidecar `<store>.lock`.  Appenders (insert, absorb) hold it around
+ * one O_APPEND write(2) of whole lines; clear() and the rewriters
+ * (cache_admin.hh) across their fold + temp + rename.  The sidecar is
+ * never renamed, so every holder contends on one inode; a lock on the
+ * data file would be orphaned by the very rename it guards.  With no
+ * rename possible while it holds the lock, an appender checks once
+ * that its descriptor still names the path and reopens if not, so
+ * records never interleave or land on an orphaned inode.  A writer
+ * dying mid-write leaves at most one unterminated tail.
  *
- * Cache rewriters (`cache merge/compact/gc`) hold the same flock
- * across their temp+rename replacement of the file; an appender that
- * wakes up holding a lock on the replaced inode detects the swap
- * (path no longer names its inode) and reopens before writing, so no
- * record is ever appended to an orphaned file.
+ * The scanner: scanStore() is the one reader of store files, used by
+ * the index, absorb(), readResultRecords() and the rewriters, so all
+ * agree on what a record is.  It never hands over an unterminated
+ * tail: under the lock that tail is torn, and without it the tail may
+ * be a write in progress, read once its newline lands.
  *
- * Incremental index: the in-memory index covers the file up to the
- * byte just past the last newline-terminated line it parsed, and the
- * store keeps an O_RDONLY descriptor on the file it indexed.  That
- * descriptor pins the inode, so its number cannot be reused by a later
- * rewrite and mistaken for the indexed file.  refresh() parses only
- * the bytes appended since, as long as the path still names the
- * pinned inode and the file has not shrunk; after a rewriter swapped
- * the inode, a truncation or a removal it re-reads (or forgets) the
- * whole file.  Construction is a refresh() from offset 0.  Only
- * newline-terminated lines are indexed: an unterminated tail is a
- * write in progress or a torn record, and stays unindexed until its
- * newline lands (a torn record never gets one; the next append makes
- * it part of a malformed line).  The invariant every test checks:
- * after any sequence of appends, rewrites and removals, the index
- * after refresh() equals the one a fresh ResultStore(path) builds.
+ * Incremental index: the index covers the file up to the byte past the
+ * last line scanned, and the store keeps an O_RDONLY descriptor on the
+ * indexed file, which pins its inode (its number cannot be reused by a
+ * later rewrite).  refresh() scans only the appended bytes while the
+ * path names that inode and the file has not shrunk, and otherwise
+ * re-reads (or forgets) the whole file.  The invariant every test
+ * checks: after any appends, rewrites and removals, the index after
+ * refresh() equals the one a fresh ResultStore(path) builds.
  */
 
 #ifndef CRITICS_RUNNER_RESULT_STORE_HH
 #define CRITICS_RUNNER_RESULT_STORE_HH
 
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -75,6 +73,33 @@ std::optional<sim::RunResult> resultFromJson(const json::JsonValue &json);
  */
 std::string cacheDir();
 
+/**
+ * RAII exclusive flock(2) on `<storePath>.lock`, the one lock every
+ * writer of the store takes (see the file comment).  Blocks until
+ * held; if the sidecar cannot be created the holder proceeds unlocked,
+ * as it would fail to write the store anyway.
+ */
+class StoreLock
+{
+  public:
+    explicit StoreLock(const std::string &storePath);
+    ~StoreLock();
+
+    StoreLock(const StoreLock &) = delete;
+    StoreLock &operator=(const StoreLock &) = delete;
+
+  private:
+    int fd_ = -1;
+};
+
+/**
+ * Delete a store file and its lock sidecar.  Only for a store no
+ * process writes any more (a finished shard's scratch store): removing
+ * the sidecar under a live writer would let the next one lock a fresh
+ * inode.
+ */
+void removeStore(const std::string &path);
+
 /** One record of a result-store file, with its provenance fields. */
 struct ResultRecord
 {
@@ -86,12 +111,41 @@ struct ResultRecord
     sim::RunResult result;
 };
 
+/** One newline-terminated line of a store file, classified. */
+struct StoreLine
+{
+    enum class Kind { Good, OldSchema, Malformed };
+
+    Kind kind = Kind::Malformed;
+    std::string bytes;   ///< the line verbatim, newline stripped
+    ResultRecord record; ///< set for Good lines only
+};
+
+using StoreLineFn = std::function<void(StoreLine &)>;
+
 /**
- * Read every well-formed current-schema record of a results.jsonl
- * file, in file order with later duplicates of a hash superseding
- * earlier ones (the store's append semantics).  Unlike ResultStore,
- * this keeps the app/variant provenance — the key `critics_cli diff`
- * matches runs by, since a config change alters every content hash.
+ * The store's one line scanner: call `onLine` on every non-empty
+ * newline-terminated line of the store file open on `fd`, from byte
+ * `from` on, in file order.  A Good line is a current-schema record
+ * with a string hash and spec and a complete result; a line of
+ * another schema version is OldSchema; anything else is Malformed.
+ * Returns the bytes consumed: up to just past the last newline, so an
+ * unterminated tail is left for a later scan.
+ */
+std::uint64_t scanStore(int fd, std::uint64_t from,
+                        const StoreLineFn &onLine);
+
+/** scanStore() over the whole file at `path`; nullopt if it cannot be
+ *  opened (a missing store holds nothing). */
+std::optional<std::uint64_t> scanStore(const std::string &path,
+                                       const StoreLineFn &onLine);
+
+/**
+ * Read every Good record of a results.jsonl file, in file order with
+ * later duplicates of a hash superseding earlier ones (the store's
+ * append semantics).  Unlike ResultStore, this keeps the app/variant
+ * provenance — the key `critics_cli diff` matches runs by, since a
+ * config change alters every content hash.
  */
 std::vector<ResultRecord> readResultRecords(const std::string &path);
 
@@ -119,9 +173,9 @@ class ResultStore
                                          const std::string &spec) const;
 
     /**
-     * Append one completed job as one flock-guarded O_APPEND write,
-     * so concurrent writer processes never tear each other's lines
-     * (see the file comment for the exact guarantee).
+     * Append one completed job as one O_APPEND write under the
+     * StoreLock, so concurrent writer processes never tear each
+     * other's lines (see the file comment for the exact guarantee).
      */
     void insert(const JobSpec &spec, const sim::RunResult &result);
 
@@ -147,7 +201,8 @@ class ResultStore
     void registerStats(stats::StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Delete the backing file and forget all records. */
+    /** Delete the backing file (under the StoreLock) and forget all
+     *  records. */
     void clear();
 
     /**
@@ -160,11 +215,11 @@ class ResultStore
     void refresh();
 
     /**
-     * Append the well-formed, newline-terminated current-schema records
-     * of the store file `shardPath` verbatim (the shard writer's
-     * bytes, as `cache merge` keeps them) in one flock-guarded append,
-     * then index them.  Malformed, old-schema and unterminated lines
-     * are dropped; a missing file absorbs nothing.  Like insert(), it
+     * Append the Good lines of the store file `shardPath` verbatim
+     * (the shard writer's bytes, as `cache merge` keeps them) in one
+     * append under the StoreLock, then index them.  Malformed,
+     * old-schema and unterminated lines are dropped; a missing file
+     * absorbs nothing.  Like insert(), it
      * does not deduplicate: a record whose hash is already stored is
      * appended and supersedes the older one.  Returns the number of
      * records appended.
@@ -173,11 +228,10 @@ class ResultStore
 
   private:
     void refreshLocked();
-    void indexFromLocked(); ///< parse [indexed_, EOF) of readFd_
+    void indexFromLocked(); ///< scan [indexed_, EOF) of readFd_
     void forgetLocked();    ///< drop the index and the pinned inode
-    void openLocked();      ///< open the append fd (caller holds lock_)
-    /** One flock-guarded O_APPEND write of whole lines, revalidating
-     *  that the append fd still names the live file. */
+    /** One O_APPEND write of whole lines under the StoreLock,
+     *  reopening first if the append fd no longer names the path. */
     void appendLocked(const std::string &lines);
 
     struct Entry

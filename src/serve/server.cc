@@ -234,6 +234,9 @@ Server::handleClient(int fd)
         }
     }
     ::close(fd);
+    // Under lock_, so ~Server cannot see zero and destroy cv_ while
+    // this notify is still running.
+    std::lock_guard<std::mutex> lock(lock_);
     activeClients_.fetch_sub(1);
     cv_.notify_all();
 }
@@ -790,8 +793,7 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
         const std::string shardStore =
             dir + "/results." + tag + ".jsonl";
         const std::string hashesFile = dir + "/" + tag + ".hashes";
-        std::error_code ec;
-        std::filesystem::remove(shardStore, ec);
+        runner::removeStore(shardStore);
         {
             std::ofstream out(hashesFile, std::ios::trunc);
             for (const auto *spec : shards[k])
@@ -901,12 +903,12 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
     // Append every shard store's records to the shared one (and the
     // index) so the next submission of these specs is warm: the cost
     // is the batch's new records, not the store's size.  Then drop
-    // the scratch files.
-    for (std::size_t i = 0; i < scratch.size(); i += 2)
+    // the scratch files, each shard store with its lock sidecar.
+    for (std::size_t i = 0; i < scratch.size(); i += 2) {
         store_.absorb(scratch[i]);
-    for (const auto &path : scratch) {
+        runner::removeStore(scratch[i]);
         std::error_code ec;
-        std::filesystem::remove(path, ec);
+        std::filesystem::remove(scratch[i + 1], ec);
     }
 
     // Anything not accounted for by an event belongs to a worker that

@@ -1,6 +1,7 @@
 #include "serve/worker.hh"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include "runner/orchestrator.hh"
 #include "serve/protocol.hh"
 #include "sim/variants.hh"
+#include "support/number.hh"
 
 namespace critics::serve
 {
@@ -80,15 +82,16 @@ serveWorkerMain(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = value;
         } else if (arg == "--insts") {
-            insts = std::stoull(value);
+            insts = uintFlag(arg, value);
         } else if (arg == "--store") {
             storePath = value;
         } else if (arg == "--hashes") {
             hashesPath = value;
         } else if (arg == "--attempts") {
-            maxAttempts = static_cast<unsigned>(std::stoul(value));
+            maxAttempts = static_cast<unsigned>(
+                uintFlag(arg, value, UINT_MAX));
         } else if (arg == "--sleep-ms") {
-            sleepMs = std::stoull(value);
+            sleepMs = uintFlag(arg, value);
         } else if (arg == "--trace-id") {
             traceId = value;
         } else if (arg == "--profile") {

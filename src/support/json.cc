@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/number.hh"
+
 namespace critics::json
 {
 
@@ -26,14 +28,9 @@ JsonValue::find(const std::string &key) const
 std::optional<std::uint64_t>
 JsonValue::asUint() const
 {
-    if (kind != Kind::Number || text.empty() || text[0] == '-')
+    if (kind != Kind::Number)
         return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        return std::nullopt;
-    return value;
+    return parseUint(text);
 }
 
 std::optional<std::int64_t>
@@ -54,14 +51,7 @@ JsonValue::asDouble() const
 {
     if (kind != Kind::Number && kind != Kind::String)
         return std::nullopt;
-    if (text.empty())
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        return std::nullopt;
-    return value;
+    return parseDouble(text);
 }
 
 std::optional<std::string>

@@ -3,11 +3,13 @@
  * The sharded runner and the cache lifecycle: deterministic shard
  * partitioning, multi-process append safety (fork N writers, no torn
  * lines), merge/compact/gc semantics including truncated-tail,
- * old-schema and collision/orphan records, sharded-vs-unsharded
- * bit-identity, and the double-SIGINT emergency manifest flush.
+ * old-schema and collision/orphan records, the store scanner under
+ * seeded line mutations, sharded-vs-unsharded bit-identity, and the
+ * double-SIGINT emergency manifest flush.
  */
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,16 +18,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "runner/cache_admin.hh"
-#include "runner/json.hh"
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
 #include "runner/shard.hh"
 #include "runner/sigint.hh"
 #include "stats/registry.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -51,6 +54,7 @@ class TempPath
     {
         std::error_code ec;
         std::filesystem::remove_all(path_, ec);
+        std::filesystem::remove(path_ + ".lock", ec); // store sidecar
     }
 
     const std::string &str() const { return path_; }
@@ -93,7 +97,7 @@ makeLine(const JobSpec &spec, const sim::RunResult &result,
          std::uint64_t writtenUnix, const std::string &hashOverride = "",
          int schema = kResultSchemaVersion)
 {
-    JsonWriter w;
+    json::JsonWriter w;
     w.beginObject()
         .field("schema", schema)
         .field("hash",
@@ -129,7 +133,7 @@ wellFormedLineCount(const std::string &path)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        const auto doc = parseJson(line);
+        const auto doc = json::parseJson(line);
         if (!doc || !doc->isObject())
             return static_cast<std::size_t>(-1); // torn line
         ++count;
@@ -267,12 +271,18 @@ TEST(ResultStore, AppendSurvivesConcurrentRewrite)
     EXPECT_EQ(records.size(), 2u); // nothing vanished with the inode
 }
 
-TEST(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
+/** Concurrent rewriters beside the appenders: the parent's gc, plus
+ *  (for 2) a forked child running compact in a loop. */
+class CacheGcRace : public ::testing::TestWithParam<int>
 {
-    // The probabilistic half: writer processes appending while the
-    // parent gc's the store in a loop.  gc holds the writer flock
-    // across its fold + temp + rename, and a writer waking up on the
-    // replaced inode reopens, so every append must survive.
+};
+
+TEST_P(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
+{
+    // The probabilistic half: writer processes appending while one or
+    // two rewriters replace the store in a loop.  Every writer holds
+    // the store's sidecar lock across its append and every rewriter
+    // across its fold + temp + rename, so every append must survive.
     TempPath file("critics-store-gc-race");
     constexpr int kWriters = 3;
     constexpr int kRecords = 24;
@@ -305,6 +315,25 @@ TEST(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
         children.push_back(pid);
     }
     ::close(barrier[0]);
+
+    // The second rewriter compacts until the parent closes `stop`.
+    pid_t compactor = 0;
+    int stop[2] = {-1, -1};
+    if (GetParam() == 2) {
+        ASSERT_EQ(::pipe(stop), 0);
+        compactor = ::fork();
+        ASSERT_GE(compactor, 0);
+        if (compactor == 0) {
+            ::close(stop[1]);
+            struct pollfd done = {stop[0], POLLIN, 0};
+            while (::poll(&done, 1, 0) == 0) {
+                if (!compactStore(file.str()))
+                    ::_exit(1);
+            }
+            ::_exit(0);
+        }
+        ::close(stop[0]);
+    }
     ASSERT_EQ(::write(barrier[1], "ggg", kWriters), kWriters);
     ::close(barrier[1]);
 
@@ -328,6 +357,12 @@ TEST(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
             }
         }
     }
+    if (compactor > 0) {
+        ::close(stop[1]);
+        int status = 0;
+        ASSERT_EQ(::waitpid(compactor, &status, 0), compactor);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
 
     // Every record of every writer survived every rewrite.
     EXPECT_EQ(wellFormedLineCount(file.str()),
@@ -335,6 +370,12 @@ TEST(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
     EXPECT_EQ(readResultRecords(file.str()).size(),
               static_cast<std::size_t>(kWriters * kRecords));
 }
+
+INSTANTIATE_TEST_SUITE_P(Rewriters, CacheGcRace, ::testing::Values(1, 2),
+                         [](const auto &info) {
+                             return info.param == 1 ? "GcOnly"
+                                                    : "GcAndCompact";
+                         });
 
 // ---------------------------------------------------------------------------
 // Incremental refresh and shard absorb
@@ -493,6 +534,122 @@ TEST(ResultStore, RefreshMatchesFreshLoad)
 }
 
 // ---------------------------------------------------------------------------
+// The store scanner
+
+namespace
+{
+
+/** The record a store line's bytes encode, decoded with the JSON
+ *  accessors directly rather than through the scanner. */
+std::optional<ResultRecord>
+decodeDirectly(const std::string &bytes)
+{
+    const auto doc = json::parseJson(bytes);
+    if (!doc)
+        return std::nullopt;
+    const json::JsonValue *schema = doc->find("schema");
+    const json::JsonValue *hash = doc->find("hash");
+    const json::JsonValue *spec = doc->find("spec");
+    const json::JsonValue *result = doc->find("result");
+    if (!schema || schema->asInt() != kResultSchemaVersion || !hash ||
+        !hash->asString() || !spec || !spec->asString() || !result) {
+        return std::nullopt;
+    }
+    const auto parsed = resultFromJson(*result);
+    if (!parsed)
+        return std::nullopt;
+    ResultRecord record;
+    record.hash = *hash->asString();
+    record.spec = *spec->asString();
+    if (const json::JsonValue *v = doc->find("app"))
+        record.app = v->asString().value_or("");
+    if (const json::JsonValue *v = doc->find("variant"))
+        record.variant = v->asString().value_or("");
+    if (const json::JsonValue *v = doc->find("writtenUnix"))
+        record.writtenUnix = v->asUint().value_or(0);
+    record.result = *parsed;
+    return record;
+}
+
+void
+expectSameRecord(const ResultRecord &got, const ResultRecord &want)
+{
+    EXPECT_EQ(got.hash, want.hash);
+    EXPECT_EQ(got.spec, want.spec);
+    EXPECT_EQ(got.app, want.app);
+    EXPECT_EQ(got.variant, want.variant);
+    EXPECT_EQ(got.writtenUnix, want.writtenUnix);
+    EXPECT_EQ(resultToJson(got.result), resultToJson(want.result));
+}
+
+} // namespace
+
+TEST(StoreScanner, MutatedLinesScanIdenticallyOrAreRejected)
+{
+    // Seeded byte flips, truncations and inserted quotes or braces in
+    // a good line, each followed by the untouched line.  Every mutated
+    // line must be handed over verbatim and either scan Good to
+    // exactly the record its bytes encode or be rejected; a truncated
+    // record (a torn write) is never Good; and no mutation bleeds into
+    // the next line, which must scan to the original record.
+    TempPath file("critics-scan-mutations");
+    const std::string good = makeLine(tinySpec(1), sampleResult(1.0), 77);
+    const std::string body = good.substr(0, good.size() - 1);
+    const auto original = decodeDirectly(body);
+    ASSERT_TRUE(original.has_value());
+
+    constexpr int kMutations = 600;
+    Rng rng(20181023);
+    std::vector<std::string> mutated;
+    std::vector<bool> truncated;
+    std::string bytes;
+    for (int i = 0; i < kMutations; ++i) {
+        std::string line = body;
+        const std::uint64_t op = rng.below(3);
+        if (op == 0) { // flip bits of one byte, never into a newline
+            char &c = line[rng.below(line.size())];
+            const char flipped =
+                static_cast<char>(c ^ static_cast<char>(1 + rng.below(255)));
+            c = flipped == '\n' ? static_cast<char>(c ^ 0x01) : flipped;
+        } else if (op == 1) {
+            line.resize(1 + rng.below(line.size() - 1));
+        } else {
+            line.insert(rng.below(line.size() + 1), 1, "\"{}"[rng.below(3)]);
+        }
+        mutated.push_back(line);
+        truncated.push_back(op == 1);
+        bytes += line + "\n" + good;
+    }
+    appendBytes(file.str(), bytes);
+
+    std::size_t index = 0, accepted = 0;
+    const auto scan = scanStore(file.str(), [&](StoreLine &line) {
+        const std::size_t i = index++;
+        if (i % 2 == 1) {
+            EXPECT_EQ(line.bytes, body) << "after mutation " << i / 2;
+            ASSERT_EQ(line.kind, StoreLine::Kind::Good);
+            expectSameRecord(line.record, *original);
+            return;
+        }
+        SCOPED_TRACE("mutation " + std::to_string(i / 2));
+        ASSERT_LT(i / 2, mutated.size());
+        ASSERT_EQ(line.bytes, mutated[i / 2]);
+        const auto direct = decodeDirectly(line.bytes);
+        ASSERT_EQ(line.kind == StoreLine::Kind::Good, direct.has_value());
+        if (line.kind != StoreLine::Kind::Good)
+            return;
+        EXPECT_FALSE(truncated[i / 2]);
+        expectSameRecord(line.record, *direct);
+        ++accepted;
+    });
+    ASSERT_TRUE(scan.has_value());
+    EXPECT_EQ(index, 2u * kMutations);
+    EXPECT_EQ(*scan, bytes.size());
+    // Most mutations break the record; a few only change a value.
+    EXPECT_LT(accepted, static_cast<std::size_t>(kMutations) / 2);
+}
+
+// ---------------------------------------------------------------------------
 // Merge
 
 TEST(CacheMerge, LaterRecordWinsAcrossStores)
@@ -542,6 +699,23 @@ TEST(CacheMerge, FiltersOldSchemaAndTruncatedTail)
     EXPECT_EQ(stats->oldSchema, 1u);
     EXPECT_EQ(stats->malformed, 1u);
     EXPECT_EQ(readResultRecords(out.str()).size(), 1u);
+
+    // A complete record whose newline never landed: merge and absorb of
+    // the same shard agree that it is not (yet) a record.
+    TempPath shard("critics-merge-shard"), merged("critics-merge-out3"),
+        absorbed("critics-merge-absorbed");
+    std::string unterminated = makeLine(tinySpec(4), sampleResult(), 100);
+    unterminated.pop_back();
+    appendBytes(shard.str(),
+                makeLine(tinySpec(3), sampleResult(), 100) + unterminated);
+    const auto shardStats = mergeStores(merged.str(), {shard.str()});
+    ASSERT_TRUE(shardStats.has_value());
+    EXPECT_EQ(shardStats->recordsKept, 1u);
+    EXPECT_EQ(shardStats->malformed, 1u);
+    ResultStore store(absorbed.str());
+    EXPECT_EQ(store.absorb(shard.str()), shardStats->recordsKept);
+    EXPECT_EQ(fileBytes(absorbed.str()), fileBytes(merged.str()));
+    EXPECT_EQ(readResultRecords(shard.str()).size(), 1u);
 }
 
 TEST(CacheMerge, SkipsMissingInputsAndMergesIntoAnInput)

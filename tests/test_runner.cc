@@ -12,11 +12,11 @@
 #include <filesystem>
 #include <fstream>
 
-#include "runner/json.hh"
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
 #include "runner/thread_pool.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
 
@@ -179,7 +179,7 @@ TEST(ResultStore, JsonRoundTripIsBitExact)
 {
     const sim::RunResult original = sampleResult();
     const std::string json = resultToJson(original);
-    const auto doc = parseJson(json);
+    const auto doc = json::parseJson(json);
     ASSERT_TRUE(doc.has_value());
     const auto restored = resultFromJson(*doc);
     ASSERT_TRUE(restored.has_value());

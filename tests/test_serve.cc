@@ -21,11 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "runner/json.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/supervisor.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 using namespace critics;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for histograms, summaries, CDFs, logging and the table
- * renderer.
+ * Unit tests for histograms, summaries, CDFs, logging, strict number
+ * parsing and the table renderer.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "support/histogram.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/number.hh"
 #include "support/parallel.hh"
 #include "support/table.hh"
 
@@ -251,4 +252,51 @@ TEST(Logging, DebugGatedByEnvironment)
         EXPECT_FALSE(critics::debugEnabled("cpu"));
         EXPECT_FALSE(critics::debugEnabled("no-such-component"));
     }
+}
+
+TEST(StrictNumber, UintRejectsWhatStoullHalfAccepts)
+{
+    EXPECT_EQ(parseUint("5"), 5u);
+    EXPECT_EQ(parseUint("18446744073709551615"), kUintMax);
+    EXPECT_EQ(parseUint("65535", 65535), 65535u);
+    for (const char *bad : {"", "0x", "5x", "-1", "+1", " 5", "5 ", "1e3",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseUint(bad).has_value()) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseUint("70000", 65535).has_value());
+    EXPECT_FALSE(parseUint(std::string("5\0", 2)).has_value());
+}
+
+TEST(StrictNumber, DoubleTakesHexFloatsAndRejectsTrailingBytes)
+{
+    EXPECT_EQ(parseDouble("0.25"), 0.25);
+    EXPECT_EQ(parseDouble("0x1.8p+1"), 3.0);
+    EXPECT_EQ(parseDouble("-2"), -2.0);
+    EXPECT_EQ(parseDouble("0x1p-1074"), 0x1p-1074); // subnormal
+    for (const char *bad : {"", "0.5x", " 0.5", "x", "0.5 "})
+        EXPECT_FALSE(parseDouble(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(StrictNumber, FlagRejectionIsFatalAndNamesTheFlag)
+{
+    // The inputs std::stoul used to half-accept: `--reps 0x` ran 5
+    // reps, `--insts -1` became 2^64 - 1, `--port 70000` wrapped.
+    const std::pair<const char *, const char *> cases[] = {
+        {"--reps", "0x"}, {"--insts", "-1"}, {"--port", "70000"},
+        {"--rel", "0.5x"}};
+    for (const auto &[flag, value] : cases) {
+        try {
+            if (std::string(flag) == "--rel")
+                doubleFlag(flag, value);
+            else
+                uintFlag(flag, value, 65535);
+            ADD_FAILURE() << flag << " " << value << " was accepted";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(flag), std::string::npos) << what;
+            EXPECT_NE(what.find(value), std::string::npos) << what;
+        }
+    }
+    EXPECT_EQ(uintFlag("--port", "8080", 65535), 8080u);
+    EXPECT_EQ(doubleFlag("--rel", "0.05"), 0.05);
 }
