@@ -50,6 +50,8 @@ main()
         for (const double threshold : {4.0, 6.0, 8.0, 12.0, 16.0}) {
             sim::ExperimentOptions opt = benchOptions();
             opt.crit.chainCritThreshold = threshold;
+            // Pinned before the sweep, so its jobs reuse these builds.
+            const auto exps = experiments(apps(), opt);
             const auto sweep = runSweep(
                 "ablation-threshold" +
                     std::to_string(static_cast<int>(threshold)),
@@ -64,7 +66,7 @@ main()
                 cover[i] = sweep.at(i, 1).selectionCoverage;
             }
             std::size_t unique = 0;
-            for (auto &exp : experiments(sweep.apps, opt))
+            for (const auto &exp : exps)
                 unique += exp->mined().chains.size();
             table.addRow({fmt(threshold, 0), gainPct(geoMean(speed)),
                           pct(mean(cover)), fmt(double(unique), 0)});
@@ -79,6 +81,8 @@ main()
         for (const unsigned window : {32u, 64u, 128u, 256u}) {
             sim::ExperimentOptions opt = benchOptions();
             opt.crit.window = window;
+            // Pinned before the sweep, so its jobs reuse these builds.
+            const auto exps = experiments(apps(), opt);
             const auto sweep = runSweep(
                 "ablation-window" + std::to_string(window), apps(),
                 {variant("baseline"),
@@ -86,7 +90,6 @@ main()
                 opt);
             std::vector<double> speed(sweep.apps.size()),
                 crit(sweep.apps.size());
-            auto exps = experiments(sweep.apps, opt);
             for (std::size_t i = 0; i < sweep.apps.size(); ++i) {
                 speed[i] = sweep.speedup(i, 1);
                 crit[i] = exps[i]->fanout().critFraction();

@@ -141,8 +141,9 @@ timingTable(const runner::BatchResult &batch)
 /**
  * The shared AppExperiments for offline-analysis statistics (chain
  * geometry, fanout fractions) that are not cacheable RunResults.
- * Construction happens in parallel and is shared with any jobs the
- * runner executes for the same profile+options.
+ * Construction happens in parallel.  The experiments stay pinned on
+ * the shared runner, so a sweep run after this call reuses them
+ * instead of building (and releasing) its own.
  */
 inline std::vector<std::shared_ptr<sim::AppExperiment>>
 experiments(const std::vector<workload::AppProfile> &profiles,

@@ -56,6 +56,10 @@ main()
                  "gap 3", "gap 4", "gap 5", "cum 1..5"});
 
     for (auto &suite : suites) {
+        // Offline chain statistics come from the shared experiments
+        // (not cacheable RunResults).  Taking them first pins them, so
+        // the sweep's jobs reuse these builds.
+        auto exps = experiments(suite.apps);
         const auto sweep =
             runSweep(std::string("fig01-") + suite.name, suite.apps,
                      {variant("baseline"), pf, prio});
@@ -67,9 +71,6 @@ main()
             prioSpeed[i] = sweep.speedup(i, 2);
         }
 
-        // Offline chain statistics come from the shared experiments
-        // (not cacheable RunResults).
-        auto exps = experiments(suite.apps);
         std::vector<double> critFrac(exps.size()), noDep(exps.size());
         parallelFor(exps.size(), [&](std::size_t i) {
             critFrac[i] = exps[i]->fanout().critFraction();

@@ -129,11 +129,12 @@ main()
     for (auto &suite : suites) {
         // The baseline runs are the sweep (cached after the first
         // invocation); the instruction-mix scan needs the raw traces,
-        // which live on the shared experiments.
+        // which live on the shared experiments.  Taking them first
+        // pins them, so the sweep's jobs reuse these builds.
+        auto exps = experiments(suite.apps);
         const auto sweep =
             runSweep(std::string("fig03-") + suite.name, suite.apps,
                      {variant("baseline")});
-        auto exps = experiments(suite.apps);
 
         cpu::StageBreakdown crit;
         double icacheStall = 0, redirectStall = 0, rdStall = 0, ipc = 0;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "runner/result_store.hh"
@@ -55,26 +56,59 @@ RunManifest::throughput() const
         ? static_cast<double>(totalSimInsts()) / wallSeconds : 0.0;
 }
 
+namespace
+{
+
+/** Opens the document and writes the fields before `totals`; the
+ *  interrupted head has no wallSeconds and is always interrupted. */
+void
+writeHead(json::JsonWriter &w, const RunManifest &m, bool final)
+{
+    w.beginObject()
+        .field("schema", m.schema)
+        .field("batch", m.batch)
+        .field("git", m.gitDescribe)
+        .field("startedUnix", m.startedUnix);
+    if (final)
+        w.fieldReadable("wallSeconds", m.wallSeconds);
+    w.field("interrupted", !final || m.interrupted);
+    if (!m.traceId.empty())
+        w.field("traceId", m.traceId);
+    if (m.shardCount > 0) {
+        w.beginObject("shard")
+            .field("index", static_cast<std::uint64_t>(m.shardIndex))
+            .field("count", static_cast<std::uint64_t>(m.shardCount))
+            .field("totalJobs", m.shardTotalJobs)
+            .endObject();
+    }
+}
+
+} // namespace
+
+std::string
+JobRecord::toJson() const
+{
+    json::JsonWriter w;
+    w.beginObject()
+        .field("app", app)
+        .field("variant", variant)
+        .field("hash", hash)
+        .field("ok", ok)
+        .field("fromCache", fromCache)
+        .field("attempts", attempts)
+        .fieldReadable("wallSeconds", wallSeconds)
+        .field("simInsts", simInsts)
+        .fieldReadable("instsPerSec", instsPerSec())
+        .field("error", error)
+        .endObject();
+    return w.str();
+}
+
 std::string
 RunManifest::toJson() const
 {
     json::JsonWriter w;
-    w.beginObject()
-        .field("schema", schema)
-        .field("batch", batch)
-        .field("git", gitDescribe)
-        .field("startedUnix", startedUnix)
-        .fieldReadable("wallSeconds", wallSeconds)
-        .field("interrupted", interrupted);
-    if (!traceId.empty())
-        w.field("traceId", traceId);
-    if (shardCount > 0) {
-        w.beginObject("shard")
-            .field("index", static_cast<std::uint64_t>(shardIndex))
-            .field("count", static_cast<std::uint64_t>(shardCount))
-            .field("totalJobs", shardTotalJobs)
-            .endObject();
-    }
+    writeHead(w, *this, /*final=*/true);
     w.beginObject("totals")
         .field("jobs", static_cast<std::uint64_t>(jobs.size()))
         .field("cached", static_cast<std::uint64_t>(cachedCount()))
@@ -96,23 +130,18 @@ RunManifest::toJson() const
         .field("verifyErrors", runnerStats.verifyErrors)
         .field("verifyAdvisories", runnerStats.verifyAdvisories)
         .endObject();
-    w.beginArray("jobs");
-    for (const auto &job : jobs) {
-        w.elementObject()
-            .field("app", job.app)
-            .field("variant", job.variant)
-            .field("hash", job.hash)
-            .field("ok", job.ok)
-            .field("fromCache", job.fromCache)
-            .field("attempts", job.attempts)
-            .fieldReadable("wallSeconds", job.wallSeconds)
-            .field("simInsts", job.simInsts)
-            .fieldReadable("instsPerSec", job.instsPerSec())
-            .field("error", job.error)
-            .endObject();
-    }
-    w.endArray().endObject();
-    return w.str();
+    std::string out = w.beginArray("jobs").str();
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        out += (i ? "," : "") + jobs[i].toJson();
+    return out + "]}";
+}
+
+std::string
+RunManifest::interruptedHead() const
+{
+    json::JsonWriter w;
+    writeHead(w, *this, /*final=*/false);
+    return w.beginArray("jobs").str();
 }
 
 std::string
@@ -123,12 +152,19 @@ RunManifest::write(const std::string &dir) const
         outDir = cacheDir() + "/manifests";
     std::error_code ec;
     std::filesystem::create_directories(outDir, ec);
+    // Renamed into place, so a reader never sees a torn manifest.
     const std::string path = outDir + "/" + batch + ".json";
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return "";
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp, std::ios::trunc);
     out << toJson() << "\n";
-    return out ? path : "";
+    out.close();
+    if (out)
+        std::filesystem::rename(tmp, path, ec);
+    if (!out || ec) {
+        std::filesystem::remove(tmp, ec);
+        return "";
+    }
+    return path;
 }
 
 bool
@@ -158,7 +194,8 @@ RunManifest::read(const std::string &path, RunManifest &out)
         out.interrupted = v->asBool().value_or(false);
     if (const json::JsonValue *v = doc->find("traceId"))
         out.traceId = v->asString().value_or("");
-    // Optional (absent in manifests written before the counters).
+    // Optional (absent in manifests written before the counters, and
+    // in interrupted heads).
     if (const json::JsonValue *rs = doc->find("runnerStats");
         rs && rs->isObject()) {
         auto uint = [&](const char *key) {
@@ -187,34 +224,43 @@ RunManifest::read(const std::string &path, RunManifest &out)
         out.shardCount = static_cast<unsigned>(uint("count"));
         out.shardTotalJobs = uint("totalJobs");
     }
+    // Required: every job names its app, variant, hash and verdict; a
+    // manifest that does not is rejected.
     const json::JsonValue *jobs = doc->find("jobs");
-    if (jobs && jobs->isArray()) {
-        for (const auto &elem : jobs->elements) {
-            if (!elem.isObject())
-                continue;
-            JobRecord job;
-            if (const json::JsonValue *v = elem.find("app"))
-                job.app = v->asString().value_or("");
-            if (const json::JsonValue *v = elem.find("variant"))
-                job.variant = v->asString().value_or("");
-            if (const json::JsonValue *v = elem.find("hash"))
-                job.hash = v->asString().value_or("");
-            if (const json::JsonValue *v = elem.find("ok"))
-                job.ok = v->asBool().value_or(false);
-            if (const json::JsonValue *v = elem.find("fromCache"))
-                job.fromCache = v->asBool().value_or(false);
-            if (const json::JsonValue *v = elem.find("attempts")) {
-                job.attempts =
-                    static_cast<unsigned>(v->asUint().value_or(0));
-            }
-            if (const json::JsonValue *v = elem.find("wallSeconds"))
-                job.wallSeconds = v->asDouble().value_or(0.0);
-            if (const json::JsonValue *v = elem.find("simInsts"))
-                job.simInsts = v->asUint().value_or(0);
-            if (const json::JsonValue *v = elem.find("error"))
-                job.error = v->asString().value_or("");
-            out.jobs.push_back(std::move(job));
+    if (!jobs || !jobs->isArray())
+        return false;
+    for (const auto &elem : jobs->elements) {
+        if (!elem.isObject())
+            return false;
+        auto text = [&](const char *key) {
+            const json::JsonValue *v = elem.find(key);
+            return v ? v->asString() : std::nullopt;
+        };
+        const json::JsonValue *okValue = elem.find("ok");
+        auto app = text("app");
+        auto variant = text("variant");
+        auto hash = text("hash");
+        const auto ok = okValue ? okValue->asBool() : std::nullopt;
+        if (!app || !variant || !hash || !ok)
+            return false;
+        JobRecord job;
+        job.app = std::move(*app);
+        job.variant = std::move(*variant);
+        job.hash = std::move(*hash);
+        job.ok = *ok;
+        if (const json::JsonValue *v = elem.find("fromCache"))
+            job.fromCache = v->asBool().value_or(false);
+        if (const json::JsonValue *v = elem.find("attempts")) {
+            job.attempts =
+                static_cast<unsigned>(v->asUint().value_or(0));
         }
+        if (const json::JsonValue *v = elem.find("wallSeconds"))
+            job.wallSeconds = v->asDouble().value_or(0.0);
+        if (const json::JsonValue *v = elem.find("simInsts"))
+            job.simInsts = v->asUint().value_or(0);
+        if (const json::JsonValue *v = elem.find("error"))
+            job.error = v->asString().value_or("");
+        out.jobs.push_back(std::move(job));
     }
     return true;
 }

@@ -35,6 +35,9 @@ struct JobRecord
         return wallSeconds > 0.0
             ? static_cast<double>(simInsts) / wallSeconds : 0.0;
     }
+
+    /** The record as it appears in a manifest's jobs array. */
+    std::string toJson() const;
 };
 
 /** Runner-infrastructure counters snapshotted at batch end
@@ -84,11 +87,21 @@ struct RunManifest
 
     std::string toJson() const;
 
+    /** Head of the manifest a double Ctrl-C leaves: interrupted, and
+     *  no field that goes stale as jobs finish (wallSeconds, totals,
+     *  runnerStats).  It ends with `"jobs":[`; the job records joined
+     *  by ',' and kInterruptedTail complete it. */
+    std::string interruptedHead() const;
+    static constexpr const char *kInterruptedTail = "]}\n";
+
     /** Write to `<dir>/<batch>.json` (dir defaults to
-     *  cacheDir()/manifests); returns the path, "" on failure. */
+     *  cacheDir()/manifests) via `.tmp` + rename; returns the path,
+     *  "" on failure. */
     std::string write(const std::string &dir = "") const;
 
-    /** Parse a manifest file; false on read/parse failure. */
+    /** Parse a manifest file.  False on read/parse failure, when
+     *  `jobs` is missing or not an array, or when a job is not an
+     *  object or lacks `app`, `variant`, `hash` or `ok`. */
     static bool read(const std::string &path, RunManifest &out);
 
     /** One-line human summary (per-batch timing in a shared format). */

@@ -123,6 +123,21 @@ struct Runner::ExpSlot
 {
     std::once_flag once;
     std::shared_ptr<sim::AppExperiment> experiment;
+
+    /** The experiment, built on first use.  Construction (synthesis +
+     *  trace emission) runs outside every map lock so different apps
+     *  build concurrently; call_once makes same-app racers share one
+     *  build. */
+    std::shared_ptr<sim::AppExperiment>
+    get(const workload::AppProfile &profile,
+        const sim::ExperimentOptions &options)
+    {
+        std::call_once(once, [&] {
+            experiment =
+                std::make_shared<sim::AppExperiment>(profile, options);
+        });
+        return experiment;
+    }
 };
 
 Runner::Runner(RunnerOptions options)
@@ -160,14 +175,7 @@ Runner::experiment(const workload::AppProfile &profile,
             entry = std::make_shared<ExpSlot>();
         slot = entry;
     }
-    // Construction (synthesis + trace emission) happens outside the
-    // map lock so different apps build concurrently; call_once makes
-    // same-app racers share one build.
-    std::call_once(slot->once, [&] {
-        slot->experiment =
-            std::make_shared<sim::AppExperiment>(profile, options);
-    });
-    return slot->experiment;
+    return slot->get(profile, options);
 }
 
 BatchResult
@@ -203,9 +211,7 @@ Runner::run(const std::string &batchName,
     const auto startWall = Clock::now();
 
     // Render and hash every job's ~2 KB canonical spec exactly once:
-    // these strings were previously rebuilt per cache lookup, per
-    // insert and — worst — per emergency-manifest snapshot, which made
-    // snapshot publishing quadratic in the batch size.
+    // the cache lookup and the insert both need them.
     std::vector<std::string> specs(owned.size());
     std::vector<std::string> hashes(owned.size());
     for (std::size_t i = 0; i < owned.size(); ++i) {
@@ -213,65 +219,37 @@ Runner::run(const std::string &batchName,
         hashes[i] = hashHexOf(hashSpecString(specs[i]));
     }
 
-    // Emergency-manifest plumbing for a double Ctrl-C: after every
-    // job completion a fresh manifest snapshot is published for the
-    // signal handler to flush.  Superseded snapshots are retired, not
-    // freed — the handler may still be reading one — and the retire
-    // list must outlive the guard (declared first = destroyed last).
-    std::vector<std::unique_ptr<std::string>> retiredSnapshots;
-    std::mutex bookLock; // outcomes[] writes + snapshot builds
-    SigintGuard sigint;
-
-    auto buildJobRecords = [&](bool emergency) {
-        std::vector<JobRecord> records;
-        records.reserve(owned.size());
-        for (std::size_t i = 0; i < owned.size(); ++i) {
-            const JobOutcome &outcome = batch.outcomes[i];
-            JobRecord record;
-            record.app = owned[i].profile.name;
-            record.variant = owned[i].variant.label;
-            record.hash = hashes[i];
-            record.ok = outcome.ok;
-            record.fromCache = outcome.fromCache;
-            record.attempts = outcome.attempts;
-            record.wallSeconds = outcome.wallSeconds;
-            record.simInsts = (outcome.ok && !outcome.fromCache)
-                ? owned[i].options.traceInsts : 0;
-            record.error = outcome.error;
-            if (emergency && !outcome.ok && outcome.attempts == 0 &&
-                outcome.error.empty()) {
-                record.error = "interrupted before completion";
-            }
-            records.push_back(std::move(record));
-        }
-        return records;
+    auto recordOf = [&](std::size_t i, const JobOutcome &outcome) {
+        const bool simulated = outcome.ok && !outcome.fromCache;
+        return JobRecord{owned[i].profile.name, owned[i].variant.label,
+                         hashes[i], outcome.ok, outcome.fromCache,
+                         outcome.attempts, outcome.wallSeconds,
+                         simulated ? owned[i].options.traceInsts : 0,
+                         outcome.error};
     };
 
-    // Caller holds bookLock.
-    auto publishSnapshot = [&] {
-        if (!options_.writeManifest)
-            return;
-        RunManifest snapshot = batch.manifest;
-        snapshot.interrupted = true;
-        snapshot.wallSeconds = secondsSince(startWall);
-        snapshot.jobs = buildJobRecords(/*emergency=*/true);
-        auto json = std::make_unique<std::string>(
-            snapshot.toJson() + "\n");
-        SigintGuard::publishEmergency(json.get());
-        retiredSnapshots.push_back(std::move(json));
-    };
-
+    // The manifest a double Ctrl-C flushes: every job starts on a
+    // pending record, which the job swaps for its final record when it
+    // finishes.  Declared before the guard so it outlives it.
     std::string manifestDir = options_.manifestDir;
     if (manifestDir.empty())
         manifestDir = cacheDir() + "/manifests";
+    std::unique_ptr<EmergencyManifest> emergency;
     if (options_.writeManifest) {
         std::error_code ec;
         std::filesystem::create_directories(manifestDir, ec);
-        SigintGuard::setEmergencyPath(
-            manifestDir + "/" + manifestName + ".interrupted.json");
-        std::lock_guard<std::mutex> guard(bookLock);
-        publishSnapshot();
+        JobOutcome unfinished;
+        unfinished.error = "interrupted before completion";
+        std::vector<std::string> pending(owned.size());
+        for (std::size_t i = 0; i < owned.size(); ++i)
+            pending[i] = recordOf(i, unfinished).toJson();
+        emergency = std::make_unique<EmergencyManifest>(
+            manifestDir + "/" + manifestName + ".interrupted.json",
+            batch.manifest.interruptedHead(), std::move(pending),
+            RunManifest::kInterruptedTail);
     }
+    SigintGuard sigint;
+    SigintGuard::setEmergency(emergency.get());
 
     stats::TraceEventWriter *tsink = options_.trace;
     auto usSince = [&](Clock::time_point t) {
@@ -300,6 +278,8 @@ Runner::run(const std::string &batchName,
                 outcome.ok = true;
                 outcome.fromCache = true;
                 outcome.result = *cached;
+                if (emergency)
+                    emergency->publish(i, recordOf(i, outcome).toJson());
                 continue;
             }
         }
@@ -308,21 +288,44 @@ Runner::run(const std::string &batchName,
     phaseSpan("cache-lookup", lookupStart);
 
     // ---- Phase 2: dedup identical in-flight jobs -------------------------
-    // One representative simulates; duplicates copy its outcome.
-    std::vector<std::size_t> unique;
+    // One group per distinct hash: its first job simulates, the rest
+    // copy the outcome.
+    std::vector<std::vector<std::size_t>> groups;
     std::unordered_map<std::string, std::size_t> byHash;
-    std::vector<std::vector<std::size_t>> duplicates;
     for (const std::size_t i : misses) {
-        const std::string &hash = hashes[i];
-        const auto it = byHash.find(hash);
-        if (it == byHash.end()) {
-            byHash.emplace(hash, unique.size());
-            unique.push_back(i);
-            duplicates.emplace_back();
-        } else {
-            duplicates[it->second].push_back(i);
+        const auto [it, fresh] = byHash.emplace(hashes[i], groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
+    // Each app's groups share one experiment, dropped once the app's
+    // last group finishes (retries included) unless it is pinned
+    // (Runner::experiment), which run() reuses and never drops.
+    struct BatchApp
+    {
+        std::shared_ptr<ExpSlot> slot;
+        std::size_t pending = 0; ///< groups not yet finished
+    };
+    std::vector<BatchApp> apps;
+    std::vector<std::size_t> appOf(groups.size());
+    {
+        std::unordered_map<std::string, std::size_t> byKey;
+        std::lock_guard<std::mutex> guard(expLock_);
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            const auto [it, fresh] =
+                byKey.emplace(owned[groups[g][0]].appKey(), apps.size());
+            if (fresh) {
+                const auto pinned = experiments_.find(it->first);
+                apps.push_back({pinned != experiments_.end()
+                                    ? pinned->second
+                                    : std::make_shared<ExpSlot>()});
+            }
+            appOf[g] = it->second;
+            apps[it->second].pending++;
         }
     }
+    std::mutex appsLock; // pending counts and slot drops
 
     const bool progressEnabled = options_.progress.value_or(
         ::isatty(::fileno(stderr)) != 0);
@@ -333,9 +336,10 @@ Runner::run(const std::string &batchName,
 
     // ---- Phase 3: run the misses on the pool -----------------------------
     const auto simStart = Clock::now();
-    ThreadPool::shared().forEach(unique.size(), [&](std::size_t u) {
-        const std::size_t i = unique[u];
-        const JobSpec &spec = owned[i];
+    ThreadPool::shared().forEach(groups.size(), [&](std::size_t g) {
+        const std::vector<std::size_t> &group = groups[g];
+        const JobSpec &spec = owned[group[0]];
+        BatchApp &app = apps[appOf[g]];
         JobOutcome outcome;
         const auto jobStart = Clock::now();
 
@@ -346,10 +350,8 @@ Runner::run(const std::string &batchName,
                  outcome.attempts <= options_.maxAttempts;
                  ++outcome.attempts) {
                 try {
-                    auto exp =
-                        experiment(spec.profile, spec.options);
-                    outcome.result =
-                        options_.executor(spec, *exp);
+                    auto exp = app.slot->get(spec.profile, spec.options);
+                    outcome.result = options_.executor(spec, *exp);
                     outcome.ok = true;
                     break;
                 } catch (const std::exception &e) {
@@ -374,29 +376,37 @@ Runner::run(const std::string &batchName,
                 static_cast<double>(outcome.attempts));
         }
 
+        // The group's outcome slots are this job's alone.  Its final
+        // records are rendered before the insert, so an `ok` record is
+        // published only after its result is in the store, and only a
+        // pointer swap separates the two.
+        std::vector<std::string> records;
+        for (const std::size_t i : group) {
+            batch.outcomes[i] = outcome;
+            if (emergency)
+                records.push_back(recordOf(i, outcome).toJson());
+        }
         if (outcome.ok && options_.useCache) {
-            store_.insert(hashes[i], specs[i], spec.profile.name,
-                          spec.variant.label, outcome.result);
+            store_.insert(hashes[group[0]], specs[group[0]],
+                          spec.profile.name, spec.variant.label,
+                          outcome.result);
         }
+        for (std::size_t k = 0; k < records.size(); ++k)
+            emergency->publish(group[k], std::move(records[k]));
 
+        std::shared_ptr<ExpSlot> released; // freed outside the lock
         {
-            // bookLock serializes outcome writes with snapshot
-            // builds, so the emergency manifest never reads a
-            // half-written JobOutcome.
-            std::lock_guard<std::mutex> guard(bookLock);
-            batch.outcomes[i] = outcome; // slot i is ours alone
-            for (const std::size_t dup : duplicates[u])
-                batch.outcomes[dup] = outcome;
-            publishSnapshot();
+            std::lock_guard<std::mutex> guard(appsLock);
+            if (--app.pending == 0)
+                released = std::move(app.slot);
         }
 
-        const std::size_t done =
-            doneCount.fetch_add(1 + duplicates[u].size()) + 1 +
-            duplicates[u].size();
+        const std::size_t done = doneCount.fetch_add(group.size()) +
+                                 group.size();
         progress.update(done, simulatedCount.fetch_add(1) + 1);
     });
     progress.finish();
-    if (!unique.empty())
+    if (!groups.empty())
         phaseSpan("simulate", simStart);
 
     // ---- Phase 4: manifest ----------------------------------------------
@@ -424,7 +434,9 @@ Runner::run(const std::string &batchName,
         batch.manifest.runnerStats.verifyAdvisories =
             relaxed(vc.warnings) + relaxed(vc.advisories);
     }
-    batch.manifest.jobs = buildJobRecords(/*emergency=*/false);
+    batch.manifest.jobs.reserve(owned.size());
+    for (std::size_t i = 0; i < owned.size(); ++i)
+        batch.manifest.jobs.push_back(recordOf(i, batch.outcomes[i]));
     if (options_.writeManifest) {
         batch.manifestPath = batch.manifest.write(manifestDir);
         if (!batch.manifest.interrupted) {

@@ -10,7 +10,8 @@
  *     outcomes);
  *   - jobs for the same app share one AppExperiment — the synthesized
  *     program, trace and mined profile are built once per app, not
- *     once per design point;
+ *     once per design point — which the batch releases after the
+ *     app's last job, so a sweep holds only the apps in flight;
  *   - misses run on the shared thread pool with per-job exception
  *     capture and bounded retry, so one bad design point yields a
  *     failed-job record instead of aborting the batch;
@@ -119,14 +120,17 @@ class Runner
     Runner(const Runner &) = delete;
     Runner &operator=(const Runner &) = delete;
 
-    /** Run a batch; `batchName` names the manifest. */
+    /** Run a batch; `batchName` names the manifest.  An app's
+     *  experiment is released after its last job unless pinned. */
     BatchResult run(const std::string &batchName,
                     const std::vector<JobSpec> &jobs);
 
     /**
      * The shared AppExperiment for this profile+options (created on
-     * first use).  Benches use this for offline-analysis statistics
-     * (chain geometry, fanout fractions) that are not RunResults.
+     * first use), pinned for the Runner's life: batches reuse it and
+     * never release it.  Benches use this for offline-analysis
+     * statistics (chain geometry, fanout fractions) that are not
+     * RunResults, taken before run() so the batch reuses the build.
      */
     std::shared_ptr<sim::AppExperiment>
     experiment(const workload::AppProfile &profile,
@@ -147,8 +151,9 @@ class Runner
     /** Wall time of every executed (non-cached) job, in µs. */
     LatencyHistogram jobWall_;
 
-    std::mutex expLock_;
     struct ExpSlot;
+    std::mutex expLock_;
+    /** Pinned experiments, by JobSpec::appKey(). */
     std::map<std::string, std::shared_ptr<ExpSlot>> experiments_;
 };
 

@@ -136,7 +136,11 @@ using TransformKey = std::tuple<std::uint8_t, std::uint8_t, unsigned,
 TransformKey transformMemoKey(const Variant &variant,
                               double defaultFraction);
 
-class AppExperiment
+/** One app's synthesized program, trace and offline profile, shared
+ *  by every design point run on it.  The runner owns experiments
+ *  through shared_ptr; weak_from_this() lets a job body observe when
+ *  the runner releases one. */
+class AppExperiment : public std::enable_shared_from_this<AppExperiment>
 {
   public:
     explicit AppExperiment(const workload::AppProfile &profile,

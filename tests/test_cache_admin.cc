@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -27,6 +28,7 @@
 #include "runner/result_store.hh"
 #include "runner/shard.hh"
 #include "runner/sigint.hh"
+#include "runner/thread_pool.hh"
 #include "stats/registry.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -1006,14 +1008,19 @@ TEST(SigintGuardDeath, SecondSigintFlushesManifestThenDies)
     TempPath dir("critics-sigint");
     std::filesystem::create_directories(dir.str());
     const std::string emergency = dir.str() + "/batch.interrupted.json";
-    const std::string payload = "{\"batch\":\"emergency-snapshot\"}\n";
+    const std::string header = "{\"batch\":\"emergency\",\"jobs\":[";
+    const std::vector<std::string> pending{"{\"job\":0}", "{\"job\":1}",
+                                           "{\"job\":2}"};
+    const std::string finished = "{\"job\":1,\"ok\":true}";
+    const std::string trailer = "]}\n";
 
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
+        EmergencyManifest manifest(emergency, header, pending, trailer);
+        manifest.publish(1, finished);
         SigintGuard guard;
-        SigintGuard::setEmergencyPath(emergency);
-        SigintGuard::publishEmergency(&payload);
+        SigintGuard::setEmergency(&manifest);
         ::raise(SIGINT); // first: flag only
         if (!SigintGuard::interrupted())
             ::_exit(3);
@@ -1031,5 +1038,77 @@ TEST(SigintGuardDeath, SecondSigintFlushesManifestThenDies)
     ASSERT_TRUE(in.good()) << "no emergency manifest written";
     std::string contents((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-    EXPECT_EQ(contents, payload);
+    EXPECT_EQ(contents, header + pending[0] + "," + finished + "," +
+                            pending[2] + trailer);
+}
+
+TEST(RunnerSigintDeath, DoubleSigintMidBatchLeavesTruthfulManifest)
+{
+    // "threadsafe" re-executes this test in a fresh child process, so
+    // the child has no pool inherited from earlier tests and the
+    // signal handler races the child's own pool threads.  The child
+    // re-runs this body; it finds the parent's directory through the
+    // environment.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const char *kDirVar = "CRITICS_TEST_SIGINT_DIR";
+    TempPath scratch("critics-runner-sigint");
+    const char *inherited = std::getenv(kDirVar);
+    const std::string dir = inherited ? inherited : scratch.str();
+    if (!inherited) {
+        std::filesystem::create_directories(dir);
+        ::setenv(kDirVar, dir.c_str(), 1);
+    }
+
+    std::vector<JobSpec> jobs;
+    for (std::uint64_t s = 0; s < 6; ++s) {
+        jobs.push_back(tinySpec(s));
+        jobs.push_back(tinySpec(s, sim::Transform::CritIc));
+    }
+    // The last job to start raises both interrupts.
+    const std::size_t raiseAt = jobs.size() - 1;
+    RunnerOptions options;
+    options.cachePath = dir + "/results.jsonl";
+    options.manifestDir = dir + "/manifests";
+    options.progress = false;
+    auto runBatch = [&] {
+        std::atomic<std::size_t> started{0};
+        options.executor = [&](const JobSpec &spec,
+                               sim::AppExperiment &experiment) {
+            if (started.fetch_add(1) == raiseAt) {
+                ::raise(SIGINT); // first: flag only
+                ::raise(SIGINT); // second: flush + die
+            }
+            return experiment.run(spec.variant);
+        };
+        Runner runner(options);
+        runner.run("sigint", jobs);
+    };
+    EXPECT_EXIT(runBatch(), ::testing::KilledBySignal(SIGINT), "");
+    ::unsetenv(kDirVar);
+
+    RunManifest manifest;
+    ASSERT_TRUE(RunManifest::read(
+        dir + "/manifests/sigint.interrupted.json", manifest));
+    EXPECT_TRUE(manifest.interrupted);
+    ASSERT_EQ(manifest.jobs.size(), jobs.size());
+    std::set<std::string> stored;
+    for (const auto &record : readResultRecords(options.cachePath))
+        stored.insert(record.hash);
+    std::size_t ok = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobRecord &job = manifest.jobs[i];
+        EXPECT_EQ(job.hash, jobs[i].hashHex());
+        if (job.ok) {
+            ok++;
+            EXPECT_EQ(stored.count(job.hash), 1u)
+                << "job " << i << " is ok but not in the store";
+        } else {
+            EXPECT_FALSE(job.error.empty()) << "job " << i;
+        }
+    }
+    // Every thread published each job it had finished before it
+    // started its next one, so only each thread's last job may still
+    // be pending.
+    const std::size_t threads = ThreadPool::shared().threadCount() + 1;
+    EXPECT_GE(ok + threads, jobs.size());
 }

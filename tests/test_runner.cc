@@ -2,15 +2,21 @@
  * @file
  * The experiment orchestrator: job-hash stability, persistent-cache
  * hit/miss/invalidation, JSONL round-tripping, failed-job isolation,
- * bounded retry, in-flight dedup, and cold/warm bit-identity.
+ * bounded retry, in-flight dedup, cold/warm bit-identity, experiment
+ * lifetime (batch-scoped vs pinned), and the strict manifest reader.
  */
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
@@ -375,6 +381,154 @@ TEST(Runner, SharesOneExperimentPerApp)
               runner.experiment(other.profile, other.options).get());
 }
 
+TEST(Runner, JobsOfOneAppShareOneExperiment)
+{
+    TempPath file("critics-runner-one-exp");
+    std::mutex lock;
+    // Holding each experiment keeps a rebuild from reusing an address.
+    std::map<std::string, std::set<std::shared_ptr<sim::AppExperiment>>>
+        seen;
+    RunnerOptions options = testOptions(file.str());
+    options.executor = [&](const JobSpec &spec,
+                           sim::AppExperiment &experiment) {
+        {
+            std::lock_guard<std::mutex> guard(lock);
+            seen[spec.profile.name].insert(experiment.shared_from_this());
+        }
+        return experiment.run(spec.variant);
+    };
+    Runner runner(options);
+    const auto batch = runner.run(
+        "one-exp", {tinySpec("Acrobat"),
+                    tinySpec("Acrobat", sim::Transform::CritIc),
+                    tinySpec("Acrobat", sim::Transform::Hoist),
+                    tinySpec("Office"),
+                    tinySpec("Office", sim::Transform::CritIc)});
+    ASSERT_TRUE(batch.allOk());
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen["Acrobat"].size(), 1u);
+    EXPECT_EQ(seen["Office"].size(), 1u);
+}
+
+TEST(Runner, PinnedExperimentIsReusedAndSurvivesTheBatch)
+{
+    TempPath file("critics-runner-pinned");
+    std::atomic<int> foreign{0};
+    std::shared_ptr<sim::AppExperiment> pinned;
+    RunnerOptions options = testOptions(file.str());
+    options.executor = [&](const JobSpec &spec,
+                           sim::AppExperiment &experiment) {
+        if (&experiment != pinned.get())
+            ++foreign;
+        return experiment.run(spec.variant);
+    };
+    Runner runner(options);
+    const JobSpec spec = tinySpec();
+    pinned = runner.experiment(spec.profile, spec.options);
+    const std::weak_ptr<sim::AppExperiment> watch = pinned;
+    const auto batch = runner.run(
+        "pinned", {spec, tinySpec("Acrobat", sim::Transform::CritIc)});
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_EQ(foreign.load(), 0);
+    pinned.reset();
+    // The runner still holds it, and hands out the same one.
+    EXPECT_FALSE(watch.expired());
+    EXPECT_EQ(runner.experiment(spec.profile, spec.options).get(),
+              watch.lock().get());
+}
+
+TEST(Runner, UnpinnedExperimentIsReleasedByTheEndOfTheBatch)
+{
+    TempPath file("critics-runner-release");
+    std::mutex lock;
+    std::vector<std::weak_ptr<sim::AppExperiment>> built;
+    RunnerOptions options = testOptions(file.str());
+    options.executor = [&](const JobSpec &spec,
+                           sim::AppExperiment &experiment) {
+        {
+            std::lock_guard<std::mutex> guard(lock);
+            built.push_back(experiment.weak_from_this());
+        }
+        return experiment.run(spec.variant);
+    };
+    Runner runner(options);
+    const auto batch = runner.run(
+        "release", {tinySpec("Acrobat"),
+                    tinySpec("Acrobat", sim::Transform::CritIc),
+                    tinySpec("Office")});
+    ASSERT_TRUE(batch.allOk());
+    ASSERT_EQ(built.size(), 3u);
+    for (const auto &experiment : built)
+        EXPECT_TRUE(experiment.expired());
+}
+
+TEST(Runner, FinishedAppIsReleasedWhileTheBatchRuns)
+{
+    // Office's job waits for Acrobat's experiment to die.  Acrobat's
+    // job is handed out first, so it runs before or beside Office's,
+    // and its release must not wait for the batch to end.
+    TempPath file("critics-runner-release-early");
+    std::mutex lock;
+    std::weak_ptr<sim::AppExperiment> acrobat;
+    bool acrobatSeen = false;
+    bool releasedEarly = false;
+    RunnerOptions options = testOptions(file.str());
+    options.executor = [&](const JobSpec &spec,
+                           sim::AppExperiment &experiment) {
+        if (spec.profile.name == "Acrobat") {
+            std::lock_guard<std::mutex> guard(lock);
+            acrobat = experiment.weak_from_this();
+            acrobatSeen = true;
+        } else {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (std::chrono::steady_clock::now() < deadline) {
+                {
+                    std::lock_guard<std::mutex> guard(lock);
+                    if (acrobatSeen && acrobat.expired()) {
+                        releasedEarly = true;
+                        break;
+                    }
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        }
+        return experiment.run(spec.variant);
+    };
+    Runner runner(options);
+    const auto batch =
+        runner.run("release-early", {tinySpec("Acrobat"), tinySpec("Office")});
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_TRUE(releasedEarly);
+}
+
+TEST(Runner, RetriedJobFindsItsExperiment)
+{
+    TempPath file("critics-runner-retry-exp");
+    std::atomic<int> calls{0};
+    std::weak_ptr<sim::AppExperiment> first;
+    bool sameOnRetry = false;
+    RunnerOptions options = testOptions(file.str());
+    options.maxAttempts = 2;
+    options.executor = [&](const JobSpec &spec,
+                           sim::AppExperiment &experiment) {
+        if (calls.fetch_add(1) == 0) {
+            first = experiment.weak_from_this();
+            throw std::runtime_error("transient");
+        }
+        // The app's only job has not finished, so its experiment is
+        // still the one the first attempt saw.
+        sameOnRetry = first.lock().get() == &experiment;
+        return experiment.run(spec.variant);
+    };
+    Runner runner(options);
+    const auto batch = runner.run("retry-exp", {tinySpec()});
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_EQ(batch.outcomes[0].attempts, 2u);
+    EXPECT_TRUE(sameOnRetry);
+    EXPECT_TRUE(first.expired());
+}
+
 TEST(Manifest, WriteReadRoundTrip)
 {
     TempPath dir("critics-manifests");
@@ -410,6 +564,89 @@ TEST(Manifest, WriteReadRoundTrip)
     EXPECT_FALSE(restored.jobs[1].ok);
     EXPECT_EQ(restored.jobs[1].error, bad.error);
     EXPECT_EQ(restored.failedCount(), 1u);
+    // Written through a sibling temp file that the rename consumed.
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(Manifest, InterruptedHeadAndRecordsFormAManifest)
+{
+    TempPath dir("critics-manifest-interrupted");
+    std::filesystem::create_directories(dir.str());
+    RunManifest manifest;
+    manifest.batch = "partial";
+    manifest.shardIndex = 2;
+    manifest.shardCount = 3;
+    manifest.shardTotalJobs = 7;
+    JobRecord done;
+    done.app = "Acrobat";
+    done.variant = "critic";
+    done.hash = "0123456789abcdef";
+    done.ok = true;
+    JobRecord pending = done;
+    pending.ok = false;
+    pending.error = "interrupted before completion";
+    const std::string path = dir.str() + "/partial.interrupted.json";
+    {
+        std::ofstream out(path);
+        out << manifest.interruptedHead() << done.toJson() << ","
+            << pending.toJson() << RunManifest::kInterruptedTail;
+    }
+    RunManifest restored;
+    ASSERT_TRUE(RunManifest::read(path, restored));
+    EXPECT_TRUE(restored.interrupted);
+    EXPECT_EQ(restored.batch, "partial");
+    EXPECT_EQ(restored.shardCount, 3u);
+    ASSERT_EQ(restored.jobs.size(), 2u);
+    EXPECT_TRUE(restored.jobs[0].ok);
+    EXPECT_EQ(restored.jobs[1].error, pending.error);
+    // The head holds nothing a later job would have made stale.
+    const std::string head = manifest.interruptedHead();
+    for (const char *stale : {"wallSeconds", "totals", "runnerStats"})
+        EXPECT_EQ(head.find(stale), std::string::npos) << stale;
+}
+
+TEST(Manifest, StrictReaderRejectsMalformedJobs)
+{
+    TempPath dir("critics-manifest-strict");
+    std::filesystem::create_directories(dir.str());
+    const std::string job =
+        R"("app":"Acrobat","variant":"critic","hash":"00ff","ok":true)";
+    auto readsAs = [&](const std::string &text) {
+        const std::string path = dir.str() + "/m.json";
+        std::ofstream(path, std::ios::trunc) << text;
+        RunManifest manifest;
+        return RunManifest::read(path, manifest);
+    };
+    // Accepted: runnerStats and shard are optional, as are the job's
+    // other fields.
+    EXPECT_TRUE(readsAs(R"({"batch":"b","jobs":[)" "{" + job + "}]}"));
+    EXPECT_TRUE(readsAs(R"({"batch":"b","jobs":[]})"));
+    // jobs missing or not an array.
+    EXPECT_FALSE(readsAs(R"({"batch":"b"})"));
+    EXPECT_FALSE(readsAs(R"({"batch":"b","jobs":{}})"));
+    EXPECT_FALSE(readsAs(R"({"batch":"b","jobs":"none"})"));
+    // An element that is not an object.
+    EXPECT_FALSE(readsAs(R"({"batch":"b","jobs":[)" "{" + job +
+                         "},3]}"));
+    EXPECT_FALSE(readsAs(R"({"batch":"b","jobs":[null]})"));
+    // A job lacking a required field (or holding the wrong type).
+    for (const char *drop : {"app", "variant", "hash", "ok"}) {
+        std::string partial;
+        for (const char *key : {"app", "variant", "hash", "ok"}) {
+            if (std::string(key) == drop)
+                continue;
+            partial += partial.empty() ? "" : ",";
+            partial += std::string("\"") + key + "\":" +
+                       (std::string(key) == "ok" ? "true" : "\"x\"");
+        }
+        EXPECT_FALSE(readsAs(R"({"batch":"b","jobs":[{)" + partial +
+                             "}]}"))
+            << "accepted a job without " << drop;
+    }
+    EXPECT_FALSE(readsAs(
+        R"({"jobs":[{"app":"A","variant":"v","hash":"h","ok":"yes"}]})"));
+    EXPECT_FALSE(readsAs(
+        R"({"jobs":[{"app":7,"variant":"v","hash":"h","ok":true}]})"));
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
