@@ -155,7 +155,7 @@ sortChains(std::vector<MinedChain> &chains)
 /** The pre-overhaul miner, kept one release behind
  *  CRITICS_FLAT_ANALYZE=off: per-segment key vectors into an
  *  unordered_map, per-step avg() recomputation in the trim loop, and a
- *  Program::locate hash probe per dynamic instruction. */
+ *  Program::locate call per dynamic instruction. */
 MineResult
 mineCritIcsLegacy(const Trace &trace, const program::Program &prog,
                   const DynChains &chains, const FanoutInfo &fanout,
@@ -273,8 +273,8 @@ mineCritIcsLegacy(const Trace &trace, const program::Program &prog,
 /**
  * The flat miner (DESIGN.md §10): identical statistics via
  *
- *  - a dense LocTable lookup per dynamic instruction instead of a
- *    Program::locate hash probe,
+ *  - one packed LocTable word per dynamic instruction for the
+ *    same-block test instead of a Program::locate call,
  *  - prefix sums over the segment's fanout so the trim loop costs
  *    O(len) total instead of recomputing avg() per step, and
  *  - the interned SegmentTable instead of vector-keyed hashing.
@@ -422,9 +422,8 @@ LocTable::LocTable(const program::Program &prog)
             }
         }
     }
-    locs_.assign(any ? maxUid + 1 : 0, program::InstLoc{});
-    packed_.assign(locs_.size(), 0);
-    convertible_.assign(locs_.size(), 0);
+    packed_.assign(any ? maxUid + 1 : 0, 0);
+    convertible_.assign(packed_.size(), 0);
     critics_assert(prog.funcs.size() < (1u << 24),
                    "LocTable: function count overflows packed location");
     for (std::uint32_t fi = 0; fi < prog.funcs.size(); ++fi) {
@@ -438,7 +437,6 @@ LocTable::LocTable(const program::Program &prog)
                            "location");
             for (std::uint32_t ii = 0; ii < bb.insts.size(); ++ii) {
                 const auto &si = bb.insts[ii];
-                locs_[si.uid] = {fi, bi, ii};
                 packed_[si.uid] =
                     (static_cast<std::uint64_t>(fi)
                      << (kBlockBits + kIndexBits)) |

@@ -53,13 +53,12 @@ struct MineResult
 };
 
 /**
- * Dense uid-indexed cache of Program::locate() plus per-uid Thumb
- * convertibility, built in one program walk.  The mining loop queries
- * a location per dynamic instruction; resolving that through the
- * program's uid hash map costs more than the rest of the segment cut
- * combined, and the answers are identical for every profile fraction
- * mined from the same program — so AppExperiment builds one of these
- * and shares it across minedAt() calls.
+ * Per-uid packed location and Thumb convertibility, built in one
+ * program walk.  The mining loop's same-block test runs once per
+ * dynamic instruction, so the packed word makes it one load and a
+ * compare; the answers are identical for every profile fraction mined
+ * from the same program — so AppExperiment builds one of these and
+ * shares it across minedAt() calls.
  */
 class LocTable
 {
@@ -75,12 +74,6 @@ class LocTable
 
     explicit LocTable(const program::Program &prog);
 
-    const program::InstLoc &
-    loc(program::InstUid uid) const
-    {
-        return locs_[uid];
-    }
-
     std::uint64_t
     packed(program::InstUid uid) const
     {
@@ -94,7 +87,6 @@ class LocTable
     }
 
   private:
-    std::vector<program::InstLoc> locs_;
     std::vector<std::uint64_t> packed_;
     std::vector<std::uint8_t> convertible_;
 };

@@ -1,7 +1,6 @@
 #include "compiler/passes.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "program/dfg.hh"
 #include "stats/registry.hh"
@@ -139,8 +138,30 @@ renameDefLocally(BasicBlock &block, std::size_t defIdx,
 }
 
 /** Uids of instructions already placed by a transformed chain; no
- *  later motion may cross or displace them. */
-using FrozenSet = std::unordered_set<InstUid>;
+ *  later motion may cross or displace them.  One byte per uid (uids
+ *  are dense, see Program), grown to the largest uid frozen. */
+class FrozenSet
+{
+  public:
+    void
+    insert(const std::vector<InstUid> &chain)
+    {
+        for (const InstUid uid : chain) {
+            if (uid >= mask_.size())
+                mask_.resize(uid + 1, 0);
+            mask_[uid] = 1;
+        }
+    }
+
+    bool
+    contains(InstUid uid) const
+    {
+        return uid < mask_.size() && mask_[uid] != 0;
+    }
+
+  private:
+    std::vector<std::uint8_t> mask_;
+};
 
 /** True when motion must not cross `si`: a format switch, an already
  *  16-bit instruction (its covering switch's run would go stale), or a
@@ -149,12 +170,14 @@ bool
 frozenForMotion(const StaticInst &si, const FrozenSet &frozen)
 {
     return si.isCdp() || si.format == Format::Thumb16 ||
-           frozen.count(si.uid) != 0;
+           frozen.contains(si.uid);
 }
 
 /** Context for the in-pass skip advisories (satellite of the verifier:
  *  every blocked/failed counter increment also explains itself when a
- *  lint audit is listening).  `diag` is null on the hot path. */
+ *  lint audit is listening).  `diag` is null on the hot path, which
+ *  therefore builds no advisory strings: a message that needs
+ *  formatting is passed as a callable and only runs for an audit. */
 struct PassDiagCtx
 {
     verify::Report *diag = nullptr;
@@ -163,11 +186,18 @@ struct PassDiagCtx
     std::uint32_t block = 0;
 
     void
-    advise(const char *code, std::uint32_t index, std::string msg) const
+    advise(const char *code, std::uint32_t index, const char *msg) const
+    {
+        advise(code, index, [msg] { return std::string(msg); });
+    }
+
+    template <typename MakeMsg>
+    void
+    advise(const char *code, std::uint32_t index, MakeMsg &&makeMsg) const
     {
         if (diag != nullptr) {
             diag->reportAt(verify::Severity::Advice, code, *prog, func,
-                           block, index, std::move(msg));
+                           block, index, makeMsg());
         }
     }
 };
@@ -220,32 +250,30 @@ hoistWithRename(BasicBlock &block, std::size_t from, std::size_t anchor,
             ++stats.localRenames;
             continue;
         }
-        const std::string blocker =
-            " (blocked by uid " + std::to_string(belowInst.uid) + ")";
+        const auto blocked = [&](const char *code, const char *why) {
+            ctx.advise(code, static_cast<std::uint32_t>(pos), [&] {
+                return why + std::string(" (blocked by uid ") +
+                       std::to_string(belowInst.uid) + ")";
+            });
+        };
         if (belowInst.isControl() || movingInst.isControl() ||
             belowInst.isCdp() || movingInst.isCdp()) {
             ++stats.blockedCtl;
-            ctx.advise("verify.pass.blocked-ctl",
-                       static_cast<std::uint32_t>(pos),
-                       "hoist stopped at a control boundary" + blocker);
+            blocked("verify.pass.blocked-ctl",
+                    "hoist stopped at a control boundary");
         } else if (raw) {
             ++stats.blockedRaw;
-            ctx.advise("verify.pass.blocked-raw",
-                       static_cast<std::uint32_t>(pos),
-                       "hoist stopped by a true dependence" + blocker);
+            blocked("verify.pass.blocked-raw",
+                    "hoist stopped by a true dependence");
         } else if (nameOnly) {
             ++stats.blockedRename;
-            ctx.advise("verify.pass.blocked-rename",
-                       static_cast<std::uint32_t>(pos),
-                       "WAW/WAR clash and no free rename register" +
-                           blocker);
+            blocked("verify.pass.blocked-rename",
+                    "WAW/WAR clash and no free rename register");
         } else if ((belowInst.isLoad() || belowInst.isStore()) &&
                    (movingInst.isLoad() || movingInst.isStore())) {
             ++stats.blockedMem;
-            ctx.advise("verify.pass.blocked-mem",
-                       static_cast<std::uint32_t>(pos),
-                       "hoist stopped by a may-alias memory pair" +
-                           blocker);
+            blocked("verify.pass.blocked-mem",
+                    "hoist stopped by a may-alias memory pair");
         }
         break;
     }
@@ -347,11 +375,16 @@ applyCritIcPass(Program &prog,
         }
         if (!contiguous) {
             ++stats.hoistFailures;
-            ctx.advise("verify.pass.hoist-failed",
-                       static_cast<std::uint32_t>(
-                           indexInBlock(block, chain.front())),
-                       "chain of " + std::to_string(chain.size()) +
-                           " could not be packed contiguous");
+            if (ctx.diag != nullptr) {
+                ctx.advise("verify.pass.hoist-failed",
+                           static_cast<std::uint32_t>(
+                               indexInBlock(block, chain.front())),
+                           [&] {
+                               return "chain of " +
+                                      std::to_string(chain.size()) +
+                                      " could not be packed contiguous";
+                           });
+            }
             continue; // partial hoists are harmless; skip conversion
         }
 
@@ -407,8 +440,7 @@ applyCritIcPass(Program &prog,
         if (!options.convertToThumb) {
             ++stats.chainsTransformed;
             v.noteTransformedChain(chain);
-            for (const InstUid uid : chain)
-                frozen.insert(uid);
+            frozen.insert(chain);
             continue; // Hoist-only design point
         }
 
@@ -425,9 +457,12 @@ applyCritIcPass(Program &prog,
                         "verify.pass.unconvertible",
                         static_cast<std::uint32_t>(
                             first + static_cast<int>(k)),
-                        "member uid " + std::to_string(member.uid) +
-                            " has no direct 16-bit encoding; chain "
-                            "conversion is all-or-nothing");
+                        [&] {
+                            return "member uid " +
+                                   std::to_string(member.uid) +
+                                   " has no direct 16-bit encoding; "
+                                   "chain conversion is all-or-nothing";
+                        });
                     break;
                 }
             }
@@ -479,8 +514,7 @@ applyCritIcPass(Program &prog,
         }
         ++stats.chainsTransformed;
         v.noteTransformedChain(chain);
-        for (const InstUid uid : chain)
-            frozen.insert(uid);
+        frozen.insert(chain);
     }
 
     prog.layout();
@@ -591,11 +625,14 @@ convertRuns(Program &prog, unsigned minRun, bool allowExpansion,
                     if (len >= 2) {
                         ctx.advise(
                             "verify.pass.short-run",
-                            static_cast<std::uint32_t>(i),
-                            "convertible run of " + std::to_string(len) +
-                                " below the minimum of " +
-                                std::to_string(minRun) +
-                                "; switch overhead would not pay off");
+                            static_cast<std::uint32_t>(i), [&] {
+                                return "convertible run of " +
+                                       std::to_string(len) +
+                                       " below the minimum of " +
+                                       std::to_string(minRun) +
+                                       "; switch overhead would not "
+                                       "pay off";
+                            });
                     }
                     for (std::size_t k = i; k < j; ++k)
                         out.push_back(insts[k]);

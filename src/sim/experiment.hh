@@ -165,10 +165,9 @@ class AppExperiment : public std::enable_shared_from_this<AppExperiment>
     const analysis::MineResult &mined();
     const analysis::MineResult &minedAt(double fraction);
     const std::unordered_set<program::InstUid> &criticalSet();
-    /** Dense uid -> location/convertibility cache of the baseline
-     *  program, shared by every minedAt() fraction (the mining loop
-     *  would otherwise hash-probe Program::locate per dynamic
-     *  instruction). */
+    /** Dense uid -> packed location/convertibility tables of the
+     *  baseline program, shared by every minedAt() fraction (the
+     *  mining loop reads one per dynamic instruction). */
     const analysis::LocTable &locTable();
 
     // ---- Design-point runs -----------------------------------------------

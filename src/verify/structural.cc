@@ -1,7 +1,8 @@
 #include "verify/structural.hh"
 
+#include <algorithm>
 #include <sstream>
-#include <unordered_set>
+#include <vector>
 
 #include "isa/isa.hh"
 
@@ -63,6 +64,7 @@ class StructuralChecker
     void
     run()
     {
+        sizeSeenUids();
         checkIndirectTables();
         for (std::uint32_t f = 0; f < prog_.funcs.size(); ++f)
             for (std::uint32_t b = 0;
@@ -71,6 +73,20 @@ class StructuralChecker
     }
 
   private:
+    /** Size the duplicate-uid mask once: one byte per uid up to the
+     *  largest one present (uids are dense, see Program). */
+    void
+    sizeSeenUids()
+    {
+        std::size_t bound = 0;
+        for (const auto &fn : prog_.funcs)
+            for (const auto &blk : fn.blocks)
+                for (const StaticInst &si : blk.insts)
+                    if (si.uid != program::NoUid)
+                        bound = std::max<std::size_t>(bound, si.uid + 1u);
+        seenUids_.assign(bound, 0);
+    }
+
     void
     error(std::string code, std::uint32_t f, std::uint32_t b,
           std::uint32_t i, std::string msg)
@@ -248,10 +264,12 @@ class StructuralChecker
             if (si.uid == program::NoUid) {
                 error("verify.struct.uid-missing", f, b, i,
                       "instruction without a uid");
-            } else if (!seenUids_.insert(si.uid).second) {
+            } else if (seenUids_[si.uid] != 0) {
                 error("verify.struct.uid-dup", f, b, i,
                       "uid " + std::to_string(si.uid) +
                           " appears more than once");
+            } else {
+                seenUids_[si.uid] = 1;
             }
 
             checkRegisters(si, f, b, i);
@@ -321,7 +339,7 @@ class StructuralChecker
     const Program &prog_;
     Report &report_;
     StructuralOptions options_;
-    std::unordered_set<program::InstUid> seenUids_;
+    std::vector<std::uint8_t> seenUids_; ///< 1 once the uid was seen
 };
 
 } // namespace

@@ -89,8 +89,9 @@ TEST_P(TransformVariant, RunsAndStaysSane)
         GetParam() == Transform::Opp16PlusCritIc) {
         EXPECT_GT(result.dynThumbFraction, 0.0);
     }
-    if (GetParam() == Transform::Hoist)
+    if (GetParam() == Transform::Hoist) {
         EXPECT_DOUBLE_EQ(result.dynThumbFraction, 0.0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

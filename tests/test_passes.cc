@@ -219,8 +219,9 @@ TEST(Opp16, SkipsExistingThumbAndCdp)
     // Converted instructions were never double-converted.
     EXPECT_GE(prog.thumbFraction(), before);
     for (const auto &si : prog.funcs[0].blocks[0].insts) {
-        if (si.isCdp())
+        if (si.isCdp()) {
             EXPECT_EQ(si.format, Format::Thumb16);
+        }
     }
     (void)stats;
 }

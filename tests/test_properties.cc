@@ -107,8 +107,9 @@ TEST(EncodingSweep, DirectConvertibleImpliesConvertible)
             info.src2 = isa::NoReg;
         info.predicated = rng.chance(0.3);
         info.imm = static_cast<std::uint8_t>(rng.below(256));
-        if (isa::thumbDirectlyConvertible(info))
+        if (isa::thumbDirectlyConvertible(info)) {
             EXPECT_TRUE(isa::thumbConvertible(info));
+        }
     }
 }
 

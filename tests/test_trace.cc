@@ -175,8 +175,9 @@ TEST(Emit, ControlTargetsPointToNextVisit)
     const Trace trace = program::emitTrace(prog, path);
     for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
         const auto &d = trace.insts[i];
-        if (d.isControl() && d.taken())
+        if (d.isControl() && d.taken()) {
             EXPECT_EQ(d.branchTarget, trace.insts[i + 1].address);
+        }
     }
 }
 

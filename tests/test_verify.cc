@@ -98,6 +98,29 @@ TEST(VerifyMutation, DuplicateUid)
     EXPECT_EQ(report.countOf("verify.struct.uid-dup"), 1u);
 }
 
+TEST(VerifyMutation, DuplicateUidAcrossFunctionsFarAbove)
+{
+    // The two copies sit in different functions, and the uid is far
+    // above every other one: still exactly one finding, at the second
+    // copy.
+    Program prog = cleanProgram();
+    program::Function fn;
+    BasicBlock bb;
+    bb.insts.push_back(inst(6, OpClass::IntAlu, 0));
+    fn.blocks.push_back(bb);
+    prog.funcs.push_back(fn);
+    insts(prog)[2].uid = 1'000'000;
+    prog.funcs[1].blocks[0].insts[0].uid = 1'000'000;
+
+    const auto report = structuralReport(prog);
+    EXPECT_EQ(report.countOf("verify.struct.uid-dup"), 1u);
+    EXPECT_EQ(report.errors(), 1u) << report.render();
+    ASSERT_EQ(report.diags().size(), 1u);
+    EXPECT_EQ(report.diags()[0].func, 1u);
+    EXPECT_EQ(report.diags()[0].message,
+              "uid 1000000 appears more than once");
+}
+
 TEST(VerifyMutation, MissingUid)
 {
     Program prog = cleanProgram();

@@ -66,8 +66,9 @@ TEST_P(SynthesizedProgram, StructurallyValid)
             for (std::size_t i = 0; i < block.insts.size(); ++i) {
                 const auto &si = block.insts[i];
                 // Control transfers only terminate blocks.
-                if (i + 1 < block.insts.size())
+                if (i + 1 < block.insts.size()) {
                     EXPECT_FALSE(si.isControl());
+                }
                 if (si.flow == FlowKind::CondBranch ||
                     si.flow == FlowKind::Jump) {
                     EXPECT_LT(si.targetBlock, fn.blocks.size());
