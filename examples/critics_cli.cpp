@@ -7,12 +7,13 @@
  *       Run an (apps × variants) sweep through the runner: cached
  *       design points are served from the persistent JSONL store, the
  *       rest simulate on the thread pool; prints a speedup table and
- *       the manifest summary.
+ *       the manifest summary.  `--profile` samples the sweep and
+ *       splits its CPU time by pipeline stage.
  *   critics_cli report [manifest.json ...]
  *       Summarize run manifests (default: every manifest in the cache
  *       directory); exits non-zero if any batch recorded a failed job.
- *   critics_cli cache [stats|path|clear]
- *       Inspect or clear the persistent result cache.
+ *   critics_cli cache [stats|path|clear], cache merge|compact|gc
+ *       Inspect, merge, compact or bound the persistent result cache.
  *   critics_cli diff <before> <after>
  *       Regression harness: compare two runs metric-by-metric.  Each
  *       side is a run manifest (results resolved from the result
@@ -26,24 +27,26 @@
  *       + differential dataflow + skip advisories + post-pass lints),
  *       write a machine-readable JSON report and exit non-zero on any
  *       error-severity diagnostic.  No simulation runs.
+ *   critics_cli serve|submit|status|wait|top
+ *       The job-queue daemon and its clients.
+ *   critics_cli prof report <file>
+ *       Pretty-print a --profile report.
  *
  * The original single-run interface still works:
  *   critics_cli --app Acrobat --variant critic [--json]
  *   critics_cli --list
  *
- * Variants: baseline, hoist, critic, critic-ideal, critic-branchpair,
- *           opp16, compress, opp16+critic, prefetch, aluprio,
- *           backendprio, efetch, perfectbr, icache4x, 2xfd, allhw
+ * Every command line is one FlagTable (support/flags.hh): its rows
+ * parse the flags, reject unknown flags and stray arguments, and
+ * render `usage()`.  critbench builds this file on its own, so it
+ * stays one file.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <functional>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -55,12 +58,8 @@
 
 #include <unistd.h>
 
-#include "analysis/criticality.hh"
-#include "analysis/miner.hh"
-#include "analysis/mode.hh"
 #include "obs/obs.hh"
 #include "obs/profiler.hh"
-#include "program/emit.hh"
 #include "runner/manifest.hh"
 
 #include "runner/cache_admin.hh"
@@ -76,6 +75,7 @@
 #include "stats/interval.hh"
 #include "stats/registry.hh"
 #include "stats/trace_event.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/number.hh"
@@ -93,147 +93,41 @@ namespace
 // over the wire resolves to exactly the grid these flags would build.
 using sim::parseApps;
 using sim::parseVariant;
-using sim::splitList;
 
-int
-usage()
+/** Print why the command line was refused (if given) and the help of
+ *  every command; returns the exit code 2. */
+int usage(const std::string &why = "");
+
+/**
+ * One command's argv.  Every command starts with
+ * `if (!cmd.parse(table)) return cmd.status;`, so the one table it
+ * declares both parses its command line and, in help mode, renders its
+ * part of usage().
+ */
+struct CommandLine
 {
-    std::printf(
-        "critics_cli — experiment orchestrator driver\n\n"
-        "critics_cli run [options]     run an apps × variants sweep\n"
-        "  --apps <list>       comma list of app names, or one of\n"
-        "                      mobile|specint|specfloat|all\n"
-        "  --variants <list>   comma list of variant names\n"
-        "  --insts <n>         dynamic instructions per sample\n"
-        "  --batch <name>      manifest name (default 'cli')\n"
-        "  --no-cache          bypass the persistent result cache\n"
-        "  --refresh           ignore cached records, re-simulate\n"
-        "  --shard K/N         run only slice K of an N-way hash\n"
-        "                      partition of the batch; results land\n"
-        "                      in a per-shard store (merge with\n"
-        "                      `cache merge`), the manifest is named\n"
-        "                      <batch>.shard-K-of-N\n"
-        "  --cache-file <f>    result store path (default: the shared\n"
-        "                      cache; sharded runs default to\n"
-        "                      results.shard-K-of-N.jsonl)\n"
-        "  --json              emit per-job comparison JSON\n"
-        "  --stats-interval <n> sample all stats every n committed\n"
-        "                      insts; JSONL to --stats-out\n"
-        "                      (simulated jobs only — use --refresh\n"
-        "                      to force fresh runs)\n"
-        "  --stats-out <file>  interval JSONL path\n"
-        "                      (default stats_cli.jsonl)\n"
-        "  --trace-out <file>  Chrome trace of runner phases, per-job\n"
-        "                      spans and pipeline-stage spans (load in\n"
-        "                      Perfetto)\n"
-        "  --profile <file>    sample this process with SIGPROF and\n"
-        "                      write a per-stage/per-symbol profile\n"
-        "                      (inspect with `prof report`)\n"
-        "critics_cli bench [options]   tracked simulator microbench:\n"
-        "                      N repetitions of a fixed app/variant\n"
-        "                      matrix, median sim-insts/s per stage\n"
-        "                      (emit, analyze, simulate); appends the\n"
-        "                      measurement to BENCH_sim.json\n"
-        "  --quick             small matrix for CI smoke\n"
-        "  --reps <n>          repetitions (default 5; 3 with --quick)\n"
-        "  --insts <n>         dynamic insts per app (default 400000)\n"
-        "  --apps/--variants   override the fixed matrix\n"
-        "  --label <text>      measurement label (default full/quick)\n"
-        "  --out <file>        trajectory file (default BENCH_sim.json)\n"
-        "  --baseline <file>   print per-stage deltas vs the last\n"
-        "                      measurement in <file> (non-gating)\n"
-        "  --profile <file>    sampling profile of the bench process\n"
-        "critics_cli report [file ...] summarize run manifests\n"
-        "                      (default: all manifests in the cache\n"
-        "                      dir); exit 1 on any failed job\n"
-        "critics_cli cache [stats|path|clear]\n"
-        "critics_cli cache merge <out> <in...>\n"
-        "                      concatenate result stores into <out>\n"
-        "                      (later record wins per content hash;\n"
-        "                      old-schema/malformed lines dropped;\n"
-        "                      surviving lines copied byte-exactly)\n"
-        "critics_cli cache compact [file]\n"
-        "                      rewrite a store dropping superseded,\n"
-        "                      old-schema and collision/orphan\n"
-        "                      records; reports bytes reclaimed\n"
-        "critics_cli cache gc [--max-age <dur>] [--max-bytes <n>]\n"
-        "                      [file]  compact, then bound the store:\n"
-        "                      drop records older than <dur>\n"
-        "                      (30d, 12h, 900s, plain seconds) and\n"
-        "                      evict oldest-first past <n> bytes\n"
-        "                      (512K, 512M, 2G, plain bytes)\n"
-        "critics_cli lint [options]    verify every variant's passes\n"
-        "  --apps <list>       apps or suite (default mobile)\n"
-        "  --variants <list>   variant names (default: all)\n"
-        "  --insts <n>         synthesis budget per app\n"
-        "  --min-run <n>       unconverted-run lint threshold\n"
-        "                      (default 3)\n"
-        "  --trace             also replay each variant's re-emitted\n"
-        "                      trace against its transformed program\n"
-        "                      (verify.trace.* conformance checks,\n"
-        "                      incl. the taken-bias bound)\n"
-        "  --out <file>        JSON report path\n"
-        "                      (default lint_report.json)\n"
-        "                      exit 1 on any error-severity finding\n"
-        "critics_cli diff <before> <after> [options]\n"
-        "                      compare two runs metric-by-metric;\n"
-        "                      exit 1 on any drift beyond noise.\n"
-        "                      each side: manifest .json or result\n"
-        "                      store .jsonl\n"
-        "  --rel <frac>        relative noise threshold (default 0.01)\n"
-        "  --abs <eps>         absolute noise floor (default 1e-9)\n"
-        "  --store <file>      result store for manifest sides\n"
-        "                      (default: the shared cache)\n"
-        "critics_cli serve [options]   job-queue daemon: JSONL\n"
-        "                      submit/status/wait over TCP, warm jobs\n"
-        "                      answered from the result store without\n"
-        "                      simulating, cold jobs hash-sharded\n"
-        "                      across forked serve-worker processes\n"
-        "                      (crash -> bounded restart); SIGTERM\n"
-        "                      drains in-flight work and exits\n"
-        "  --host <ip>         bind address (default 127.0.0.1)\n"
-        "  --port <n>          TCP port (0 = pick one; see below)\n"
-        "  --port-file <f>     write the bound port here after listen\n"
-        "  --workers <n>       worker processes per batch (default 2;\n"
-        "                      0 = run jobs in-process)\n"
-        "  --max-restarts <n>  respawns per crashed worker (default 2)\n"
-        "  --attempts <n>      per-job attempt budget (default 2)\n"
-        "  --cache-file <f>    result store (default: shared cache)\n"
-        "  --trace-out <f>     merged Chrome trace: server request\n"
-        "                      spans plus every worker's job/stage\n"
-        "                      spans, stitched per-pid under one\n"
-        "                      trace id per batch\n"
-        "  --profile-dir <d>   each worker writes a sampling profile\n"
-        "                      to <d>/<batch>.worker-<k>.json\n"
-        "  --stats-out <f>     serve.* stats JSON on shutdown\n"
-        "critics_cli submit [options]  submit a sweep to a daemon and\n"
-        "                      stream its progress events\n"
-        "  --host/--port/--port-file   daemon address\n"
-        "  --apps/--variants/--insts/--batch/--refresh   as `run`\n"
-        "  --no-wait           print the job id and return\n"
-        "critics_cli status <job> [--host ...] one-line job state\n"
-        "critics_cli wait <job> [--host ...]   stream events until\n"
-        "                      done; exit 1 if any job failed\n"
-        "critics_cli top [options]     live daemon monitor: queue\n"
-        "                      depth, warm-hit ratio, job-latency\n"
-        "                      percentiles, worker states\n"
-        "  --host/--port/--port-file   daemon address\n"
-        "  --interval <sec>    refresh period (default 2)\n"
-        "  --once              print one snapshot and exit\n"
-        "critics_cli prof report <file> [--top <n>]\n"
-        "                      pretty-print a --profile report\n\n"
-        "critics_cli --app <name> --variant <name> [--insts n]\n"
-        "                      [--json] [--stats-interval n]\n"
-        "                      [--stats-out f] [--trace-out f]\n"
-        "                      single run (legacy); --trace-out here\n"
-        "                      traces the CPU pipeline stages\n"
-        "critics_cli --list    list registered apps\n\n"
-        "  variants: baseline|hoist|critic|critic-ideal|\n"
-        "            critic-branchpair|opp16|compress|opp16+critic|\n"
-        "            prefetch|aluprio|backendprio|efetch|perfectbr|\n"
-        "            icache4x|2xfd|allhw\n");
-    return 2;
-}
+    int argc = 0;
+    char **argv = nullptr;
+    /** Help mode: parse() appends the table's help here and refuses,
+     *  so the command returns before doing any work. */
+    std::string *help = nullptr;
+    std::vector<std::string> args; ///< the positionals, after parse()
+    int status = 2;                ///< exit code when parse() refuses
+
+    bool
+    parse(const FlagTable &table)
+    {
+        if (help != nullptr) {
+            *help += table.help() + "\n";
+            return false;
+        }
+        std::string why;
+        if (table.parse(argc, argv, &args, &why))
+            return true;
+        status = usage(why);
+        return false;
+    }
+};
 
 // ---------------------------------------------------------------------------
 // diff: the regression harness.
@@ -291,33 +185,27 @@ loadDiffSide(const std::string &path, const std::string &storePath)
 }
 
 int
-cmdDiff(int argc, char **argv)
+cmdDiff(CommandLine &cmd)
 {
     stats::DiffOptions opt;
     std::string storePath;
-    std::vector<std::string> paths;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--rel") {
-            opt.relThreshold = doubleFlag(arg, next());
-        } else if (arg == "--abs") {
-            opt.absThreshold = doubleFlag(arg, next());
-        } else if (arg == "--store") {
-            storePath = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.size() != 2)
-        return usage();
+    if (!cmd.parse({"critics_cli diff <before> <after> [options]",
+                    "compare two runs metric-by-metric; exit 1 on any drift "
+                    "beyond noise. Each side is a run manifest .json or a "
+                    "result store .jsonl",
+                    {Flag::real("--rel", "<frac>",
+                                "relative noise threshold (default 0.01)",
+                                opt.relThreshold),
+                     Flag::real("--abs", "<eps>",
+                                "absolute noise floor (default 1e-9)",
+                                opt.absThreshold),
+                     Flag::text("--store", "<file>",
+                                "result store for manifest sides (default: "
+                                "the shared cache)",
+                                storePath)},
+                    2, 2}))
+        return cmd.status;
+    const auto &paths = cmd.args;
     if (storePath.empty())
         storePath = runner::cacheDir() + "/results.jsonl";
 
@@ -386,7 +274,7 @@ cmdDiff(int argc, char **argv)
 // lint: the static-analysis gate.
 
 int
-cmdLint(int argc, char **argv)
+cmdLint(CommandLine &cmd)
 {
     std::string appsArg = "mobile";
     std::string variantsArg = "all";
@@ -394,39 +282,32 @@ cmdLint(int argc, char **argv)
     unsigned minRun = 3;
     bool withTrace = false;
     std::string outPath = "lint_report.json";
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--apps") {
-            appsArg = next();
-        } else if (arg == "--variants") {
-            variantsArg = next();
-        } else if (arg == "--insts") {
-            insts = uintFlag(arg, next());
-        } else if (arg == "--min-run") {
-            minRun = static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
-        } else if (arg == "--trace") {
-            withTrace = true;
-        } else if (arg == "--out") {
-            outPath = next();
-        } else {
-            return usage();
-        }
-    }
-
+    if (!cmd.parse({"critics_cli lint [options]",
+                    "verify every variant's passes; exit 1 on any "
+                    "error-severity finding",
+                    {Flag::text("--apps", "<list>",
+                                "apps or suite (default mobile)", appsArg),
+                     Flag::text("--variants", "<list>",
+                                "variant names (default: all)", variantsArg),
+                     Flag::integer("--insts", "<n>",
+                                   "synthesis budget per app", insts),
+                     Flag::integer("--min-run", "<n>",
+                                   "unconverted-run lint threshold "
+                                   "(default 3)",
+                                   minRun),
+                     Flag::toggle("--trace",
+                                  "also replay each variant's re-emitted "
+                                  "trace against its transformed program "
+                                  "(verify.trace.* conformance checks, incl. "
+                                  "the taken-bias bound)",
+                                  withTrace),
+                     Flag::text("--out", "<file>",
+                                "JSON report path (default "
+                                "lint_report.json)",
+                                outPath)}}))
+        return cmd.status;
     const auto apps = parseApps(appsArg);
-    std::vector<std::string> variantNames;
-    if (variantsArg == "all")
-        variantNames = sim::allVariantNames();
-    else
-        variantNames = splitList(variantsArg);
-    if (variantNames.empty())
-        critics_fatal("--variants needs at least one variant");
+    const auto variants = sim::parseVariants(variantsArg);
 
     sim::ExperimentOptions expOptions;
     expOptions.traceInsts = insts;
@@ -454,8 +335,8 @@ cmdLint(int argc, char **argv)
         w.elementObject();
         w.field("app", profile.name);
         w.beginArray("variants");
-        for (const auto &name : variantNames) {
-            const sim::Variant variant = parseVariant(name);
+        for (const sim::Variant &variant : variants) {
+            const std::string &name = variant.label;
             verify::PassAudit audit;
 
             w.elementObject();
@@ -528,399 +409,17 @@ cmdLint(int argc, char **argv)
     std::printf("%s\n", table.render().c_str());
     std::printf("lint: %zu app(s) x %zu variant(s): %zu error(s), "
                 "%zu warning(s), %zu advisor%s\nreport: %s\n",
-                apps.size(), variantNames.size(), totalErrors,
+                apps.size(), variants.size(), totalErrors,
                 totalWarnings, totalAdvice,
                 totalAdvice == 1 ? "y" : "ies", outPath.c_str());
     return totalErrors > 0 ? 1 : 0;
 }
 
 // ---------------------------------------------------------------------------
-// bench: the tracked simulator microbenchmark.
-
-/** One stage's timings across repetitions. */
-struct StageSamples
-{
-    std::vector<double> instsPerSec; ///< one entry per repetition
-
-    double
-    median() const
-    {
-        if (instsPerSec.empty())
-            return 0.0;
-        std::vector<double> sorted = instsPerSec;
-        std::sort(sorted.begin(), sorted.end());
-        return sorted[sorted.size() / 2];
-    }
-};
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** Median insts/s of one stage of the last measurement in a
- *  BENCH_sim.json document; 0 when absent/unreadable. */
-double
-lastStageRate(const json::JsonValue &doc, const char *stage,
-              std::string *label)
-{
-    const json::JsonValue *ms = doc.find("measurements");
-    if (ms == nullptr || !ms->isArray() || ms->elements.empty())
-        return 0.0;
-    const json::JsonValue &last = ms->elements.back();
-    if (label != nullptr) {
-        if (const auto *l = last.find("label"))
-            *label = l->asString().value_or("");
-    }
-    const json::JsonValue *stages = last.find("stages");
-    if (stages == nullptr)
-        return 0.0;
-    const json::JsonValue *s = stages->find(stage);
-    if (s == nullptr)
-        return 0.0;
-    if (const auto *rate = s->find("medianInstsPerSec"))
-        return rate->asDouble().value_or(0.0);
-    return 0.0;
-}
+// run: a sweep through the runner.
 
 int
-cmdBench(int argc, char **argv)
-{
-    bool quick = false;
-    std::string appsArg, variantsArg, label, baselinePath;
-    std::string profilePath;
-    std::string outPath = "BENCH_sim.json";
-    std::uint64_t insts = 0;
-    unsigned reps = 0;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--apps") {
-            appsArg = next();
-        } else if (arg == "--variants") {
-            variantsArg = next();
-        } else if (arg == "--insts") {
-            insts = uintFlag(arg, next());
-        } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
-        } else if (arg == "--label") {
-            label = next();
-        } else if (arg == "--out") {
-            outPath = next();
-        } else if (arg == "--baseline") {
-            baselinePath = next();
-        } else if (arg == "--profile") {
-            profilePath = next();
-        } else {
-            return usage();
-        }
-    }
-
-    // The fixed matrix: stable across releases so the recorded
-    // trajectory stays comparable.  --quick shrinks it for CI smoke.
-    if (appsArg.empty())
-        appsArg = quick ? "Acrobat,Office" : "Acrobat,Angrybirds,Office,Browser";
-    if (variantsArg.empty())
-        variantsArg = quick ? "baseline,critic" : "baseline,critic,opp16,allhw";
-    if (insts == 0)
-        insts = quick ? 150000 : 400000;
-    if (reps == 0)
-        reps = quick ? 3 : 5;
-    if (label.empty())
-        label = quick ? "quick" : "full";
-
-    const auto apps = parseApps(appsArg);
-    std::vector<sim::Variant> variants;
-    for (const auto &name : splitList(variantsArg))
-        variants.push_back(parseVariant(name));
-    if (variants.empty())
-        critics_fatal("--variants needs at least one variant");
-
-    sim::ExperimentOptions expOptions;
-    expOptions.traceInsts = insts;
-
-    // One experiment per app, built untimed: synthesis and the control
-    // walk are one-time costs the paper sweeps never repeat.
-    std::vector<std::unique_ptr<sim::AppExperiment>> exps;
-    std::uint64_t matrixInsts = 0;
-    for (const auto &profile : apps) {
-        exps.push_back(
-            std::make_unique<sim::AppExperiment>(profile, expOptions));
-        matrixInsts += exps.back()->baseTrace().size();
-    }
-
-    // --profile: sample the timed stages (construction above is the
-    // one-time untimed cost).  The explicit StageScopes below mirror
-    // the bench's own stage split, because stage 2 calls the analysis
-    // passes directly rather than through AppExperiment's accessors.
-    obs::SamplingProfiler profiler;
-    if (!profilePath.empty() && !profiler.start())
-        profilePath.clear();
-
-    StageSamples emitStage, analyzeStage, simulateStage;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        // Stage 1: trace emission (the per-variant re-emission cost).
-        auto t0 = std::chrono::steady_clock::now();
-        {
-            obs::StageScope stage(obs::Stage::Emit);
-            for (const auto &exp : exps) {
-                const program::Trace trace = program::emitTrace(
-                    exp->baseProgram(), exp->path());
-                critics_assert(trace.size() > 0, "empty bench trace");
-            }
-        }
-        emitStage.instsPerSec.push_back(
-            static_cast<double>(matrixInsts) / secondsSince(t0));
-
-        // Stage 2: offline criticality analysis (fanout, chains,
-        // mining), always from scratch so result caching cannot hide
-        // cost.  The per-app location table IS shared across reps —
-        // it indexes the static program, not the dynamic stream, and
-        // AppExperiment likewise builds one and shares it across all
-        // minedAt() calls, so rebuilding it per rep would bill the
-        // pipeline for work production never repeats.
-        t0 = std::chrono::steady_clock::now();
-        {
-            obs::StageScope stage(obs::Stage::Analyze);
-            for (const auto &exp : exps) {
-                const auto fanout = analysis::computeFanout(
-                    exp->baseTrace(), expOptions.crit);
-                const auto chains = analysis::extractChains(
-                    exp->baseTrace(), fanout, expOptions.crit);
-                const analysis::LocTable *locs =
-                    analysis::flatAnalyzeEnabled()
-                        ? &exp->locTable() : nullptr;
-                const auto mined = analysis::mineCritIcs(
-                    exp->baseTrace(), exp->baseProgram(), chains,
-                    fanout, expOptions.crit,
-                    expOptions.profileFraction, locs);
-                critics_assert(!mined.chains.empty() || true,
-                               "unused");
-            }
-        }
-        analyzeStage.instsPerSec.push_back(
-            static_cast<double>(matrixInsts) / secondsSince(t0));
-
-        // Stage 3: the simulate-one-job path, exactly as the runner
-        // drives it (transform + re-emission/memo + pipeline model).
-        t0 = std::chrono::steady_clock::now();
-        std::uint64_t simInsts = 0;
-        for (const auto &exp : exps) {
-            for (const auto &variant : variants) {
-                const auto result = exp->run(variant);
-                critics_assert(result.cpu.cycles > 0, "empty run");
-                simInsts += exp->baseTrace().size();
-            }
-        }
-        simulateStage.instsPerSec.push_back(
-            static_cast<double>(simInsts) / secondsSince(t0));
-    }
-
-    if (!profilePath.empty()) {
-        profiler.stop();
-        const std::string report = profiler.reportJson();
-        if (profiler.writeReport(profilePath))
-            std::printf("profile: %s\n", profilePath.c_str());
-        obs::printProfileReport(report);
-    }
-
-    // ---- Report ------------------------------------------------------
-    Table table({"stage", "median insts/s", "min", "max"});
-    auto addRow = [&](const char *name, const StageSamples &s) {
-        const auto [lo, hi] = std::minmax_element(
-            s.instsPerSec.begin(), s.instsPerSec.end());
-        table.addRow({name, fmt(s.median(), 0), fmt(*lo, 0),
-                      fmt(*hi, 0)});
-    };
-    addRow("emit", emitStage);
-    addRow("analyze", analyzeStage);
-    addRow("simulate", simulateStage);
-    std::printf("%s\n", table.render().c_str());
-
-    // ---- Persist the trajectory --------------------------------------
-    // BENCH_sim.json accumulates measurements; the newest is appended
-    // so the perf history of the simulator is recorded in-tree.
-    double prevRate = 0.0;
-    std::string prevLabel;
-
-    json::JsonWriter w;
-    w.beginObject();
-    w.field("schema", 1);
-    w.field("tool", "critics_cli bench");
-    w.beginArray("measurements");
-
-    // Copy prior measurements structurally (the writer re-serializes
-    // the parsed document, then the new entry is appended).
-    std::function<void(const json::JsonValue &, const char *)>
-        copyMember;
-    copyMember = [&](const json::JsonValue &v, const char *key) {
-        switch (v.kind) {
-          case json::JsonValue::Kind::Object:
-            if (key)
-                w.beginObject(key);
-            else
-                w.elementObject();
-            for (const auto &[k, member] : v.members)
-                copyMember(member, k.c_str());
-            w.endObject();
-            break;
-          case json::JsonValue::Kind::Array:
-            w.beginArray(key);
-            for (const auto &el : v.elements)
-                copyMember(el, nullptr);
-            w.endArray();
-            break;
-          case json::JsonValue::Kind::String:
-            if (key)
-                w.field(key, v.text);
-            else
-                w.element(v.text);
-            break;
-          case json::JsonValue::Kind::Number:
-            // Preserve the original spelling via a raw double/uint.
-            if (v.text.find_first_of(".eE") == std::string::npos) {
-                if (key)
-                    w.field(key, v.asUint().value_or(0));
-                else
-                    w.element(static_cast<double>(
-                        v.asDouble().value_or(0.0)));
-            } else {
-                if (key)
-                    w.fieldReadable(key, v.asDouble().value_or(0.0));
-                else
-                    w.element(v.asDouble().value_or(0.0));
-            }
-            break;
-          case json::JsonValue::Kind::Bool:
-            if (key)
-                w.field(key, v.boolean);
-            break;
-          case json::JsonValue::Kind::Null:
-            break;
-        }
-    };
-    // Snapshot the baseline before appending, so --out and --baseline
-    // may name the same file (the new measurement never compares
-    // against itself).
-    std::string baselineText;
-    if (!baselinePath.empty()) {
-        std::ifstream in(baselinePath);
-        if (in)
-            baselineText.assign((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-    }
-    {
-        std::ifstream in(outPath);
-        if (in) {
-            const std::string text(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-            if (const auto doc = json::parseJson(text)) {
-                prevRate = lastStageRate(*doc, "simulate", &prevLabel);
-                if (const auto *ms = doc->find("measurements");
-                    ms != nullptr && ms->isArray()) {
-                    for (const auto &m : ms->elements)
-                        copyMember(m, nullptr);
-                }
-            }
-        }
-    }
-
-    w.elementObject();
-    w.field("label", label);
-    w.field("git", runner::gitDescribe());
-    w.field("quick", quick);
-    w.field("analyzePath",
-            analysis::flatAnalyzeEnabled() ? "flat" : "legacy");
-    w.field("apps", appsArg);
-    w.field("variants", variantsArg);
-    w.field("insts", insts);
-    w.field("reps", reps);
-    w.beginObject("stages");
-    auto writeStage = [&](const char *name, const StageSamples &s) {
-        w.beginObject(name);
-        w.fieldReadable("medianInstsPerSec", s.median());
-        w.beginArray("perRep");
-        for (const double r : s.instsPerSec)
-            w.element(r);
-        w.endArray();
-        w.endObject();
-    };
-    writeStage("emit", emitStage);
-    writeStage("analyze", analyzeStage);
-    writeStage("simulate", simulateStage);
-    w.endObject();
-    w.endObject();
-    w.endArray();
-    w.endObject();
-
-    std::ofstream out(outPath, std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
-        return 2;
-    }
-    out << w.str() << "\n";
-    std::printf("bench: %s (%s, %u rep(s), %s insts/app)\n",
-                outPath.c_str(), label.c_str(), reps,
-                fmt(double(insts), 0).c_str());
-
-    // Delta against the previous in-file measurement, and optionally
-    // against a committed baseline file (CI's non-gating perf-smoke).
-    const double nowRate = simulateStage.median();
-    if (prevRate > 0.0) {
-        std::printf("simulate: %s insts/s vs %s insts/s (%s) -> %.2fx\n",
-                    fmt(nowRate, 0).c_str(), fmt(prevRate, 0).c_str(),
-                    prevLabel.c_str(), nowRate / prevRate);
-    }
-    if (!baselinePath.empty()) {
-        if (!baselineText.empty()) {
-            const std::string &text = baselineText;
-            std::string baseLabel;
-            bool any = false;
-            if (const auto doc = json::parseJson(text)) {
-                const struct
-                {
-                    const char *name;
-                    const StageSamples *samples;
-                } deltas[] = {{"emit", &emitStage},
-                              {"analyze", &analyzeStage},
-                              {"simulate", &simulateStage}};
-                for (const auto &d : deltas) {
-                    const double baseRate =
-                        lastStageRate(*doc, d.name, &baseLabel);
-                    if (baseRate <= 0.0)
-                        continue;
-                    any = true;
-                    std::printf(
-                        "%-8s vs baseline %s (%s): %.2fx\n", d.name,
-                        baselinePath.c_str(), baseLabel.c_str(),
-                        d.samples->median() / baseRate);
-                }
-            }
-            if (!any) {
-                std::printf("baseline %s: no stage rates found\n",
-                            baselinePath.c_str());
-            }
-        } else {
-            std::printf("baseline %s: unreadable\n",
-                        baselinePath.c_str());
-        }
-    }
-    return 0;
-}
-
-int
-cmdRun(int argc, char **argv)
+cmdRun(CommandLine &cmd)
 {
     std::string appsArg = "mobile";
     std::string variantsArg = "baseline,critic";
@@ -931,64 +430,67 @@ cmdRun(int argc, char **argv)
     std::string traceOut, profilePath;
     bool json = false;
     runner::RunnerOptions options;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--apps") {
-            appsArg = next();
-        } else if (arg == "--variants") {
-            variantsArg = next();
-        } else if (arg == "--insts") {
-            insts = uintFlag(arg, next());
-        } else if (arg == "--batch") {
-            batchName = next();
-        } else if (arg == "--no-cache") {
-            options.useCache = false;
-        } else if (arg == "--refresh") {
-            options.refresh = true;
-        } else if (arg == "--shard") {
-            const std::string value = next();
-            const auto parsed = runner::ShardSpec::parse(value);
-            if (!parsed) {
-                critics_fatal("--shard wants K/N with 1 <= K <= N, "
-                              "got '", value, "'");
-            }
-            options.shard = *parsed;
-        } else if (arg == "--cache-file") {
-            options.cachePath = next();
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--stats-interval") {
-            statsInterval = uintFlag(arg, next());
-        } else if (arg == "--stats-out") {
-            statsOut = next();
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--profile") {
-            profilePath = next();
-        } else {
-            return usage();
-        }
-    }
-
+    if (!cmd.parse({
+        "critics_cli run [options]",
+        "run an apps × variants sweep",
+        {Flag::text("--apps", "<list>",
+                    "comma list of app names, or one of "
+                    "mobile|specint|specfloat|all",
+                    appsArg),
+         Flag::text("--variants", "<list>",
+                    "comma list of variant names, or all",
+                    variantsArg),
+         Flag::integer("--insts", "<n>",
+                       "dynamic instructions per sample", insts),
+         Flag::text("--batch", "<name>",
+                    "manifest name (default 'cli')", batchName),
+         Flag::toggle("--no-cache",
+                      "bypass the persistent result cache",
+                      options.useCache, false),
+         Flag::toggle("--refresh",
+                      "ignore cached records, re-simulate",
+                      options.refresh),
+         {"--shard", "K/N",
+          "run only slice K of an N-way hash partition of the "
+          "batch; results land in a per-shard store (merge with "
+          "`cache merge`), the manifest is named "
+          "<batch>.shard-K-of-N",
+          [&options](const std::string &flag, const std::string &value) {
+              const auto parsed = runner::ShardSpec::parse(value);
+              if (!parsed) {
+                  critics_fatal(flag, " wants K/N with 1 <= K <= N, "
+                                "got '", value, "'");
+              }
+              options.shard = *parsed;
+          }},
+         Flag::text("--cache-file", "<f>",
+                    "result store path (default: the shared cache; "
+                    "sharded runs default to "
+                    "results.shard-K-of-N.jsonl)",
+                    options.cachePath),
+         Flag::toggle("--json", "emit per-job comparison JSON", json),
+         Flag::integer("--stats-interval", "<n>",
+                       "sample all stats every n committed insts "
+                       "into the interval JSONL (simulated jobs "
+                       "only: use --refresh to force fresh runs)",
+                       statsInterval),
+         Flag::text("--stats-out", "<file>",
+                    "interval JSONL path (default stats_cli.jsonl)",
+                    statsOut),
+         Flag::text("--trace-out", "<file>",
+                    "Chrome trace of runner phases, per-job spans and "
+                    "pipeline-stage spans (load in Perfetto)",
+                    traceOut),
+         Flag::text("--profile", "<file>",
+                    "sample this process with SIGPROF and write a "
+                    "per-stage/per-symbol profile (inspect with "
+                    "`prof report`)",
+                    profilePath)}}))
+        return cmd.status;
     const auto apps = parseApps(appsArg);
     // `all` expands to every variant, as in lint — the analyze-drift
     // CI sweep runs the complete matrix.
-    std::vector<std::string> variantNames;
-    if (variantsArg == "all")
-        variantNames = sim::allVariantNames();
-    else
-        variantNames = splitList(variantsArg);
-    std::vector<sim::Variant> variants;
-    for (const auto &name : variantNames)
-        variants.push_back(parseVariant(name));
-    if (variants.empty())
-        critics_fatal("--variants needs at least one variant");
+    const auto variants = sim::parseVariants(variantsArg);
 
     // Each shard appends to its own disjoint store; `cache merge`
     // folds them back into the shared one.
@@ -1125,12 +627,19 @@ cmdRun(int argc, char **argv)
     return batch.allOk() ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------------
+// report and cache: the manifests and the result store.
+
 int
-cmdReport(int argc, char **argv)
+cmdReport(CommandLine &cmd)
 {
-    std::vector<std::string> paths;
-    for (int i = 0; i < argc; ++i)
-        paths.emplace_back(argv[i]);
+    if (!cmd.parse({"critics_cli report [file ...]",
+                    "summarize run manifests (default: all manifests in the "
+                    "cache dir); exit 1 on any failed job",
+                    {},
+                    0, FlagTable::kUnbounded}))
+        return cmd.status;
+    std::vector<std::string> paths = cmd.args;
     if (paths.empty()) {
         const std::string dir = runner::cacheDir() + "/manifests";
         std::error_code ec;
@@ -1174,136 +683,24 @@ cmdReport(int argc, char **argv)
     return 0;
 }
 
-/** `flag`'s value "900", "900s", "15m", "12h" or "30d" → seconds. */
-std::uint64_t
-parseDuration(const std::string &flag, const std::string &text)
+/** The shared store, unless a command names another. */
+std::string
+storeOrDefault(const std::vector<std::string> &args)
 {
-    std::uint64_t scale = 1;
-    std::string digits = text;
-    switch (text.empty() ? '\0' : text.back()) {
-      case 'd': scale = 86400; digits.pop_back(); break;
-      case 'h': scale = 3600; digits.pop_back(); break;
-      case 'm': scale = 60; digits.pop_back(); break;
-      case 's': scale = 1; digits.pop_back(); break;
-      default: break;
-    }
-    const auto value = parseUint(digits, kUintMax / scale);
-    if (!value) {
-        critics_fatal(flag, " wants a duration like 900, 900s, 15m, ",
-                      "12h or 30d, got '", text, "'");
-    }
-    return *value * scale;
-}
-
-/** `flag`'s value "65536", "512K", "512M" or "2G" → bytes. */
-std::uintmax_t
-parseBytes(const std::string &flag, const std::string &text)
-{
-    std::uintmax_t scale = 1;
-    std::string digits = text;
-    switch (text.empty() ? '\0' : text.back()) {
-      case 'K': case 'k': scale = 1024ull; digits.pop_back(); break;
-      case 'M': case 'm': scale = 1024ull << 10; digits.pop_back(); break;
-      case 'G': case 'g': scale = 1024ull << 20; digits.pop_back(); break;
-      default: break;
-    }
-    const auto value = parseUint(digits, kUintMax / scale);
-    if (!value) {
-        critics_fatal(flag, " wants a size like 65536, 512K, 512M or ",
-                      "2G, got '", text, "'");
-    }
-    return *value * scale;
+    return args.empty() ? runner::cacheDir() + "/results.jsonl"
+                        : args[0];
 }
 
 int
-cmdCacheMerge(int argc, char **argv)
+cmdCache(CommandLine &cmd)
 {
-    std::vector<std::string> paths;
-    for (int i = 0; i < argc; ++i)
-        paths.emplace_back(argv[i]);
-    if (paths.size() < 2) {
-        std::fprintf(stderr,
-                     "cache merge wants <out> <in...> (one output, at "
-                     "least one input)\n");
-        return 2;
-    }
-    const std::string out = paths.front();
-    paths.erase(paths.begin());
-    const auto stats = runner::mergeStores(out, paths);
-    if (!stats) {
-        std::fprintf(stderr, "cache merge failed\n");
-        return 1;
-    }
-    std::printf("merged %zu store(s) -> %s\n  %s\n", stats->filesRead,
-                out.c_str(), stats->summary().c_str());
-    return 0;
-}
-
-int
-cmdCacheCompact(int argc, char **argv)
-{
-    const std::string path = argc > 0
-        ? argv[0] : runner::cacheDir() + "/results.jsonl";
-    const auto stats = runner::compactStore(path);
-    if (!stats) {
-        std::fprintf(stderr, "cache compact failed for %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::printf("compacted %s\n  %s\n", path.c_str(),
-                stats->summary().c_str());
-    return 0;
-}
-
-int
-cmdCacheGc(int argc, char **argv)
-{
-    runner::GcOptions opt;
-    std::string path;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--max-age") {
-            opt.maxAgeSeconds = parseDuration(arg, next());
-        } else if (arg == "--max-bytes") {
-            opt.maxBytes = parseBytes(arg, next());
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            path = arg;
-        }
-    }
-    if (opt.maxAgeSeconds == 0 && opt.maxBytes == 0) {
-        std::fprintf(stderr,
-                     "cache gc wants --max-age and/or --max-bytes\n");
-        return 2;
-    }
-    if (path.empty())
-        path = runner::cacheDir() + "/results.jsonl";
-    const auto stats = runner::gcStore(path, opt);
-    if (!stats) {
-        std::fprintf(stderr, "cache gc failed for %s\n", path.c_str());
-        return 1;
-    }
-    std::printf("gc %s\n  %s\n", path.c_str(),
-                stats->summary().c_str());
-    return 0;
-}
-
-int
-cmdCache(int argc, char **argv)
-{
-    const std::string action = argc > 0 ? argv[0] : "stats";
-    if (action == "merge")
-        return cmdCacheMerge(argc - 1, argv + 1);
-    if (action == "compact")
-        return cmdCacheCompact(argc - 1, argv + 1);
-    if (action == "gc")
-        return cmdCacheGc(argc - 1, argv + 1);
+    if (!cmd.parse({"critics_cli cache [stats|path|clear]",
+                    "show the shared result store's size or path, or clear "
+                    "it (default: stats)",
+                    {},
+                    0, 1}))
+        return cmd.status;
+    const std::string action = cmd.args.empty() ? "stats" : cmd.args[0];
     runner::ResultStore store;
     if (action == "stats") {
         std::uintmax_t bytes = 0;
@@ -1329,13 +726,93 @@ cmdCache(int argc, char **argv)
                     store.path().c_str());
         return 0;
     }
-    return usage();
+    return usage("unknown cache action '" + action + "'");
+}
+
+int
+cmdCacheMerge(CommandLine &cmd)
+{
+    if (!cmd.parse({"critics_cli cache merge <out> <in...>",
+                    "concatenate result stores into <out> (later record wins "
+                    "per content hash; old-schema/malformed lines dropped; "
+                    "surviving lines copied byte-exactly)",
+                    {},
+                    2, FlagTable::kUnbounded}))
+        return cmd.status;
+    std::vector<std::string> paths = cmd.args;
+    const std::string out = paths.front();
+    paths.erase(paths.begin());
+    const auto stats = runner::mergeStores(out, paths);
+    if (!stats) {
+        std::fprintf(stderr, "cache merge failed\n");
+        return 1;
+    }
+    std::printf("merged %zu store(s) -> %s\n  %s\n", stats->filesRead,
+                out.c_str(), stats->summary().c_str());
+    return 0;
+}
+
+int
+cmdCacheCompact(CommandLine &cmd)
+{
+    if (!cmd.parse({"critics_cli cache compact [file]",
+                    "rewrite a store dropping superseded, old-schema and "
+                    "collision/orphan records; reports bytes reclaimed",
+                    {},
+                    0, 1}))
+        return cmd.status;
+    const std::string path = storeOrDefault(cmd.args);
+    const auto stats = runner::compactStore(path);
+    if (!stats) {
+        std::fprintf(stderr, "cache compact failed for %s\n",
+                     path.c_str());
+        return 1;
+    }
+    std::printf("compacted %s\n  %s\n", path.c_str(),
+                stats->summary().c_str());
+    return 0;
+}
+
+int
+cmdCacheGc(CommandLine &cmd)
+{
+    runner::GcOptions opt;
+    if (!cmd.parse({"critics_cli cache gc [options] [file]",
+                    "compact, then bound the store by age and/or size",
+                    {{"--max-age", "<dur>",
+                      "drop records older than <dur> (30d, 12h, 900s, plain "
+                      "seconds)",
+                      [&opt](const std::string &flag, const std::string &v) {
+                          opt.maxAgeSeconds = parseDuration(flag, v);
+                      }},
+                     {"--max-bytes", "<n>",
+                      "evict oldest-first past <n> bytes (512K, 512M, 2G, "
+                      "plain bytes)",
+                      [&opt](const std::string &flag, const std::string &v) {
+                          opt.maxBytes = parseBytes(flag, v);
+                      }}},
+                    0, 1}))
+        return cmd.status;
+    if (opt.maxAgeSeconds == 0 && opt.maxBytes == 0) {
+        std::fprintf(stderr,
+                     "cache gc wants --max-age and/or --max-bytes\n");
+        return 2;
+    }
+    const std::string path = storeOrDefault(cmd.args);
+    const auto stats = runner::gcStore(path, opt);
+    if (!stats) {
+        std::fprintf(stderr, "cache gc failed for %s\n", path.c_str());
+        return 1;
+    }
+    std::printf("gc %s\n  %s\n", path.c_str(),
+                stats->summary().c_str());
+    return 0;
 }
 
 // ---------------------------------------------------------------------------
 // serve / submit / status / wait: simulation as a service.
 
-/** Atomic so the install/clear in cmdServe and the read in the signal
+/** Atomic so the install/clear in serve and the read in the signal
  *  handler never race (a plain pointer here is a data race the
  *  concurrency checks rightly reject). */
 std::atomic<serve::Server *> gServeInstance{nullptr};
@@ -1367,27 +844,41 @@ selfExecutable()
     return "critics_cli"; // fall back to execvp's PATH lookup
 }
 
-/** --port / --port-file → a port number; 0 when neither resolves. */
-unsigned short
-resolvePort(const std::string &portArg, const std::string &portFile)
+/** --host/--port/--port-file: where a client finds the daemon. */
+struct DaemonAddress
 {
-    if (!portArg.empty())
-        return static_cast<unsigned short>(
-            uintFlag("--port", portArg, 65535));
-    if (!portFile.empty()) {
-        std::ifstream in(portFile);
-        unsigned port = 0;
-        if (in >> port)
-            return static_cast<unsigned short>(port);
+    std::string host = "127.0.0.1";
+    unsigned short port = 0; ///< 0 = read portFile
+    std::string portFile;
+
+    /** The address rows, then `rows`. */
+    std::vector<Flag>
+    flags(std::vector<Flag> rows = {})
+    {
+        rows.insert(
+            rows.begin(),
+            {Flag::text("--host", "<ip>",
+                        "daemon address (default 127.0.0.1)", host),
+             Flag::integer("--port", "<n>", "daemon port", port),
+             Flag::text("--port-file", "<f>",
+                        "read the daemon port from <f> (as written by "
+                        "serve --port-file)",
+                        portFile)});
+        return rows;
     }
-    return 0;
-}
+
+    bool connect(serve::ServeClient &client);
+};
 
 bool
-connectDaemon(serve::ServeClient &client, const std::string &host,
-              const std::string &portArg, const std::string &portFile)
+DaemonAddress::connect(serve::ServeClient &client)
 {
-    const unsigned short port = resolvePort(portArg, portFile);
+    if (port == 0 && !portFile.empty()) {
+        std::ifstream in(portFile);
+        unsigned fromFile = 0;
+        if (in >> fromFile)
+            port = static_cast<unsigned short>(fromFile);
+    }
     if (port == 0) {
         std::fprintf(stderr,
                      "need --port <n> or --port-file <f> to find the "
@@ -1445,45 +936,50 @@ streamJob(serve::ServeClient &client, const std::string &jobId)
 }
 
 int
-cmdServe(int argc, char **argv)
+cmdServe(CommandLine &cmd)
 {
     serve::ServerOptions options;
     std::string traceOut, statsOut;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            options.host = next();
-        } else if (arg == "--port") {
-            options.port = static_cast<unsigned short>(
-                uintFlag(arg, next(), 65535));
-        } else if (arg == "--port-file") {
-            options.portFile = next();
-        } else if (arg == "--workers") {
-            options.workers =
-                static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
-        } else if (arg == "--max-restarts") {
-            options.maxRestarts =
-                static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
-        } else if (arg == "--attempts") {
-            options.maxAttempts =
-                static_cast<unsigned>(uintFlag(arg, next(), UINT_MAX));
-        } else if (arg == "--cache-file") {
-            options.cachePath = next();
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--profile-dir") {
-            options.profileDir = next();
-        } else if (arg == "--stats-out") {
-            statsOut = next();
-        } else {
-            return usage();
-        }
-    }
+    if (!cmd.parse({
+        "critics_cli serve [options]",
+        "job-queue daemon: JSONL submit/status/wait over TCP, warm "
+        "jobs answered from the result store without simulating, "
+        "cold jobs hash-sharded across forked serve-worker "
+        "processes (crash -> bounded restart); SIGTERM drains "
+        "in-flight work and exits",
+        {Flag::text("--host", "<ip>",
+                    "bind address (default 127.0.0.1)", options.host),
+         Flag::integer("--port", "<n>",
+                       "TCP port (0 = pick one; see --port-file)",
+                       options.port),
+         Flag::text("--port-file", "<f>",
+                    "write the bound port here after listen",
+                    options.portFile),
+         Flag::integer("--workers", "<n>",
+                       "worker processes per batch (default 2; 0 = "
+                       "run jobs in-process)",
+                       options.workers),
+         Flag::integer("--max-restarts", "<n>",
+                       "respawns per crashed worker (default 2)",
+                       options.maxRestarts),
+         Flag::integer("--attempts", "<n>",
+                       "per-job attempt budget (default 2)",
+                       options.maxAttempts),
+         Flag::text("--cache-file", "<f>",
+                    "result store (default: shared cache)",
+                    options.cachePath),
+         Flag::text("--trace-out", "<f>",
+                    "merged Chrome trace: server request spans plus "
+                    "every worker's job/stage spans, stitched per-pid "
+                    "under one trace id per batch",
+                    traceOut),
+         Flag::text("--profile-dir", "<d>",
+                    "each worker writes a sampling profile to "
+                    "<d>/<batch>.worker-<k>.json",
+                    options.profileDir),
+         Flag::text("--stats-out", "<f>",
+                    "serve.* stats JSON on shutdown", statsOut)}}))
+        return cmd.status;
     options.workerExe = selfExecutable();
 
     stats::TraceEventWriter trace;
@@ -1533,46 +1029,38 @@ cmdServe(int argc, char **argv)
 }
 
 int
-cmdSubmit(int argc, char **argv)
+cmdSubmit(CommandLine &cmd)
 {
-    std::string host = "127.0.0.1", portArg, portFile;
+    DaemonAddress daemon;
     bool noWait = false;
+    serve::SubmitRequest submit;
+    if (!cmd.parse({"critics_cli submit [options]",
+                    "submit a sweep to a daemon and stream its progress "
+                    "events",
+                    daemon.flags(
+                        {Flag::text("--apps", "<list>", "as `run`",
+                                    submit.apps),
+                         Flag::text("--variants", "<list>", "as `run`",
+                                    submit.variants),
+                         Flag::integer("--insts", "<n>", "as `run`",
+                                       submit.insts),
+                         Flag::text("--batch", "<name>", "as `run`",
+                                    submit.batch),
+                         Flag::toggle("--refresh", "as `run`",
+                                      submit.refresh),
+                         Flag::integer("--sleep-ms", "<n>",
+                                       "hold each simulated job <n> ms (lets "
+                                       "a test catch a worker mid-batch)",
+                                       submit.sleepMs),
+                         Flag::toggle("--no-wait",
+                                      "print the job id and return",
+                                      noWait)})}))
+        return cmd.status;
     serve::Request request;
     request.op = serve::Request::Op::Submit;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (arg == "--apps") {
-            request.submit.apps = next();
-        } else if (arg == "--variants") {
-            request.submit.variants = next();
-        } else if (arg == "--insts") {
-            request.submit.insts = uintFlag(arg, next());
-        } else if (arg == "--batch") {
-            request.submit.batch = next();
-        } else if (arg == "--refresh") {
-            request.submit.refresh = true;
-        } else if (arg == "--sleep-ms") {
-            request.submit.sleepMs = uintFlag(arg, next());
-        } else if (arg == "--no-wait") {
-            noWait = true;
-        } else {
-            return usage();
-        }
-    }
-
+    request.submit = submit;
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!daemon.connect(client))
         return 1;
     if (!client.sendLine(serve::renderRequest(request)))
         return 1;
@@ -1599,38 +1087,19 @@ cmdSubmit(int argc, char **argv)
 }
 
 int
-cmdStatus(int argc, char **argv)
+cmdStatus(CommandLine &cmd)
 {
-    std::string host = "127.0.0.1", portArg, portFile, jobId;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            jobId = arg;
-        }
-    }
-    if (jobId.empty()) {
-        std::fprintf(stderr, "status wants a job id (serve-<n>)\n");
-        return 2;
-    }
+    DaemonAddress daemon;
+    if (!cmd.parse({"critics_cli status <job> [options]",
+                    "one-line state of job <job> (serve-<n>)", daemon.flags(),
+                    1, 1}))
+        return cmd.status;
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!daemon.connect(client))
         return 1;
     serve::Request request;
     request.op = serve::Request::Op::Status;
-    request.job = jobId;
+    request.job = cmd.args[0];
     if (!client.sendLine(serve::renderRequest(request)))
         return 1;
     const auto reply = client.readLine(-1);
@@ -1647,36 +1116,18 @@ cmdStatus(int argc, char **argv)
 }
 
 int
-cmdWait(int argc, char **argv)
+cmdWait(CommandLine &cmd)
 {
-    std::string host = "127.0.0.1", portArg, portFile, jobId;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            jobId = arg;
-        }
-    }
-    if (jobId.empty()) {
-        std::fprintf(stderr, "wait wants a job id (serve-<n>)\n");
-        return 2;
-    }
+    DaemonAddress daemon;
+    if (!cmd.parse({"critics_cli wait <job> [options]",
+                    "stream job <job>'s events until done; exit 1 if any job "
+                    "failed",
+                    daemon.flags(), 1, 1}))
+        return cmd.status;
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!daemon.connect(client))
         return 1;
-    return streamJob(client, jobId);
+    return streamJob(client, cmd.args[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -1711,37 +1162,26 @@ fmtUs(double us)
 }
 
 int
-cmdTop(int argc, char **argv)
+cmdTop(CommandLine &cmd)
 {
-    std::string host = "127.0.0.1", portArg, portFile;
+    DaemonAddress daemon;
     double interval = 2.0;
     bool once = false;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (arg == "--interval") {
-            interval = doubleFlag(arg, next());
-        } else if (arg == "--once") {
-            once = true;
-        } else {
-            return usage();
-        }
-    }
+    if (!cmd.parse({"critics_cli top [options]",
+                    "live daemon monitor: queue depth, warm-hit ratio, "
+                    "job-latency percentiles, worker states",
+                    daemon.flags({Flag::real("--interval", "<sec>",
+                                            "refresh period (default 2)",
+                                            interval),
+                                 Flag::toggle("--once",
+                                              "print one snapshot and exit",
+                                              once)})}))
+        return cmd.status;
     if (interval <= 0.0)
         interval = 2.0;
 
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!daemon.connect(client))
         return 1;
 
     serve::Request request;
@@ -1776,7 +1216,7 @@ cmdTop(int argc, char **argv)
                     runningBatch = name;
             }
         }
-        std::printf("critics serve @ %s — up %s\n", host.c_str(),
+        std::printf("critics serve @ %s — up %s\n", daemon.host.c_str(),
                     fmtUs(serveStat(*doc, "uptimeUs")).c_str());
         std::printf("%-16s %8.0f   %-16s %s\n", "queue depth",
                     serveStat(*doc, "queueDepth"), "running batch",
@@ -1823,32 +1263,18 @@ cmdTop(int argc, char **argv)
 // prof: profile report pretty-printer.
 
 int
-cmdProf(int argc, char **argv)
+cmdProfReport(CommandLine &cmd)
 {
-    if (argc < 1 || std::string(argv[0]) != "report")
-        return usage();
-    std::string path;
     std::size_t topN = 20;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--top") {
-            if (i + 1 >= argc)
-                critics_fatal("--top needs a value");
-            topN = uintFlag(arg, argv[++i]);
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            path = arg;
-        }
-    }
-    if (path.empty()) {
-        std::fprintf(stderr,
-                     "prof report wants a --profile JSON file\n");
-        return 2;
-    }
-    std::ifstream in(path);
+    if (!cmd.parse({"critics_cli prof report <file> [options]",
+                    "pretty-print a --profile report",
+                    {Flag::integer("--top", "<n>",
+                                   "symbols to list (default 20)", topN)},
+                    1, 1}))
+        return cmd.status;
+    std::ifstream in(cmd.args[0]);
     if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
+        std::fprintf(stderr, "cannot read %s\n", cmd.args[0].c_str());
         return 1;
     }
     const std::string text((std::istreambuf_iterator<char>(in)),
@@ -1856,8 +1282,11 @@ cmdProf(int argc, char **argv)
     return obs::printProfileReport(text, topN) ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------------
+// The single-run interface (legacy): no subcommand word.
+
 int
-legacySingleRun(int argc, char **argv)
+cmdSingleRun(CommandLine &cmd)
 {
     std::string app = "Acrobat";
     std::string variantName = "critic";
@@ -1866,38 +1295,36 @@ legacySingleRun(int argc, char **argv)
     std::string statsOut = "stats_single.jsonl";
     std::string traceOut;
     bool json = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--app") {
-            app = next();
-        } else if (arg == "--variant") {
-            variantName = next();
-        } else if (arg == "--insts") {
-            insts = uintFlag(arg, next());
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--stats-interval") {
-            statsInterval = uintFlag(arg, next());
-        } else if (arg == "--stats-out") {
-            statsOut = next();
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--list") {
-            for (const auto &profile : workload::allApps()) {
-                std::printf("%-12s %-10s %s\n", profile.name.c_str(),
-                            workload::suiteName(profile.suite),
-                            profile.activity.c_str());
-            }
-            return 0;
-        } else {
-            return usage();
+    bool list = false;
+    if (!cmd.parse({"critics_cli --app <name> --variant <name> [options]",
+                    "single run (legacy) against the baseline",
+                    {Flag::text("--app", "<name>", "app (default Acrobat)",
+                                app),
+                     Flag::text("--variant", "<name>",
+                                "variant (default critic)", variantName),
+                     Flag::integer("--insts", "<n>",
+                                   "dynamic instructions per sample", insts),
+                     Flag::toggle("--json", "emit comparison JSON", json),
+                     Flag::integer("--stats-interval", "<n>",
+                                   "sample all stats every n committed insts",
+                                   statsInterval),
+                     Flag::text("--stats-out", "<f>",
+                                "interval JSONL path (default "
+                                "stats_single.jsonl)",
+                                statsOut),
+                     Flag::text("--trace-out", "<f>",
+                                "Chrome trace of the CPU pipeline stages",
+                                traceOut),
+                     Flag::toggle("--list", "list registered apps and exit",
+                                  list)}}))
+        return cmd.status;
+    if (list) {
+        for (const auto &profile : workload::allApps()) {
+            std::printf("%-12s %-10s %s\n", profile.name.c_str(),
+                        workload::suiteName(profile.suite),
+                        profile.activity.c_str());
         }
+        return 0;
     }
 
     sim::ExperimentOptions options;
@@ -1954,47 +1381,82 @@ legacySingleRun(int argc, char **argv)
     return 0;
 }
 
+// ---------------------------------------------------------------------------
+// Dispatch.
+
+struct Subcommand
+{
+    const char *word; ///< first argument; "cache gc" takes two
+    int (*main)(CommandLine &cmd);
+};
+
+/** In usage order.  Two-word entries precede their one-word prefix. */
+const Subcommand kSubcommands[] = {
+    {"run", cmdRun},
+    {"report", cmdReport},
+    {"cache merge", cmdCacheMerge},
+    {"cache compact", cmdCacheCompact},
+    {"cache gc", cmdCacheGc},
+    {"cache", cmdCache},
+    {"lint", cmdLint},
+    {"diff", cmdDiff},
+    {"serve", cmdServe},
+    {"submit", cmdSubmit},
+    {"status", cmdStatus},
+    {"wait", cmdWait},
+    {"top", cmdTop},
+    {"prof report", cmdProfReport},
+};
+
+int
+usage(const std::string &why)
+{
+    if (!why.empty())
+        std::fprintf(stderr, "critics_cli: %s\n", why.c_str());
+    std::string text = "critics_cli — experiment orchestrator driver\n\n";
+    CommandLine helpMode;
+    helpMode.help = &text;
+    for (const Subcommand &sub : kSubcommands)
+        sub.main(helpMode);
+    cmdSingleRun(helpMode);
+    std::string variants;
+    for (const auto &name : sim::allVariantNames())
+        variants += (variants.empty() ? "" : ", ") + name;
+    text += FlagTable{"variants:", variants, {}}.help();
+    std::fputs(text.c_str(), stdout);
+    return 2;
+}
+
 } // namespace
 
 int
 run(int argc, char **argv)
 {
     setQuiet(true);
-    if (argc > 1) {
-        const std::string command = argv[1];
-        if (command == "run")
-            return cmdRun(argc - 2, argv + 2);
-        if (command == "bench")
-            return cmdBench(argc - 2, argv + 2);
-        if (command == "report")
-            return cmdReport(argc - 2, argv + 2);
-        if (command == "cache")
-            return cmdCache(argc - 2, argv + 2);
-        if (command == "diff")
-            return cmdDiff(argc - 2, argv + 2);
-        if (command == "lint")
-            return cmdLint(argc - 2, argv + 2);
-        if (command == "serve")
-            return cmdServe(argc - 2, argv + 2);
-        if (command == "serve-worker")
-            return serve::serveWorkerMain(argc - 2, argv + 2);
-        if (command == "submit")
-            return cmdSubmit(argc - 2, argv + 2);
-        if (command == "status")
-            return cmdStatus(argc - 2, argv + 2);
-        if (command == "wait")
-            return cmdWait(argc - 2, argv + 2);
-        if (command == "top")
-            return cmdTop(argc - 2, argv + 2);
-        if (command == "prof")
-            return cmdProf(argc - 2, argv + 2);
-        if (command == "--help" || command == "-h" ||
-            command == "help") {
-            usage();
-            return 0;
+    // Read once here, so a bad CRITICS_VERIFY exits 2 before any work.
+    verify::levelFromEnv();
+    const std::string first = argc > 1 ? argv[1] : "";
+    const std::string firstTwo = argc > 2 ? first + " " + argv[2] : "";
+    if (first == "--help" || first == "-h" || first == "help") {
+        usage();
+        return 0;
+    }
+    // Started by serve, one per shard; its table is in serve/worker.cc.
+    if (first == "serve-worker")
+        return serve::serveWorkerMain(argc - 2, argv + 2);
+    CommandLine cmd;
+    for (const Subcommand &sub : kSubcommands) {
+        const int words =
+            sub.word == firstTwo ? 2 : sub.word == first ? 1 : 0;
+        if (words > 0) {
+            cmd.argc = argc - 1 - words;
+            cmd.argv = argv + 1 + words;
+            return sub.main(cmd);
         }
     }
-    return legacySingleRun(argc, argv);
+    cmd.argc = argc - 1;
+    cmd.argv = argv + 1;
+    return cmdSingleRun(cmd);
 }
 
 int

@@ -13,19 +13,12 @@ Two modes:
       CLOCK_MONOTONIC timestamp lands far outside it).
 
   check_trace.py profile <profile.json> [--min-attributed F]
-                 [--min-samples N] [--dominant A:B]
+                 [--min-samples N] [--max-ratio A:B:R]
       A --profile report must carry the critics-profile-v1 schema,
       attribute at least fraction F of its samples to named pipeline
-      stages, and (with --dominant) show stage A with at least twice
-      the samples of stage B.
-
-  check_trace.py bench <bench.json> [--label L]
-                 [--max-slowdown A:B:R]
-      The newest measurement in a `critics_cli bench --out` file
-      (newest with label L if given) must show stage A costing at most
-      R times stage B per instruction, judged by medianInstsPerSec —
-      medians over reps, not profiler samples, so the check is stable
-      at smoke-test sizes.
+      stages, and (with --max-ratio) hold at most R times as many
+      samples in stage A as in stage B, with at least 100 samples in
+      each so the ratio is not noise.
 
 Exit 0 when every check passes; 1 with one line per failure otherwise.
 Stdlib only.
@@ -36,6 +29,9 @@ import json
 import sys
 
 SPAN_CATEGORIES = {"job", "stage"}
+# Fewest samples per stage for --max-ratio to judge; at the 2M-inst
+# sweep obs_smoke.sh profiles, emit and analyze each hold 140-320.
+MIN_RATIO_SAMPLES = 100
 # Slack around the batch window: scheduling between the server stamping
 # the batch span and a worker stamping its first span.
 WINDOW_SLACK_US = 10_000_000
@@ -194,80 +190,28 @@ def check_profile(args):
     if not isinstance(flat, list) or (samples and not flat):
         errors += fail(f"{args.file}: empty flat profile")
 
-    if args.dominant:
-        a, _, b = args.dominant.partition(":")
+    if args.max_ratio:
+        parts = args.max_ratio.split(":")
+        if len(parts) != 3:
+            return errors + fail(
+                f"--max-ratio {args.max_ratio!r}: want A:B:R")
+        a, b, limit = parts[0], parts[1], float(parts[2])
         ca, cb = stages.get(a, 0), stages.get(b, 0)
-        if ca < 2 * cb or ca == 0:
+        if min(ca, cb) < MIN_RATIO_SAMPLES:
             errors += fail(
-                f"{args.file}: stage {a!r} ({ca} samples) is not "
-                f"visibly dominant over {b!r} ({cb} samples)")
+                f"{args.file}: stages {a!r} ({ca}) and {b!r} ({cb}) "
+                f"need >= {MIN_RATIO_SAMPLES} samples each to compare")
+        elif ca > limit * cb:
+            errors += fail(
+                f"{args.file}: stage {a!r} holds {ca / cb:.2f}x the "
+                f"samples of {b!r} ({ca} vs {cb}), limit {limit}x")
+        else:
+            print(f"check_trace: OK: {a}/{b} = {ca / cb:.2f} "
+                  f"({ca} vs {cb} samples, limit {limit}x)")
 
     if errors == 0:
         print(f"check_trace: OK: {samples} sample(s), "
               f"{attributed:.1%} attributed to named stages")
-    return errors
-
-
-def check_bench(args):
-    errors = 0
-    try:
-        doc = load_json(args.file)
-    except (OSError, json.JSONDecodeError) as e:
-        return fail(f"{args.file}: unreadable bench file: {e}")
-
-    measurements = doc.get("measurements")
-    if not isinstance(measurements, list) or not measurements:
-        return fail(f"{args.file}: no measurements array")
-    if args.label is not None:
-        measurements = [m for m in measurements
-                        if isinstance(m, dict)
-                        and m.get("label") == args.label]
-        if not measurements:
-            return fail(
-                f"{args.file}: no measurement labelled {args.label!r}")
-    entry = measurements[-1]
-    stages = entry.get("stages")
-    if not isinstance(stages, dict) or not stages:
-        return fail(f"{args.file}: newest measurement has no stages")
-
-    rates = {}
-    for stage, data in stages.items():
-        rate = (data or {}).get("medianInstsPerSec")
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            errors += fail(
-                f"{args.file}: stage {stage!r} has bad "
-                f"medianInstsPerSec {rate!r}")
-        else:
-            rates[stage] = rate
-
-    if args.max_slowdown:
-        parts = args.max_slowdown.split(":")
-        if len(parts) != 3:
-            return errors + fail(
-                f"--max-slowdown {args.max_slowdown!r}: want A:B:R")
-        a, b, limit = parts[0], parts[1], float(parts[2])
-        if a not in rates or b not in rates:
-            return errors + fail(
-                f"{args.file}: stages {a!r}/{b!r} not both measured "
-                f"(have {sorted(rates)})")
-        # Per-instruction cost ratio: stage A is rates[b]/rates[a]
-        # times slower than stage B.
-        slowdown = rates[b] / rates[a]
-        if slowdown > limit:
-            errors += fail(
-                f"{args.file}: stage {a!r} is {slowdown:.2f}x slower "
-                f"than {b!r} per instruction, limit {limit}x "
-                f"({a}={rates[a]:.3g}/s, {b}={rates[b]:.3g}/s)")
-        elif errors == 0:
-            print(
-                f"check_trace: OK: {a} costs {slowdown:.2f}x {b} "
-                f"per instruction (limit {limit}x, label "
-                f"{entry.get('label', '-')!r})")
-            return 0
-
-    if errors == 0:
-        print(f"check_trace: OK: {len(rates)} stage rate(s) in "
-              f"measurement {entry.get('label', '-')!r}")
     return errors
 
 
@@ -284,20 +228,12 @@ def main():
     profile.add_argument("file")
     profile.add_argument("--min-attributed", type=float, default=0.0)
     profile.add_argument("--min-samples", type=int, default=1)
-    profile.add_argument("--dominant", default=None,
-                         metavar="STAGE_A:STAGE_B")
-
-    bench = sub.add_parser("bench")
-    bench.add_argument("file")
-    bench.add_argument("--label", default=None)
-    bench.add_argument("--max-slowdown", default=None,
-                       metavar="STAGE_A:STAGE_B:RATIO")
+    profile.add_argument("--max-ratio", default=None,
+                         metavar="STAGE_A:STAGE_B:RATIO")
 
     args = parser.parse_args()
     if args.mode == "trace":
         sys.exit(1 if check_trace(args) else 0)
-    if args.mode == "bench":
-        sys.exit(1 if check_bench(args) else 0)
     sys.exit(1 if check_profile(args) else 0)
 
 

@@ -83,7 +83,7 @@ struct CritIcPassOptions
  * Re-lays out the program before returning.
  *
  * Every pass checks its own post-conditions through verify::PassVerifier
- * (structural always, differential dataflow under CRITICS_VERIFY=full)
+ * (structural always, differential dataflow under CRITICS_VERIFY=global)
  * and panics on an error-severity finding.  When `audit` is given (the
  * `critics_cli lint` path) findings — including a located advisory for
  * every skipped/blocked chain, explaining *why* it was not transformed —

@@ -126,7 +126,6 @@ RunManifest::toJson() const
         .field("poolTasks", runnerStats.poolTasks)
         .field("poolThreads", runnerStats.poolThreads)
         .field("verifyChecks", runnerStats.verifyChecks)
-        .field("verifyFullChecks", runnerStats.verifyFullChecks)
         .field("verifyErrors", runnerStats.verifyErrors)
         .field("verifyAdvisories", runnerStats.verifyAdvisories)
         .endObject();
@@ -209,7 +208,6 @@ RunManifest::read(const std::string &path, RunManifest &out)
         out.runnerStats.poolTasks = uint("poolTasks");
         out.runnerStats.poolThreads = uint("poolThreads");
         out.runnerStats.verifyChecks = uint("verifyChecks");
-        out.runnerStats.verifyFullChecks = uint("verifyFullChecks");
         out.runnerStats.verifyErrors = uint("verifyErrors");
         out.runnerStats.verifyAdvisories = uint("verifyAdvisories");
     }

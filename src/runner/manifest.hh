@@ -52,7 +52,6 @@ struct RunnerCounters
     std::uint64_t poolTasks = 0;
     std::uint64_t poolThreads = 0;
     std::uint64_t verifyChecks = 0;     ///< structural post-condition walks
-    std::uint64_t verifyFullChecks = 0; ///< differential dataflow checks
     std::uint64_t verifyErrors = 0;
     std::uint64_t verifyAdvisories = 0; ///< warnings + advisory lints
 };

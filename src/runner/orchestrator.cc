@@ -428,8 +428,6 @@ Runner::run(const std::string &batchName,
         };
         batch.manifest.runnerStats.verifyChecks =
             relaxed(vc.structuralChecks);
-        batch.manifest.runnerStats.verifyFullChecks =
-            relaxed(vc.fullChecks);
         batch.manifest.runnerStats.verifyErrors = relaxed(vc.errors);
         batch.manifest.runnerStats.verifyAdvisories =
             relaxed(vc.warnings) + relaxed(vc.advisories);

@@ -1,7 +1,6 @@
 #include "serve/worker.hh"
 
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -16,7 +15,7 @@
 #include "runner/orchestrator.hh"
 #include "serve/protocol.hh"
 #include "sim/variants.hh"
-#include "support/number.hh"
+#include "support/flags.hh"
 
 namespace critics::serve
 {
@@ -65,40 +64,34 @@ serveWorkerMain(int argc, char **argv)
         std::fprintf(stderr, "serve-worker: %s\n", what.c_str());
         return 2;
     };
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *value = nullptr;
-        if (arg == "--refresh") {
-            refresh = true;
-        } else if ((value = next()) == nullptr) {
-            return bad(arg + " needs a value");
-        } else if (arg == "--batch") {
-            batch = value;
-        } else if (arg == "--apps") {
-            appsArg = value;
-        } else if (arg == "--variants") {
-            variantsArg = value;
-        } else if (arg == "--insts") {
-            insts = uintFlag(arg, value);
-        } else if (arg == "--store") {
-            storePath = value;
-        } else if (arg == "--hashes") {
-            hashesPath = value;
-        } else if (arg == "--attempts") {
-            maxAttempts = static_cast<unsigned>(
-                uintFlag(arg, value, UINT_MAX));
-        } else if (arg == "--sleep-ms") {
-            sleepMs = uintFlag(arg, value);
-        } else if (arg == "--trace-id") {
-            traceId = value;
-        } else if (arg == "--profile") {
-            profilePath = value;
-        } else {
-            return bad("unknown argument '" + arg + "'");
-        }
+    const FlagTable table{
+        "critics_cli serve-worker [options]",
+        "one forked shard executor of a serve batch (started by serve)",
+        {Flag::text("--batch", "<name>", "batch name", batch),
+         Flag::text("--apps", "<list>", "the batch's apps", appsArg),
+         Flag::text("--variants", "<list>", "the batch's variants",
+                    variantsArg),
+         Flag::integer("--insts", "<n>", "the batch's insts", insts),
+         Flag::text("--store", "<file>", "this shard's result store",
+                    storePath),
+         Flag::text("--hashes", "<file>",
+                    "job hashes this shard owns, one per line",
+                    hashesPath),
+         Flag::integer("--attempts", "<n>", "per-job attempt budget",
+                       maxAttempts),
+         Flag::toggle("--refresh", "re-simulate cached jobs", refresh),
+         Flag::integer("--sleep-ms", "<n>", "hold each simulated job",
+                       sleepMs),
+         Flag::text("--trace-id", "<id>",
+                    "stream stage spans tagged with this trace id",
+                    traceId),
+         Flag::text("--profile", "<file>", "write a sampling profile",
+                    profilePath)}};
+    std::string why;
+    if (!table.parse(argc, argv, nullptr, &why)) {
+        bad(why);
+        std::fputs(table.help().c_str(), stderr);
+        return 2;
     }
     if (appsArg.empty() || variantsArg.empty() || storePath.empty() ||
         hashesPath.empty()) {

@@ -83,6 +83,47 @@ doubleFlag(const std::string &flag, const std::string &value)
     return *parsed;
 }
 
+/** `flag`'s value "900", "900s", "15m", "12h" or "30d" → seconds. */
+inline std::uint64_t
+parseDuration(const std::string &flag, const std::string &text)
+{
+    std::uint64_t scale = 1;
+    std::string digits = text;
+    switch (text.empty() ? '\0' : text.back()) {
+      case 'd': scale = 86400; digits.pop_back(); break;
+      case 'h': scale = 3600; digits.pop_back(); break;
+      case 'm': scale = 60; digits.pop_back(); break;
+      case 's': scale = 1; digits.pop_back(); break;
+      default: break;
+    }
+    const auto value = parseUint(digits, kUintMax / scale);
+    if (!value) {
+        critics_fatal(flag, " wants a duration like 900, 900s, 15m, ",
+                      "12h or 30d, got '", text, "'");
+    }
+    return *value * scale;
+}
+
+/** `flag`'s value "65536", "512K", "512M" or "2G" → bytes. */
+inline std::uintmax_t
+parseBytes(const std::string &flag, const std::string &text)
+{
+    std::uintmax_t scale = 1;
+    std::string digits = text;
+    switch (text.empty() ? '\0' : text.back()) {
+      case 'K': case 'k': scale = 1024ull; digits.pop_back(); break;
+      case 'M': case 'm': scale = 1024ull << 10; digits.pop_back(); break;
+      case 'G': case 'g': scale = 1024ull << 20; digits.pop_back(); break;
+      default: break;
+    }
+    const auto value = parseUint(digits, kUintMax / scale);
+    if (!value) {
+        critics_fatal(flag, " wants a size like 65536, 512K, 512M or ",
+                      "2G, got '", text, "'");
+    }
+    return *value * scale;
+}
+
 } // namespace critics
 
 #endif // CRITICS_SUPPORT_NUMBER_HH

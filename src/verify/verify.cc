@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "stats/registry.hh"
 #include "support/logging.hh"
@@ -16,26 +15,14 @@ levelFromEnv()
     const char *value = std::getenv("CRITICS_VERIFY");
     if (value == nullptr || *value == '\0')
         return Level::Structural;
-    if (std::strcmp(value, "off") == 0 || std::strcmp(value, "0") == 0)
+    if (std::strcmp(value, "off") == 0)
         return Level::Off;
-    if (std::strcmp(value, "struct") == 0 ||
-        std::strcmp(value, "structural") == 0 ||
-        std::strcmp(value, "1") == 0) {
+    if (std::strcmp(value, "structural") == 0)
         return Level::Structural;
-    }
-    if (std::strcmp(value, "full") == 0 || std::strcmp(value, "2") == 0)
-        return Level::Full;
-    if (std::strcmp(value, "global") == 0 ||
-        std::strcmp(value, "3") == 0) {
+    if (std::strcmp(value, "global") == 0)
         return Level::Global;
-    }
-    static std::once_flag warned;
-    std::call_once(warned, [value] {
-        critics_warn("unknown CRITICS_VERIFY value '", value,
-                     "' (want off|structural|full|global); "
-                     "using structural");
-    });
-    return Level::Structural;
+    critics_fatal("CRITICS_VERIFY='", value,
+                  "' is not one of off|structural|global");
 }
 
 Counters &
@@ -61,8 +48,6 @@ registerStats(stats::StatRegistry &reg)
     };
     bind("verify.structChecks", c.structuralChecks,
          "structural pass post-condition walks");
-    bind("verify.fullChecks", c.fullChecks,
-         "differential dataflow verifications");
     bind("verify.globalChecks", c.globalChecks,
          "whole-program CFG differential verifications");
     bind("verify.errors", c.errors, "error-severity findings");
@@ -84,10 +69,10 @@ PassVerifier::PassVerifier(const char *passName,
         baseWarnings_ = audit_->report.warnings();
         baseAdvice_ = audit_->report.advice();
     }
-    if (level_ >= Level::Full)
+    if (level_ == Level::Global) {
         pre_.capture(prog);
-    if (level_ == Level::Global)
         preGlobal_.capture(prog);
+    }
 }
 
 Report *
@@ -100,7 +85,7 @@ void
 PassVerifier::noteTransformedChain(
     const std::vector<program::InstUid> &chain)
 {
-    if (level_ >= Level::Full)
+    if (level_ == Level::Global)
         chains_.push_back(chain);
 }
 
@@ -115,12 +100,9 @@ PassVerifier::finish(const program::Program &prog)
 
     verifyStructure(prog, report, structural_);
     counters().structuralChecks.fetch_add(1, std::memory_order_relaxed);
-    if (level_ >= Level::Full) {
+    if (level_ == Level::Global) {
         verifyDataflow(pre_, prog, report);
         verifyChainsContiguous(prog, chains_, report);
-        counters().fullChecks.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (level_ == Level::Global) {
         verifyCfg(prog, report);
         verifyGlobal(preGlobal_, prog, report);
         verifyChainLinks(preGlobal_, prog, chains_, report);

@@ -5,19 +5,18 @@
  * of production compiler stacks).
  *
  * Levels, selected by the CRITICS_VERIFY environment variable:
- *   - off        — no checks (escape hatch; also "0")
- *   - structural — one linear well-formedness walk per pass (default;
- *                  also "struct"/"1")
- *   - full       — structural + differential dataflow against a
- *                  pre-pass snapshot + chain contiguity (also "2")
- *   - global     — full + whole-program CFG analysis (cfg.hh): block
- *                  reachability, differential successor edges,
- *                  live-in/live-out sets, cross-block RAW edges and
- *                  cross-block chain links (also "3"; the default in
- *                  the test suite and CI smoke)
+ *   - off        — no checks (escape hatch)
+ *   - structural — one linear well-formedness walk per pass (the
+ *                  default when the variable is unset or empty)
+ *   - global     — structural + differential dataflow against a
+ *                  pre-pass snapshot + chain contiguity + whole-program
+ *                  CFG analysis (cfg.hh): block reachability,
+ *                  differential successor edges, live-in/live-out sets,
+ *                  cross-block RAW edges and cross-block chain links
+ *                  (the default in the test suite and CI smoke)
  *
  * A PassVerifier brackets a pass: construct it on entry (captures the
- * dataflow snapshot under `full`), call finish() after the transform.
+ * snapshots under `global`), call finish() after the transform.
  * Without an external PassAudit an error-severity finding is a
  * simulator bug and panics with the rendered findings; with one (the
  * `critics_cli lint` path) findings accumulate in the audit's Report
@@ -55,12 +54,11 @@ enum class Level : std::uint8_t
 {
     Off,
     Structural,
-    Full,
     Global,
 };
 
-/** Parse CRITICS_VERIFY (default Structural; unknown values warn once
- *  and fall back to Structural). */
+/** Parse CRITICS_VERIFY: off, structural or global; unset or empty is
+ *  structural, and any other value is fatal. */
 Level levelFromEnv();
 
 /** Process-wide verification counters (relaxed atomics: passes verify
@@ -68,7 +66,6 @@ Level levelFromEnv();
 struct Counters
 {
     std::atomic<std::uint64_t> structuralChecks{0};
-    std::atomic<std::uint64_t> fullChecks{0};
     std::atomic<std::uint64_t> globalChecks{0};
     std::atomic<std::uint64_t> errors{0};
     std::atomic<std::uint64_t> warnings{0};
@@ -98,8 +95,8 @@ struct PassAudit
 class PassVerifier
 {
   public:
-    /** Snapshot `prog` (under Full and above; a second, cross-block
-     *  snapshot under Global) before the pass mutates it. */
+    /** Snapshot `prog` (under Global: a dataflow and a cross-block
+     *  snapshot) before the pass mutates it. */
     PassVerifier(const char *passName, const program::Program &prog,
                  PassAudit *audit = nullptr);
 
@@ -108,7 +105,7 @@ class PassVerifier
     Report *sink();
 
     /** Record a chain the pass actually transformed (it will be
-     *  checked for contiguity under Full). */
+     *  checked for contiguity under Global). */
     void noteTransformedChain(const std::vector<program::InstUid> &c);
 
     /** CritIC.Ideal: relax Thumb encodability to advisories. */

@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests for histograms, summaries, CDFs, logging, strict number
- * parsing and the table renderer.
+ * parsing, the flag table and the table renderer.
  */
 
 #include <gtest/gtest.h>
 
+#include "support/flags.hh"
 #include "support/histogram.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -299,4 +300,187 @@ TEST(StrictNumber, FlagRejectionIsFatalAndNamesTheFlag)
     }
     EXPECT_EQ(uintFlag("--port", "8080", 65535), 8080u);
     EXPECT_EQ(doubleFlag("--rel", "0.05"), 0.05);
+}
+
+TEST(StrictNumber, DurationsAndSizesTakeOneUnitSuffix)
+{
+    EXPECT_EQ(parseDuration("--max-age", "900"), 900u);
+    EXPECT_EQ(parseDuration("--max-age", "15m"), 900u);
+    EXPECT_EQ(parseDuration("--max-age", "30d"), 30u * 86400u);
+    EXPECT_EQ(parseBytes("--max-bytes", "65536"), 65536u);
+    EXPECT_EQ(parseBytes("--max-bytes", "512K"), 512u * 1024u);
+    EXPECT_EQ(parseBytes("--max-bytes", "2G"), 2ull << 30);
+    for (const char *bad : {"", "d", "1w", "-1d", "1.5h"})
+        EXPECT_THROW(parseDuration("--max-age", bad), std::runtime_error)
+            << "'" << bad << "'";
+    for (const char *bad : {"", "M", "1T", "-1K"})
+        EXPECT_THROW(parseBytes("--max-bytes", bad), std::runtime_error)
+            << "'" << bad << "'";
+}
+
+namespace
+{
+
+/** A mutable argv over `strings`. */
+struct Argv
+{
+    explicit Argv(std::vector<std::string> args) : strings(std::move(args))
+    {
+        for (auto &arg : strings)
+            pointers.push_back(arg.data());
+    }
+
+    int argc() const { return static_cast<int>(pointers.size()); }
+    char **argv() { return pointers.data(); }
+
+    std::vector<std::string> strings;
+    std::vector<char *> pointers;
+};
+
+/** One flag of each kind, bound to members. */
+struct SampleCommand
+{
+    std::string out = "default";
+    std::uint64_t count = 0;
+    double rel = 0.0;
+    bool quick = false;
+
+    FlagTable
+    table(std::size_t minArgs = 0, std::size_t maxArgs = 0)
+    {
+        return {"tool sample [options] [file]",
+                "a sample command whose summary is long enough to wrap "
+                "onto a second line of the rendered help",
+                {Flag::text("--out", "<file>", "output path", out),
+                 Flag::integer("--count", "<n>", "how many", count),
+                 Flag::real("--rel", "<frac>", "threshold", rel),
+                 Flag::toggle("--quick", "small run", quick)},
+                minArgs, maxArgs};
+    }
+};
+
+} // namespace
+
+TEST(FlagTable, SetsValueFlagsAndSwitches)
+{
+    SampleCommand cmd;
+    Argv argv({"--out", "x.json", "--quick", "--count", "7"});
+    std::vector<std::string> args;
+    std::string error;
+    ASSERT_TRUE(cmd.table().parse(argv.argc(), argv.argv(), &args, &error))
+        << error;
+    EXPECT_EQ(cmd.out, "x.json");
+    EXPECT_EQ(cmd.count, 7u);
+    EXPECT_TRUE(cmd.quick);
+    EXPECT_EQ(cmd.rel, 0.0); // untouched rows keep their defaults
+    EXPECT_TRUE(args.empty());
+}
+
+TEST(FlagTable, ValueBeginningWithDashIsTheValue)
+{
+    SampleCommand cmd;
+    Argv argv({"--rel", "-0.5", "--out", "--quick"});
+    std::string error;
+    ASSERT_TRUE(cmd.table().parse(argv.argc(), argv.argv(), nullptr, &error))
+        << error;
+    EXPECT_EQ(cmd.rel, -0.5);
+    EXPECT_EQ(cmd.out, "--quick");
+    EXPECT_FALSE(cmd.quick);
+    // ...and a numeric row still rejects it by name.
+    Argv negative({"--count", "-1"});
+    EXPECT_THROW(cmd.table().parse(negative.argc(), negative.argv(),
+                                   nullptr, &error),
+                 std::runtime_error);
+}
+
+TEST(FlagTable, ValueFlagInLastPlaceIsFatal)
+{
+    SampleCommand cmd;
+    Argv argv({"--quick", "--out"});
+    std::string error;
+    try {
+        cmd.table().parse(argv.argc(), argv.argv(), nullptr, &error);
+        ADD_FAILURE() << "a missing value was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "fatal: --out needs a value");
+    }
+}
+
+TEST(FlagTable, UnknownFlagIsRefused)
+{
+    SampleCommand cmd;
+    Argv argv({"--quick", "--bogus", "a.jsonl"});
+    std::string error;
+    EXPECT_FALSE(cmd.table(0, 1).parse(argv.argc(), argv.argv(), nullptr,
+                                       &error));
+    EXPECT_EQ(error, "unknown flag '--bogus'");
+}
+
+TEST(FlagTable, PositionalArityAtMinAndMax)
+{
+    const struct
+    {
+        std::size_t lo, hi, given;
+        bool ok;
+        const char *error;
+    } cases[] = {
+        {0, 0, 0, true, ""},
+        {0, 0, 1, false, "takes no arguments, got 1 ('a')"},
+        {1, 1, 0, false, "takes 1 argument, got 0"},
+        {1, 1, 1, true, ""},
+        {1, 1, 2, false, "takes 1 argument, got 2"},
+        {0, 1, 1, true, ""},
+        {0, 1, 2, false, "takes at most 1 argument, got 2"},
+        {2, FlagTable::kUnbounded, 1, false,
+         "takes at least 2 arguments, got 1"},
+        {2, FlagTable::kUnbounded, 2, true, ""},
+        {2, FlagTable::kUnbounded, 3, true, ""},
+    };
+    for (const auto &c : cases) {
+        SampleCommand cmd;
+        std::vector<std::string> words{"--quick"};
+        for (std::size_t i = 0; i < c.given; ++i)
+            words.push_back(std::string(1, static_cast<char>('a' + i)));
+        Argv argv(std::move(words));
+        std::vector<std::string> args;
+        std::string error;
+        EXPECT_EQ(cmd.table(c.lo, c.hi).parse(argv.argc(), argv.argv(),
+                                              &args, &error),
+                  c.ok)
+            << c.lo << ".." << c.hi << " given " << c.given;
+        EXPECT_EQ(error, c.error);
+        if (c.ok) {
+            EXPECT_EQ(args.size(), c.given);
+            EXPECT_TRUE(cmd.quick);
+        }
+    }
+}
+
+TEST(FlagTable, HelpRendersEachRowOnce)
+{
+    SampleCommand cmd;
+    const FlagTable table = cmd.table();
+    const std::string help = table.help();
+    for (const Flag &row : table.flags) {
+        std::size_t seen = 0;
+        for (auto at = help.find(row.name); at != std::string::npos;
+             at = help.find(row.name, at + 1)) {
+            ++seen;
+        }
+        EXPECT_EQ(seen, 1u) << row.name << " in\n" << help;
+    }
+    EXPECT_NE(help.find("  --count <n>         how many\n"),
+              std::string::npos)
+        << help;
+    EXPECT_NE(help.find("  --quick             small run\n"),
+              std::string::npos)
+        << help;
+    // The synopsis is wider than the help column: the summary starts on
+    // the next line and wraps within 72 columns.
+    EXPECT_EQ(help.rfind("tool sample [options] [file]\n", 0), 0u) << help;
+    std::size_t start = 0;
+    for (auto end = help.find('\n'); end != std::string::npos;
+         start = end + 1, end = help.find('\n', start)) {
+        EXPECT_LE(end - start, 72u) << help.substr(start, end - start);
+    }
 }

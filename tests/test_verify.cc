@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -571,25 +572,21 @@ TEST(VerifyLevel, EnvParsing)
 
     ::setenv("CRITICS_VERIFY", "off", 1);
     EXPECT_EQ(verify::levelFromEnv(), verify::Level::Off);
-    ::setenv("CRITICS_VERIFY", "0", 1);
-    EXPECT_EQ(verify::levelFromEnv(), verify::Level::Off);
-    ::setenv("CRITICS_VERIFY", "struct", 1);
-    EXPECT_EQ(verify::levelFromEnv(), verify::Level::Structural);
     ::setenv("CRITICS_VERIFY", "structural", 1);
     EXPECT_EQ(verify::levelFromEnv(), verify::Level::Structural);
-    ::setenv("CRITICS_VERIFY", "full", 1);
-    EXPECT_EQ(verify::levelFromEnv(), verify::Level::Full);
-    ::setenv("CRITICS_VERIFY", "2", 1);
-    EXPECT_EQ(verify::levelFromEnv(), verify::Level::Full);
     ::setenv("CRITICS_VERIFY", "global", 1);
-    EXPECT_EQ(verify::levelFromEnv(), verify::Level::Global);
-    ::setenv("CRITICS_VERIFY", "3", 1);
     EXPECT_EQ(verify::levelFromEnv(), verify::Level::Global);
     ::unsetenv("CRITICS_VERIFY");
     EXPECT_EQ(verify::levelFromEnv(), verify::Level::Structural);
-    // Unknown values warn (once) and fall back to the default.
-    ::setenv("CRITICS_VERIFY", "bogus", 1);
+    ::setenv("CRITICS_VERIFY", "", 1);
     EXPECT_EQ(verify::levelFromEnv(), verify::Level::Structural);
+    // Exactly those three names: the retired `full` level, the old
+    // numeric and short aliases and typos are fatal, never a silent
+    // fallback.
+    for (const char *bad : {"full", "2", "0", "3", "struct", "bogus"}) {
+        ::setenv("CRITICS_VERIFY", bad, 1);
+        EXPECT_THROW(verify::levelFromEnv(), std::runtime_error) << bad;
+    }
 
     if (saved)
         ::setenv("CRITICS_VERIFY", restore.c_str(), 1);
@@ -616,7 +613,7 @@ TEST(VerifyCounters, RegisterStatsExposesFormulas)
         names.push_back(name);
     }
     for (const char *want :
-         {"verify.structChecks", "verify.fullChecks", "verify.errors",
+         {"verify.structChecks", "verify.globalChecks", "verify.errors",
           "verify.warnings", "verify.advisories"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), want),
                   names.end())
