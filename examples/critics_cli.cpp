@@ -504,11 +504,12 @@ cmdRun(CommandLine &cmd)
 
     stats::TraceEventWriter trace;
     if (!traceOut.empty()) {
-        options.trace = &trace;
-        // Route the pipeline's StageScope spans into the same writer.
-        // Both clocks are CLOCK_MONOTONIC; re-basing on an epoch taken
-        // here puts the stage spans on the runner's 0-based timeline,
-        // nested under the job spans of the same pool thread.
+        // Every span arrives through the sink: the Runner's phase and
+        // job spans and the pipeline's stage spans.  Re-basing their
+        // CLOCK_MONOTONIC timestamps on an epoch taken here puts them
+        // on a 0-based timeline, each stage span nested under the job
+        // span of the same pool thread.
+        trace.setProcessName(0, "runner: " + batchName);
         const std::uint64_t epochUs = obs::monotonicMicros();
         obs::setSpanSink([&trace, epochUs](const obs::SpanRecord &s) {
             trace.complete(s.name, s.category,
@@ -956,8 +957,8 @@ cmdServe(CommandLine &cmd)
                     "write the bound port here after listen",
                     options.portFile),
          Flag::integer("--workers", "<n>",
-                       "worker processes per batch (default 2; 0 = "
-                       "run jobs in-process)",
+                       "worker processes per batch (default 2, at "
+                       "least 1)",
                        options.workers),
          Flag::integer("--max-restarts", "<n>",
                        "respawns per crashed worker (default 2)",

@@ -6,7 +6,8 @@ Two modes:
   check_trace.py trace <chrome-trace.json> [--min-worker-pids N]
                  [--trace-id ID]
       A merged daemon trace (serve --trace-out) must be well-formed
-      Chrome Trace Event JSON, hold job/stage spans stitched from at
+      Chrome Trace Event JSON of complete ("X") spans and metadata
+      ("M") events only, hold job/stage spans stitched from at
       least N distinct worker pids, tag every stitched span with one
       shared trace id, and keep the re-based worker timestamps inside
       the server's own batch span window (an unstitched absolute
@@ -65,7 +66,8 @@ def check_trace(args):
             errors += fail(f"event #{i} is not an object")
             continue
         ph = e.get("ph")
-        if ph not in ("X", "i", "C", "M"):
+        # The writer emits complete spans and track-name metadata only.
+        if ph not in ("X", "M"):
             errors += fail(f"event #{i}: unknown phase {ph!r}")
             continue
         if ph != "X":

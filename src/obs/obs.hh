@@ -6,8 +6,8 @@
  * sink.
  *
  * The one instrumentation point is StageScope — an RAII guard placed
- * inside AppExperiment (and around the bench stage loops) that does
- * double duty:
+ * inside AppExperiment (and around the Runner's batch phases and jobs)
+ * that does double duty:
  *
  *   - it marks the calling thread's *current pipeline stage* in a
  *     thread-local the SIGPROF profiler handler reads, so every
@@ -70,7 +70,7 @@ std::uint32_t obsThreadId();
 struct SpanRecord
 {
     std::string name;     ///< e.g. "analyze" or "Acrobat/critic"
-    std::string category; ///< "stage" or "job"
+    std::string category; ///< "stage", "job" or "phase"
     std::uint64_t startUs = 0; ///< absolute CLOCK_MONOTONIC µs
     std::uint64_t durUs = 0;
     std::uint32_t tid = 0; ///< obsThreadId() of the recording thread
@@ -94,8 +94,8 @@ bool spanSinkActive();
  * duration (restoring the previous stage on exit, so nesting works:
  * analyze inside transform attributes to analyze) and emits one span
  * through the sink when one is installed.  Stage::None skips the
- * stage marking and only emits the span — that is the "job" span
- * wrapper around an entire executor invocation.
+ * stage marking and only emits the span — that is how the Runner
+ * records its batch phases and its per-job spans.
  */
 class StageScope
 {

@@ -1,28 +1,30 @@
 #include "obs/span.hh"
 
+#include <cstdint>
+
 #include "support/json.hh"
 
 namespace critics::obs
 {
 
 std::string
-renderSpanEvent(const SpanEvent &event)
+renderSpanEvent(const SpanRecord &span, const std::string &traceId)
 {
     json::JsonWriter w;
     w.beginObject()
         .field("event", "span")
-        .field("trace", event.traceId)
-        .field("name", event.name)
-        .field("cat", event.category)
-        .field("ts", event.startUs)
-        .field("dur", event.durUs)
-        .field("tid", static_cast<std::uint64_t>(event.tid))
+        .field("trace", traceId)
+        .field("name", span.name)
+        .field("cat", span.category)
+        .field("ts", span.startUs)
+        .field("dur", span.durUs)
+        .field("tid", static_cast<std::uint64_t>(span.tid))
         .endObject();
     return w.str();
 }
 
-std::optional<SpanEvent>
-parseSpanEvent(const std::string &line)
+std::optional<SpanRecord>
+parseSpanEvent(const std::string &line, std::string *traceId)
 {
     const auto doc = json::parseJson(line);
     if (!doc || !doc->isObject())
@@ -32,39 +34,32 @@ parseSpanEvent(const std::string &line)
     if (!kindText || *kindText != "span")
         return std::nullopt;
 
-    SpanEvent event;
+    SpanRecord span;
     const auto *name = doc->find("name");
     const auto nameText = name ? name->asString() : std::nullopt;
     if (!nameText || nameText->empty())
         return std::nullopt;
-    event.name = *nameText;
+    span.name = *nameText;
     const auto *ts = doc->find("ts");
     const auto tsVal = ts ? ts->asUint() : std::nullopt;
     if (!tsVal)
         return std::nullopt;
-    event.startUs = *tsVal;
-    if (const auto *f = doc->find("trace"))
-        event.traceId = f->asString().value_or("");
+    span.startUs = *tsVal;
     if (const auto *f = doc->find("cat"))
-        event.category = f->asString().value_or("");
+        span.category = f->asString().value_or("");
     if (const auto *f = doc->find("dur"))
-        event.durUs = f->asUint().value_or(0);
-    if (const auto *f = doc->find("tid"))
-        event.tid = static_cast<std::uint32_t>(f->asUint().value_or(0));
-    return event;
-}
-
-SpanEvent
-toSpanEvent(const SpanRecord &span, const std::string &traceId)
-{
-    SpanEvent event;
-    event.traceId = traceId;
-    event.name = span.name;
-    event.category = span.category;
-    event.startUs = span.startUs;
-    event.durUs = span.durUs;
-    event.tid = span.tid;
-    return event;
+        span.durUs = f->asUint().value_or(0);
+    if (const auto *f = doc->find("tid")) {
+        const std::uint64_t tid = f->asUint().value_or(0);
+        if (tid > UINT32_MAX) // would wrap onto another thread's track
+            return std::nullopt;
+        span.tid = static_cast<std::uint32_t>(tid);
+    }
+    if (traceId != nullptr) {
+        const auto *trace = doc->find("trace");
+        *traceId = trace ? trace->asString().value_or("") : "";
+    }
+    return span;
 }
 
 } // namespace critics::obs

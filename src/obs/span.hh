@@ -8,16 +8,17 @@
  *   {"event":"span","trace":T,"name":N,"cat":C,"ts":S,"dur":D,"tid":I}
  *
  * `trace` is the batch's traceId (minted at submit, carried to the
- * worker via --trace-id).  `ts` is *absolute* CLOCK_MONOTONIC µs — the
- * stitching side subtracts its own epoch, so span lines are meaningful
- * only to a reader on the same host within the same boot, which is
- * exactly the supervisor that forked the worker.
+ * worker via --trace-id); the span itself is an obs::SpanRecord, and
+ * the trace id travels alongside it.  `ts` is *absolute*
+ * CLOCK_MONOTONIC µs — the stitching side subtracts its own epoch, so
+ * span lines are meaningful only to a reader on the same host within
+ * the same boot, which is exactly the supervisor that forked the
+ * worker.
  */
 
 #ifndef CRITICS_OBS_SPAN_HH
 #define CRITICS_OBS_SPAN_HH
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -26,26 +27,16 @@
 namespace critics::obs
 {
 
-/** One span line as carried on a worker's stdout channel. */
-struct SpanEvent
-{
-    std::string traceId;
-    std::string name;
-    std::string category;
-    std::uint64_t startUs = 0; ///< absolute CLOCK_MONOTONIC µs
-    std::uint64_t durUs = 0;
-    std::uint32_t tid = 0;
-};
-
-/** One-line rendering (no trailing newline). */
-std::string renderSpanEvent(const SpanEvent &event);
+/** One-line rendering of `span` tagged with `traceId` (no trailing
+ *  newline). */
+std::string renderSpanEvent(const SpanRecord &span,
+                            const std::string &traceId);
 
 /** Parse one line; nullopt if it is not a well-formed span event
- *  (non-span lines simply belong to another protocol). */
-std::optional<SpanEvent> parseSpanEvent(const std::string &line);
-
-/** Convenience: wrap a finished SpanRecord with the batch traceId. */
-SpanEvent toSpanEvent(const SpanRecord &span, const std::string &traceId);
+ *  (non-span lines simply belong to another protocol).  The line's
+ *  trace id ("" when absent) goes to *traceId when given. */
+std::optional<SpanRecord> parseSpanEvent(const std::string &line,
+                                         std::string *traceId = nullptr);
 
 } // namespace critics::obs
 

@@ -9,10 +9,10 @@
 #include <memory>
 #include <unordered_map>
 
+#include "obs/obs.hh"
 #include "runner/sigint.hh"
 #include "runner/thread_pool.hh"
 #include "stats/registry.hh"
-#include "stats/trace_event.hh"
 #include "support/logging.hh"
 #include "verify/verify.hh"
 
@@ -251,25 +251,11 @@ Runner::run(const std::string &batchName,
     SigintGuard sigint;
     SigintGuard::setEmergency(emergency.get());
 
-    stats::TraceEventWriter *tsink = options_.trace;
-    auto usSince = [&](Clock::time_point t) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                t - startWall)
-                .count());
-    };
-    auto phaseSpan = [&](const char *name, Clock::time_point from) {
-        if (tsink) {
-            const std::uint64_t ts = usSince(from);
-            tsink->complete(name, "phase", ts,
-                            usSince(Clock::now()) - ts, 0, 0);
-        }
-    };
-    if (tsink)
-        tsink->setProcessName(0, "runner: " + batchName);
+    // One span per batch phase: emplace starts it, reset ends it.
+    std::optional<obs::StageScope> phase;
 
     // ---- Phase 1: serve cache hits --------------------------------------
-    const auto lookupStart = Clock::now();
+    phase.emplace(obs::Stage::None, "cache-lookup", "phase");
     std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < owned.size(); ++i) {
         if (options_.useCache && !options_.refresh) {
@@ -285,7 +271,7 @@ Runner::run(const std::string &batchName,
         }
         misses.push_back(i);
     }
-    phaseSpan("cache-lookup", lookupStart);
+    phase.reset();
 
     // ---- Phase 2: dedup identical in-flight jobs -------------------------
     // One group per distinct hash: its first job simulates, the rest
@@ -335,7 +321,7 @@ Runner::run(const std::string &batchName,
     progress.update(doneCount.load(), 0);
 
     // ---- Phase 3: run the misses on the pool -----------------------------
-    const auto simStart = Clock::now();
+    phase.emplace(obs::Stage::None, "simulate", "phase");
     ThreadPool::shared().forEach(groups.size(), [&](std::size_t g) {
         const std::vector<std::size_t> &group = groups[g];
         const JobSpec &spec = owned[group[0]];
@@ -343,6 +329,15 @@ Runner::run(const std::string &batchName,
         JobOutcome outcome;
         const auto jobStart = Clock::now();
 
+        // One span over every attempt; the experiment build's and the
+        // run's stage spans nest inside it on this thread.  Without a
+        // sink the name is never built.
+        std::optional<obs::StageScope> jobSpan;
+        if (obs::spanSinkActive()) {
+            jobSpan.emplace(obs::Stage::None,
+                            spec.profile.name + "/" + spec.variant.label,
+                            "job");
+        }
         if (SigintGuard::interrupted()) {
             outcome.error = "interrupted before start";
         } else {
@@ -365,16 +360,9 @@ Runner::run(const std::string &batchName,
             if (outcome.attempts > options_.maxAttempts)
                 outcome.attempts = options_.maxAttempts;
         }
+        jobSpan.reset();
         outcome.wallSeconds = secondsSince(jobStart);
         jobWall_.add(outcome.wallSeconds * 1e6);
-        if (tsink) {
-            tsink->complete(
-                spec.profile.name + "/" + spec.variant.label, "job",
-                usSince(jobStart),
-                static_cast<std::uint64_t>(outcome.wallSeconds * 1e6),
-                0, tsink->tidForCurrentThread(), "attempts",
-                static_cast<double>(outcome.attempts));
-        }
 
         // The group's outcome slots are this job's alone.  Its final
         // records are rendered before the insert, so an `ok` record is
@@ -405,12 +393,11 @@ Runner::run(const std::string &batchName,
                                  group.size();
         progress.update(done, simulatedCount.fetch_add(1) + 1);
     });
+    phase.reset();
     progress.finish();
-    if (!groups.empty())
-        phaseSpan("simulate", simStart);
 
     // ---- Phase 4: manifest ----------------------------------------------
-    const auto manifestStart = Clock::now();
+    phase.emplace(obs::Stage::None, "manifest", "phase");
     batch.manifest.wallSeconds = secondsSince(startWall);
     batch.manifest.interrupted = SigintGuard::interrupted();
     batch.manifest.runnerStats.cacheHits = store_.hits();
@@ -446,7 +433,7 @@ Runner::run(const std::string &batchName,
                     ".interrupted.json", ec);
         }
     }
-    phaseSpan("manifest", manifestStart);
+    phase.reset();
 
     critics_debug("runner", batch.manifest.summaryLine());
 

@@ -18,6 +18,12 @@
  *   - completed results are flushed line-atomically as they finish
  *     (SIGINT loses at most the in-flight jobs), and each batch emits
  *     a manifest with provenance, per-job wall time and throughput.
+ *
+ * With an obs span sink installed, run() records its three phases
+ * (category "phase": cache-lookup, simulate, manifest) and one span
+ * per executed job (category "job", named app/variant, covering every
+ * attempt) through obs::StageScope; the pipeline's stage spans nest
+ * inside the job span on the same thread.
  */
 
 #ifndef CRITICS_RUNNER_ORCHESTRATOR_HH
@@ -40,7 +46,6 @@
 namespace critics::stats
 {
 class StatRegistry;
-class TraceEventWriter;
 }
 
 namespace critics::runner
@@ -69,9 +74,6 @@ struct RunnerOptions
     std::function<sim::RunResult(const JobSpec &,
                                  sim::AppExperiment &)>
         executor;
-    /** Record batch phases and per-job spans as Chrome trace events
-     *  (ts/dur in real microseconds); nullptr = off. */
-    stats::TraceEventWriter *trace = nullptr;
     /**
      * When enabled, run() keeps only the jobs this slice owns (a
      * deterministic partition by content hash — see shard.hh), names

@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <cmath>
+
 #include "support/json.hh"
 
 namespace critics::serve
@@ -223,8 +225,14 @@ parseJobEvent(const std::string &line)
         event.ok = f->asBool().value_or(false);
     if (const auto *f = doc->find("from-cache"))
         event.fromCache = f->asBool().value_or(false);
-    if (const auto *f = doc->find("wall-s"))
-        event.wallSeconds = f->asDouble().value_or(0.0);
+    if (const auto *f = doc->find("wall-s")) {
+        // renderJobEvent writes only finite positive times; a negative,
+        // infinite or NaN one would not survive a re-render.
+        const auto wall = f->asDouble();
+        if (!wall || !std::isfinite(*wall) || *wall < 0.0)
+            return std::nullopt;
+        event.wallSeconds = *wall;
+    }
     if (const auto *f = doc->find("error"))
         event.error = f->asString().value_or("");
     return event;

@@ -15,7 +15,7 @@
 
 #include "obs/obs.hh"
 #include "obs/span.hh"
-#include "runner/orchestrator.hh"
+#include "runner/job.hh"
 #include "runner/shard.hh"
 #include "serve/supervisor.hh"
 #include "sim/variants.hh"
@@ -99,6 +99,18 @@ Server::~Server()
 bool
 Server::start(std::string *error)
 {
+    // Cold jobs only ever run in forked serve-worker processes.
+    const char *refusal = nullptr;
+    if (options_.workers == 0)
+        refusal = "at least one worker process is required";
+    else if (options_.workerExe.empty())
+        refusal = "no worker executable to start serve-worker from";
+    if (refusal != nullptr) {
+        if (error != nullptr)
+            *error = refusal;
+        return false;
+    }
+
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listenFd_ < 0) {
         if (error != nullptr)
@@ -626,10 +638,7 @@ void
 Server::executeBatch(const std::shared_ptr<Batch> &batch)
 {
     const std::uint64_t startUs = nowMicros();
-    if (options_.workers == 0)
-        runInProcess(batch);
-    else
-        runWithWorkers(batch);
+    runWithWorkers(batch);
 
     {
         std::lock_guard<std::mutex> lock(lock_);
@@ -656,8 +665,9 @@ Server::stitchSpan(const std::shared_ptr<Batch> &batch,
 {
     if (options_.trace == nullptr)
         return;
-    const auto span = obs::parseSpanEvent(line);
-    if (!span || span->traceId != batch->traceId)
+    std::string traceId;
+    const auto span = obs::parseSpanEvent(line, &traceId);
+    if (!span || traceId != batch->traceId)
         return;
     pid_t pid = 0;
     {
@@ -674,7 +684,7 @@ Server::stitchSpan(const std::shared_ptr<Batch> &batch,
     options_.trace->complete(span->name, span->category, ts,
                              span->durUs,
                              static_cast<std::uint32_t>(pid),
-                             span->tid, "trace", span->traceId);
+                             span->tid, "trace", traceId);
 }
 
 void
@@ -699,66 +709,6 @@ Server::writeBatchManifest(const std::shared_ptr<Batch> &batch,
         critics_warn("serve: cannot write batch manifest for '",
                      manifest.batch, "'");
     }
-}
-
-void
-Server::runInProcess(const std::shared_ptr<Batch> &batch)
-{
-    runner::RunnerOptions options;
-    options.cachePath = store_.path();
-    options.refresh = batch->request.refresh;
-    options.maxAttempts = options_.maxAttempts;
-    options.progress = false;
-    // The batch's event log is the serve-side record; a per-batch run
-    // manifest in the shared cache dir would just accumulate.
-    options.writeManifest = false;
-    const std::uint64_t sleepMs = batch->request.sleepMs;
-    options.executor = [this, batch, sleepMs](
-                           const runner::JobSpec &spec,
-                           sim::AppExperiment &experiment) {
-        const std::uint64_t jobStartUs = nowMicros();
-        auto result = experiment.run(spec.variant);
-        if (sleepMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(sleepMs));
-        }
-        const std::uint64_t jobEndUs = nowMicros();
-        JobEvent event;
-        event.hash = spec.hashHex();
-        event.app = spec.profile.name;
-        event.variant = spec.variant.label;
-        event.ok = true;
-        event.wallSeconds =
-            static_cast<double>(jobEndUs - jobStartUs) / 1e6;
-        if (options_.trace != nullptr) {
-            options_.trace->complete(
-                spec.profile.name + "/" + spec.variant.label, "job",
-                jobStartUs, jobEndUs - jobStartUs, 0,
-                options_.trace->tidForCurrentThread(), "trace",
-                batch->traceId);
-        }
-        recordEvent(batch, event);
-        return result;
-    };
-
-    runner::Runner runner(options);
-    const auto result = runner.run(
-        batch->request.batch + "." + batch->id, batch->coldSpecs);
-
-    for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-        const auto &outcome = result.outcomes[i];
-        if (outcome.ok && !outcome.fromCache)
-            continue; // streamed live by the executor
-        JobEvent event;
-        event.hash = result.jobs[i].hashHex();
-        event.app = result.jobs[i].profile.name;
-        event.variant = result.jobs[i].variant.label;
-        event.ok = outcome.ok;
-        event.fromCache = outcome.fromCache;
-        event.error = outcome.error;
-        recordEvent(batch, event);
-    }
-    store_.refresh();
 }
 
 void
@@ -959,7 +909,7 @@ Server::registerStats(stats::StatRegistry &reg) const
     reg.addCounter("serve.warmHits", warmHits_,
                    "jobs answered from the store without simulating");
     reg.addCounter("serve.simulated", simulated_,
-                   "jobs executed by workers or in-process");
+                   "jobs executed by workers");
     reg.addCounter("serve.failedJobs", failedJobs_,
                    "jobs that exhausted their attempt/restart budget");
     reg.addCounter("serve.workerCrashes", workerCrashes_,

@@ -66,7 +66,7 @@ struct ServerOptions
     /** When non-empty, the bound port is written here after listen()
      *  succeeds — how scripts using --port 0 find the daemon. */
     std::string portFile;
-    /** Worker processes per batch; 0 runs jobs in-process (tests). */
+    /** Worker processes per batch; start() refuses 0. */
     unsigned workers = 2;
     /** Respawns allowed per crashed worker. */
     unsigned maxRestarts = 2;
@@ -74,8 +74,8 @@ struct ServerOptions
     unsigned maxAttempts = 2;
     /** Result store; "" = cacheDir()/results.jsonl. */
     std::string cachePath;
-    /** The critics_cli binary workers are exec'd from; required when
-     *  workers > 0 (the CLI passes /proc/self/exe). */
+    /** The critics_cli binary workers are exec'd from; start()
+     *  refuses "" (the CLI passes /proc/self/exe). */
     std::string workerExe;
     /** Per-request spans (ts/dur in real µs); nullptr = off.  When
      *  set, workers are started with --trace-id and their span events
@@ -96,7 +96,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /** Bind + listen and start the accept/scheduler threads; false
-     *  (with *error set) when the socket cannot be bound. */
+     *  (with *error set) when the options name no worker or no
+     *  worker executable, or when the socket cannot be bound. */
     bool start(std::string *error = nullptr);
 
     /** The bound port (resolves --port 0 after start()). */
@@ -181,7 +182,6 @@ class Server
     bool streamWait(int fd, const std::string &jobId);
 
     void executeBatch(const std::shared_ptr<Batch> &batch);
-    void runInProcess(const std::shared_ptr<Batch> &batch);
     void runWithWorkers(const std::shared_ptr<Batch> &batch);
     /** Record one (possibly duplicate) job event, taking lock_. */
     void recordEvent(const std::shared_ptr<Batch> &batch,

@@ -56,7 +56,6 @@ serveWorkerMain(int argc, char **argv)
     std::string appsArg, variantsArg, storePath, hashesPath;
     std::uint64_t insts = 400000;
     unsigned maxAttempts = 2;
-    bool refresh = false;
     std::uint64_t sleepMs = 0;
     std::string traceId, profilePath;
 
@@ -79,11 +78,11 @@ serveWorkerMain(int argc, char **argv)
                     hashesPath),
          Flag::integer("--attempts", "<n>", "per-job attempt budget",
                        maxAttempts),
-         Flag::toggle("--refresh", "re-simulate cached jobs", refresh),
          Flag::integer("--sleep-ms", "<n>", "hold each simulated job",
                        sleepMs),
          Flag::text("--trace-id", "<id>",
-                    "stream stage spans tagged with this trace id",
+                    "stream the Runner's and the pipeline's spans "
+                    "tagged with this trace id",
                     traceId),
          Flag::text("--profile", "<file>", "write a sampling profile",
                     profilePath)}};
@@ -127,13 +126,13 @@ serveWorkerMain(int argc, char **argv)
             jobs.push_back(std::move(spec));
     }
 
-    // --trace-id: every StageScope in the pipeline now streams a span
-    // event up the existing stdout channel, tagged with the batch's
-    // trace context; the server stitches them under this worker's pid.
+    // --trace-id: every StageScope — the Runner's phase and job spans
+    // and the pipeline's stage spans — streams a span event up the
+    // existing stdout channel, tagged with the batch's trace context;
+    // the server stitches them under this worker's pid.
     if (!traceId.empty()) {
         obs::setSpanSink([traceId](const obs::SpanRecord &span) {
-            emitLine(
-                obs::renderSpanEvent(obs::toSpanEvent(span, traceId)));
+            emitLine(obs::renderSpanEvent(span, traceId));
         });
     }
     obs::SamplingProfiler profiler;
@@ -142,7 +141,6 @@ serveWorkerMain(int argc, char **argv)
 
     runner::RunnerOptions options;
     options.cachePath = storePath;
-    options.refresh = refresh;
     options.maxAttempts = maxAttempts;
     options.progress = false;
     // The supervisor's event stream is the record of this shard; a run
@@ -151,16 +149,7 @@ serveWorkerMain(int argc, char **argv)
     options.executor = [sleepMs](const runner::JobSpec &spec,
                                  sim::AppExperiment &experiment) {
         const std::uint64_t startUs = obs::monotonicMicros();
-        sim::RunResult result;
-        {
-            // A "job" span wrapping the whole execution, labelled
-            // app/variant; the stage spans nest inside it.
-            obs::StageScope jobSpan(obs::Stage::None,
-                                    spec.profile.name + "/" +
-                                        spec.variant.label,
-                                    "job");
-            result = experiment.run(spec.variant);
-        }
+        auto result = experiment.run(spec.variant);
         if (sleepMs > 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(sleepMs));

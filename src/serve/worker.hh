@@ -12,7 +12,9 @@
  * hash file and its shard store), so a respawned worker after a crash
  * re-runs the same command line, answers already-completed jobs from
  * its shard store (emitting their events again — the server dedupes by
- * hash) and simulates only the remainder.
+ * hash) and simulates only the remainder.  So the worker always reads
+ * its shard store: a submit-time `refresh` is the server's business
+ * (it sends cached jobs cold and empties each shard store first).
  */
 
 #ifndef CRITICS_SERVE_WORKER_HH
@@ -24,10 +26,10 @@ namespace critics::serve
 /**
  * `argv` holds the arguments after the `serve-worker` word:
  * --batch <name> --apps <list> --variants <list> --insts <n>
- * --store <shard.jsonl> --hashes <file> [--attempts <n>] [--refresh]
- * [--sleep-ms <n>].  Returns the process exit code: 0 when the shard
- * was fully accounted for (failed jobs are event records, not worker
- * failures), 2 on bad arguments.
+ * --store <shard.jsonl> --hashes <file> [--attempts <n>]
+ * [--sleep-ms <n>] [--trace-id <id>] [--profile <file>].  Returns the
+ * process exit code: 0 when the shard was fully accounted for (failed
+ * jobs are event records, not worker failures), 2 on bad arguments.
  */
 int serveWorkerMain(int argc, char **argv);
 

@@ -79,35 +79,6 @@ TraceEventWriter::complete(const std::string &name,
 }
 
 void
-TraceEventWriter::instant(const std::string &name,
-                          const std::string &category, std::uint64_t ts,
-                          std::uint32_t pid, std::uint32_t tid)
-{
-    Event e;
-    e.phase = 'i';
-    e.name = name;
-    e.category = category;
-    e.ts = ts;
-    e.pid = pid;
-    e.tid = tid;
-    push(std::move(e));
-}
-
-void
-TraceEventWriter::counter(const std::string &name, std::uint64_t ts,
-                          const std::string &seriesName, double value,
-                          std::uint32_t pid)
-{
-    Event e;
-    e.phase = 'C';
-    e.name = name;
-    e.ts = ts;
-    e.pid = pid;
-    e.numArgs.emplace_back(seriesName, value);
-    push(std::move(e));
-}
-
-void
 TraceEventWriter::setProcessName(std::uint32_t pid, const std::string &name)
 {
     Event e;
@@ -179,8 +150,6 @@ TraceEventWriter::toJson() const
             w.field("dur", e.dur);
         w.field("pid", e.pid);
         w.field("tid", e.tid);
-        if (e.phase == 'i')
-            w.field("s", "t");
         if (!e.numArgs.empty() || !e.strArgs.empty()) {
             w.beginObject("args");
             for (const auto &[key, value] : e.numArgs)

@@ -1,19 +1,21 @@
 /**
  * @file
  * Chrome trace-event (Trace Event Format) writer.  Producers record
- * complete ("X") spans, instant ("i") markers and counter ("C")
- * samples; the writer serializes them as a `{"traceEvents":[...]}`
- * document loadable by Perfetto / chrome://tracing.
+ * complete ("X") spans and metadata ("M") track names; the writer
+ * serializes them as a `{"traceEvents":[...]}` document loadable by
+ * Perfetto / chrome://tracing.
  *
  * Two producers share the format with different clocks:
  *   - the CPU model emits per-instruction stage-residency spans with
  *     `ts` in *cycles* (one simulated cycle == one trace microsecond,
  *     which keeps pipeline diagrams readable at any zoom), and
- *   - the runner emits job/phase spans with `ts` in real microseconds.
+ *   - `critics_cli run --trace-out` (through its obs span sink) and
+ *     the serve daemon (its request spans plus stitched worker spans)
+ *     write spans with `ts` in real microseconds.
  * Both clocks start at 0 for their process track, so the two never
  * appear in the same file.
  *
- * The writer is thread-safe (the runner records from pool workers) and
+ * The writer is thread-safe (spans arrive from pool workers) and
  * bounds memory with a max-event cap: once full, further events are
  * counted as dropped instead of stored — a truncated trace loads fine,
  * a 10 GB one does not.
@@ -56,16 +58,6 @@ class TraceEventWriter
                   std::uint32_t pid, std::uint32_t tid,
                   const std::string &argName,
                   const std::string &argValue);
-
-    /** Instant ("i") marker at `ts`. */
-    void instant(const std::string &name, const std::string &category,
-                 std::uint64_t ts, std::uint32_t pid = 0,
-                 std::uint32_t tid = 0);
-
-    /** Counter ("C") sample: one named series per (name, seriesName). */
-    void counter(const std::string &name, std::uint64_t ts,
-                 const std::string &seriesName, double value,
-                 std::uint32_t pid = 0);
 
     /** Metadata ("M") events naming tracks in the viewer. */
     void setProcessName(std::uint32_t pid, const std::string &name);

@@ -160,16 +160,21 @@ TEST(LatencyHistogram, MergeFoldsCountsAndExtremes)
 
 TEST(ObsSpan, RenderParseRoundTrip)
 {
-    obs::SpanEvent span;
-    span.traceId = "5af3-serve-1";
+    obs::SpanRecord span;
     span.name = "Acrobat/critic";
     span.category = "job";
     span.startUs = 123456789;
     span.durUs = 250000;
     span.tid = 3;
-    const auto back = obs::parseSpanEvent(obs::renderSpanEvent(span));
+    const std::string line = obs::renderSpanEvent(span, "5af3-serve-1");
+    // Byte for byte the line DESIGN.md §9.1 documents.
+    EXPECT_EQ(line, "{\"event\":\"span\",\"trace\":\"5af3-serve-1\","
+                    "\"name\":\"Acrobat/critic\",\"cat\":\"job\","
+                    "\"ts\":123456789,\"dur\":250000,\"tid\":3}");
+    std::string traceId;
+    const auto back = obs::parseSpanEvent(line, &traceId);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->traceId, span.traceId);
+    EXPECT_EQ(traceId, "5af3-serve-1");
     EXPECT_EQ(back->name, span.name);
     EXPECT_EQ(back->category, span.category);
     EXPECT_EQ(back->startUs, span.startUs);
@@ -194,6 +199,10 @@ TEST(ObsSpan, NonSpanLinesAreRejected)
     EXPECT_FALSE(
         obs::parseSpanEvent("{\"event\":\"span\",\"name\":\"x\"}")
             .has_value());
+    // A tid past 32 bits would wrap onto another thread's track.
+    EXPECT_FALSE(obs::parseSpanEvent("{\"event\":\"span\",\"name\":\"x\","
+                                     "\"ts\":1,\"tid\":4294967297}")
+                     .has_value());
 }
 
 TEST(ObsSpan, JobEventCarriesWallSeconds)
@@ -281,22 +290,22 @@ TEST(ObsStitch, WorkerSpanLinesLandOnPerPidTracks)
                               {102, epochUs + 6000}};
     for (const auto &w : workers) {
         for (int k = 0; k < 2; ++k) {
-            obs::SpanEvent span;
-            span.traceId = traceId;
+            obs::SpanRecord span;
             span.name = "analyze";
             span.category = "stage";
             span.startUs = w.firstUs + static_cast<std::uint64_t>(k) *
                                            2000;
             span.durUs = 1500;
             span.tid = 1;
-            const auto parsed =
-                obs::parseSpanEvent(obs::renderSpanEvent(span));
+            std::string parsedId;
+            const auto parsed = obs::parseSpanEvent(
+                obs::renderSpanEvent(span, traceId), &parsedId);
             ASSERT_TRUE(parsed.has_value());
             const std::uint64_t ts = parsed->startUs > epochUs
                 ? parsed->startUs - epochUs : 0;
             trace.complete(parsed->name, parsed->category, ts,
                            parsed->durUs, w.pid, parsed->tid, "trace",
-                           parsed->traceId);
+                           parsedId);
         }
     }
 
@@ -420,7 +429,7 @@ TEST(ObsProfiler, ReportSurvivesWriteAndPrettyPrint)
 }
 
 // ---------------------------------------------------------------------------
-// The daemon's observability surface (in-process workers).
+// The daemon's observability surface (real serve-worker children).
 
 TEST(ServeObs, StatsOpReportsLatencyAndBatchManifestCarriesTraceId)
 {
@@ -429,7 +438,7 @@ TEST(ServeObs, StatsOpReportsLatencyAndBatchManifestCarriesTraceId)
 
     stats::TraceEventWriter trace;
     serve::ServerOptions options;
-    options.workers = 0; // in-process: no child binary needed
+    options.workerExe = CRITICS_CLI;
     options.cachePath = dir.str() + "/results.jsonl";
     options.trace = &trace;
     serve::Server server(options);
@@ -505,7 +514,8 @@ TEST(ServeObs, StatsOpReportsLatencyAndBatchManifestCarriesTraceId)
     server.wait();
 
     // The merged trace holds the server-side request spans and the
-    // per-job spans, all tagged with the batch's trace id.
+    // per-job spans the workers' Runners recorded, stitched under a
+    // worker pid and tagged with the batch's trace id.
     const auto traceDoc = json::parseJson(trace.toJson());
     ASSERT_TRUE(traceDoc.has_value());
     const auto *events = traceDoc->find("traceEvents");
@@ -521,8 +531,10 @@ TEST(ServeObs, StatsOpReportsLatencyAndBatchManifestCarriesTraceId)
             sawSubmit = true;
         if (name.rfind("batch ", 0) == 0)
             sawBatch = true;
-        if (cat == "job")
+        if (cat == "job") {
             ++jobSpans;
+            EXPECT_NE(e.find("pid")->asUint().value_or(0), 0u) << name;
+        }
         const auto *args = e.find("args");
         if (args != nullptr && args->find("trace") != nullptr &&
             args->find("trace")->asString().value_or("") == traceId)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <set>
 #include <thread>
 
+#include "obs/obs.hh"
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
@@ -293,6 +295,71 @@ TEST(Runner, ColdThenWarmIsBitIdenticalAndSimulationFree)
     EXPECT_TRUE(warm.outcomes[1].fromCache);
     EXPECT_EQ(resultToJson(warm.result(0)), coldJson0);
     EXPECT_EQ(resultToJson(warm.result(1)), coldJson1);
+}
+
+TEST(Runner, PhaseAndJobSpansGoThroughTheSpanSink)
+{
+    // The Runner records its spans through obs::StageScope only: one
+    // per batch phase and one per executed job, and the pipeline's
+    // stage spans fall inside their job's window on the job's thread.
+    TempPath file("critics-runner-spans");
+    std::vector<JobSpec> jobs{
+        tinySpec("Acrobat"),
+        tinySpec("Acrobat", sim::Transform::CritIc)};
+    jobs[0].variant.label = "baseline";
+    jobs[1].variant.label = "critic";
+
+    std::mutex lock;
+    std::vector<obs::SpanRecord> spans;
+    obs::setSpanSink([&](const obs::SpanRecord &span) {
+        std::lock_guard<std::mutex> guard(lock);
+        spans.push_back(span);
+    });
+    {
+        Runner runner(testOptions(file.str()));
+        ASSERT_TRUE(runner.run("spans", jobs).allOk());
+    }
+    obs::setSpanSink(nullptr);
+
+    std::vector<obs::SpanRecord> jobSpans, stageSpans;
+    std::vector<std::string> phases;
+    for (const auto &span : spans) {
+        if (span.category == "job")
+            jobSpans.push_back(span);
+        else if (span.category == "stage")
+            stageSpans.push_back(span);
+        else if (span.category == "phase")
+            phases.push_back(span.name);
+        else
+            ADD_FAILURE() << "span category '" << span.category << "'";
+    }
+    ASSERT_EQ(jobSpans.size(), 2u);
+    EXPECT_EQ((std::set<std::string>{jobSpans[0].name, jobSpans[1].name}),
+              (std::set<std::string>{"Acrobat/baseline",
+                                     "Acrobat/critic"}));
+    EXPECT_EQ(phases, (std::vector<std::string>{"cache-lookup",
+                                                "simulate", "manifest"}));
+    EXPECT_FALSE(stageSpans.empty());
+    for (const auto &stage : stageSpans) {
+        const bool nested = std::any_of(
+            jobSpans.begin(), jobSpans.end(),
+            [&stage](const obs::SpanRecord &job) {
+                return job.tid == stage.tid &&
+                       job.startUs <= stage.startUs &&
+                       stage.startUs + stage.durUs <=
+                           job.startUs + job.durUs;
+            });
+        EXPECT_TRUE(nested) << stage.name << " on tid " << stage.tid;
+    }
+
+    // Once the sink is removed, a batch that simulates again records
+    // nothing.
+    spans.clear();
+    RunnerOptions again = testOptions(file.str());
+    again.refresh = true;
+    Runner runner(again);
+    ASSERT_TRUE(runner.run("no-sink", jobs).allOk());
+    EXPECT_TRUE(spans.empty());
 }
 
 TEST(Runner, FailedJobIsIsolatedAndRecorded)

@@ -4,10 +4,12 @@
  * round-trips and rejection of malformed input, LineReader framing
  * under adversarial byte arrival, the worker supervisor's bounded
  * restart state machine (driven by /bin/sh stand-in workers, no
- * simulator needed), and an end-to-end daemon exercise over a real
- * TCP socket — cold submit streamed to completion, warm resubmit
- * answered entirely from the store, event-log replay after a client
- * disconnect, and a protocol-initiated shutdown drain.
+ * simulator needed), seeded mutations of the worker stdout channel's
+ * lines, and an end-to-end daemon exercise over a real TCP socket
+ * with real serve-worker children — cold submit streamed to
+ * completion, warm resubmit answered entirely from the store,
+ * event-log replay after a client disconnect, and a protocol-initiated
+ * shutdown drain.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +23,14 @@
 #include <string>
 #include <vector>
 
+#include "obs/span.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/supervisor.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 
 using namespace critics;
 using namespace critics::serve;
@@ -217,6 +221,117 @@ TEST(ServeProtocol, ShardDoneRoundTripsAndKindsDoNotCross)
     EXPECT_FALSE(parseJobEvent("{\"event\":\"job\"}").has_value());
     EXPECT_FALSE(parseJobEvent("{\"event\":\"job\",\"hash\":\"\"}")
                      .has_value());
+    // Nor one whose wall time could not be rendered back.
+    for (const char *wall : {"-2.25", "1e999", "\"nan\"", "true"}) {
+        EXPECT_FALSE(parseJobEvent(
+                         std::string("{\"event\":\"job\",\"hash\":"
+                                     "\"beef\",\"wall-s\":") +
+                         wall + "}")
+                         .has_value())
+            << wall;
+    }
+}
+
+TEST(ServeProtocol, MutatedChannelLinesRoundTripOrAreRejected)
+{
+    // A worker's stdout carries span, job-event and shard-done lines.
+    // Seeded byte flips, truncations and inserted quotes or braces in
+    // each kind: a mutated line is refused, or it decodes as one kind
+    // only and the decoded value re-renders to a line that parses back
+    // equal — what its bytes encode, nothing half-read.
+    obs::SpanRecord span;
+    span.name = "Acrobat/critic";
+    span.category = "job";
+    span.startUs = 123456789;
+    span.durUs = 250000;
+    span.tid = 3;
+    JobEvent simulated;
+    simulated.hash = "9f86d081884c7d65";
+    simulated.app = "Acrobat";
+    simulated.variant = "critic";
+    simulated.ok = true;
+    simulated.wallSeconds = 12.25;
+    JobEvent failed = simulated;
+    failed.ok = false;
+    failed.wallSeconds = 0.0;
+    failed.error = "simulator said \"no\"";
+    ShardDone done;
+    done.failed = 1;
+    done.total = 17;
+    const std::vector<std::string> good = {
+        obs::renderSpanEvent(span, "5af3-serve-1"),
+        renderJobEvent(simulated), renderJobEvent(failed),
+        renderShardDone(done)};
+
+    auto spanReparses = [](const obs::SpanRecord &a,
+                           const std::string &traceId) {
+        std::string backId;
+        const auto b =
+            obs::parseSpanEvent(obs::renderSpanEvent(a, traceId), &backId);
+        ASSERT_TRUE(b.has_value());
+        EXPECT_EQ(backId, traceId);
+        EXPECT_EQ(b->name, a.name);
+        EXPECT_EQ(b->category, a.category);
+        EXPECT_EQ(b->startUs, a.startUs);
+        EXPECT_EQ(b->durUs, a.durUs);
+        EXPECT_EQ(b->tid, a.tid);
+    };
+    auto eventReparses = [](const JobEvent &a) {
+        const auto b = parseJobEvent(renderJobEvent(a));
+        ASSERT_TRUE(b.has_value());
+        EXPECT_EQ(b->hash, a.hash);
+        EXPECT_EQ(b->app, a.app);
+        EXPECT_EQ(b->variant, a.variant);
+        EXPECT_EQ(b->ok, a.ok);
+        EXPECT_EQ(b->fromCache, a.fromCache);
+        EXPECT_EQ(b->wallSeconds, a.wallSeconds);
+        EXPECT_EQ(b->error, a.error);
+    };
+    auto doneReparses = [](const ShardDone &a) {
+        const auto b = parseShardDone(renderShardDone(a));
+        ASSERT_TRUE(b.has_value());
+        EXPECT_EQ(b->failed, a.failed);
+        EXPECT_EQ(b->total, a.total);
+    };
+
+    constexpr int kMutations = 2000;
+    Rng rng(20240607);
+    int accepted = 0;
+    for (int i = 0; i < kMutations; ++i) {
+        std::string line = good[rng.below(good.size())];
+        const std::uint64_t op = rng.below(3);
+        if (op == 0) { // flip bits of one byte
+            char &c = line[rng.below(line.size())];
+            c = static_cast<char>(c ^ static_cast<char>(1 + rng.below(255)));
+        } else if (op == 1) {
+            line.resize(rng.below(line.size()));
+        } else {
+            line.insert(rng.below(line.size() + 1), 1, "\"{}"[rng.below(3)]);
+        }
+        SCOPED_TRACE("mutation " + std::to_string(i) + ": " + line);
+
+        std::string traceId;
+        const auto asSpan = obs::parseSpanEvent(line, &traceId);
+        const auto asEvent = parseJobEvent(line);
+        const auto asDone = parseShardDone(line);
+        const int kinds = asSpan.has_value() + asEvent.has_value() +
+                          asDone.has_value();
+        EXPECT_LE(kinds, 1);
+        if (asSpan)
+            spanReparses(*asSpan, traceId);
+        if (asEvent)
+            eventReparses(*asEvent);
+        if (asDone)
+            doneReparses(*asDone);
+        // A truncated line lost its closing brace: never accepted.
+        if (op == 1) {
+            EXPECT_EQ(kinds, 0);
+        }
+        accepted += kinds;
+    }
+    // Most mutations break the line; a few only change a value.
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, kMutations / 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +473,7 @@ TEST(ServeSupervisor, SignalDeathCountsAsACrash)
 }
 
 // ---------------------------------------------------------------------------
-// Daemon end to end (in-process execution, real TCP)
+// Daemon end to end (real serve-worker children, real TCP)
 
 TEST(ServeServer, ColdSubmitWarmResubmitReplayAndShutdown)
 {
@@ -367,7 +482,7 @@ TEST(ServeServer, ColdSubmitWarmResubmitReplayAndShutdown)
     std::filesystem::create_directories(dir.str());
 
     ServerOptions options;
-    options.workers = 0; // execute in-process: no child binary needed
+    options.workerExe = CRITICS_CLI;
     options.cachePath = dir.str() + "/results.jsonl";
     options.portFile = dir.str() + "/port";
     Server server(options);
@@ -498,13 +613,35 @@ TEST(ServeServer, ColdSubmitWarmResubmitReplayAndShutdown)
     server.wait();
 }
 
+TEST(ServeServer, StartRefusesZeroWorkersOrMissingExe)
+{
+    // Cold jobs run only in serve-worker children, so a server that
+    // could start none is refused before it binds or writes its port.
+    TempPath dir("critics-serve-refuse");
+    std::filesystem::create_directories(dir.str());
+    ServerOptions noWorkers;
+    noWorkers.workers = 0;
+    noWorkers.workerExe = CRITICS_CLI;
+    ServerOptions noExe; // workerExe left empty
+    for (ServerOptions options : {noWorkers, noExe}) {
+        options.cachePath = dir.str() + "/results.jsonl";
+        options.portFile = dir.str() + "/port";
+        Server server(options);
+        std::string error;
+        EXPECT_FALSE(server.start(&error));
+        EXPECT_FALSE(error.empty());
+        EXPECT_EQ(server.port(), 0);
+        EXPECT_FALSE(std::filesystem::exists(options.portFile));
+    }
+}
+
 TEST(ServeServer, SubmitWithUnknownVocabularyFailsFast)
 {
     setQuiet(true);
     TempPath dir("critics-serve-vocab");
     std::filesystem::create_directories(dir.str());
     ServerOptions options;
-    options.workers = 0;
+    options.workerExe = CRITICS_CLI;
     options.cachePath = dir.str() + "/results.jsonl";
     Server server(options);
     std::string error;
