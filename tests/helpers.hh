@@ -1,12 +1,17 @@
 /**
  * @file
  * Shared construction helpers for the test suite: tiny hand-built
- * programs, blocks and traces with known dataflow.
+ * programs, blocks and traces with known dataflow, and the FNV-1a
+ * digests the golden tables record.
  */
 
 #ifndef CRITICS_TESTS_HELPERS_HH
 #define CRITICS_TESTS_HELPERS_HH
 
+#include <bit>
+#include <cstdint>
+
+#include "analysis/miner.hh"
 #include "program/program.hh"
 #include "program/trace.hh"
 
@@ -96,6 +101,64 @@ serialChainTrace(std::size_t n, std::size_t loopInsts = 256)
     for (std::size_t i = 1; i < n; ++i)
         trace.insts[i].dep0 = static_cast<program::DynIdx>(i - 1);
     return trace;
+}
+
+/** FNV-1a 64 over the little-endian bytes of each fed value. */
+class Fnv1a
+{
+  public:
+    template <typename T>
+    void
+    feed(T value)
+    {
+        auto v = static_cast<std::uint64_t>(value);
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            hash_ ^= v & 0xFFu;
+            hash_ *= 0x100000001b3ULL;
+            v >>= 8;
+        }
+    }
+
+    void feed(double value) { feed(std::bit_cast<std::uint64_t>(value)); }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** Digest of a chain partition: every member, then every offset. */
+inline std::uint64_t
+chainsDigest(const analysis::DynChains &chains)
+{
+    Fnv1a digest;
+    for (const program::DynIdx member : chains.members)
+        digest.feed(member);
+    for (const std::uint32_t offset : chains.offsets)
+        digest.feed(offset);
+    return digest.value();
+}
+
+/** Digest of the mined chains in result order: each chain's length,
+ *  uids, dynCount, avgFanout bits, memberFanout bits,
+ *  memberConvertible and directlyConvertible. */
+inline std::uint64_t
+minedDigest(const analysis::MineResult &mined)
+{
+    Fnv1a digest;
+    for (const analysis::MinedChain &chain : mined.chains) {
+        digest.feed(static_cast<std::uint32_t>(chain.uids.size()));
+        for (const program::InstUid uid : chain.uids)
+            digest.feed(uid);
+        digest.feed(chain.dynCount);
+        digest.feed(chain.avgFanout);
+        for (const double f : chain.memberFanout)
+            digest.feed(f);
+        for (const std::uint8_t conv : chain.memberConvertible)
+            digest.feed(conv);
+        digest.feed(static_cast<std::uint8_t>(chain.directlyConvertible));
+    }
+    return digest.value();
 }
 
 } // namespace critics::test

@@ -32,35 +32,15 @@
 #include "sim/variants.hh"
 #include "support/parallel.hh"
 #include "verify/verify.hh"
+#include "helpers.hh"
 
 using namespace critics;
+using critics::test::Fnv1a;
 
 namespace
 {
 
 constexpr const char *kGoldenName = "transform_10k.txt";
-
-/** FNV-1a 64 over the little-endian bytes of each fed value. */
-class Fnv1a
-{
-  public:
-    template <typename T>
-    void
-    feed(T value)
-    {
-        auto v = static_cast<std::uint64_t>(value);
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            hash_ ^= v & 0xFFu;
-            hash_ *= 0x100000001b3ULL;
-            v >>= 8;
-        }
-    }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 /** One line per app x transform: app, the first variant label with
  *  this memo key, the 12 pass counters, instCount, textBytes, the
