@@ -97,9 +97,8 @@ class LocTable
  * @param profileFraction profile only the first fraction of the trace
  *        (Fig. 12b sensitivity); chains whose head lies beyond the
  *        cutoff are ignored.
- * @param locs optional shared location cache for `prog` (the flat
- *        path builds a private one when absent; the legacy path
- *        resolves through Program::locate as before).
+ * @param locs optional shared location cache for `prog`; the miner
+ *        builds a private one when absent.
  */
 MineResult mineCritIcs(const program::Trace &trace,
                        const program::Program &prog,

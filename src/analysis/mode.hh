@@ -1,10 +1,9 @@
 /**
  * @file
- * Analyze-path selection.  The flat analyze overhaul (DESIGN.md §10)
- * replaced the quadratic chain extraction and the allocation-heavy
- * mining table; `CRITICS_FLAT_ANALYZE=off` selects the pre-overhaul
- * legacy paths, kept for one release as the escape hatch and as the
- * reference side of the CI `analyze-drift` zero-drift gate.
+ * The analyze path is the flat one (DESIGN.md §10); there is no other.
+ * This header exists only because critbench/src/traced.cc includes it
+ * and calls flatAnalyzeEnabled(); it goes with the next change to the
+ * benchmark.
  */
 
 #ifndef CRITICS_ANALYSIS_MODE_HH
@@ -13,14 +12,7 @@
 namespace critics::analysis
 {
 
-/** True unless CRITICS_FLAT_ANALYZE=off|0 (or setFlatAnalyze(false)).
- *  Read once and cached; the override below wins over the
- *  environment. */
-bool flatAnalyzeEnabled();
-
-/** Force a path (tests and the drift harness toggle both sides inside
- *  one process). */
-void setFlatAnalyze(bool enabled);
+constexpr bool flatAnalyzeEnabled() { return true; }
 
 } // namespace critics::analysis
 

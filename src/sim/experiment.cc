@@ -3,7 +3,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "analysis/mode.hh"
 #include "obs/obs.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -129,14 +128,9 @@ AppExperiment::minedAt(double fraction)
     }
     std::call_once(slot->once, [&] {
         obs::StageScope scope(obs::Stage::Analyze);
-        // The legacy analyze path ignores the location cache (it
-        // resolves through Program::locate as it always did), so only
-        // the flat path pays for building it.
-        const analysis::LocTable *locs =
-            analysis::flatAnalyzeEnabled() ? &locTable() : nullptr;
         slot->result =
             analysis::mineCritIcs(trace_, program_, chains(), fanout(),
-                                  options_.crit, fraction, locs);
+                                  options_.crit, fraction, &locTable());
     });
     return slot->result;
 }
