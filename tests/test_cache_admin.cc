@@ -651,6 +651,26 @@ TEST(StoreScanner, MutatedLinesScanIdenticallyOrAreRejected)
     EXPECT_LT(accepted, static_cast<std::size_t>(kMutations) / 2);
 }
 
+TEST(StoreScanner, RepeatedKeyIsMalformed)
+{
+    // A line naming its hash twice could be indexed under either; the
+    // scanner must not pick one.
+    TempPath file("critics-scan-repeated");
+    const std::string good = makeLine(tinySpec(1), sampleResult(1.0), 77);
+    const std::string twice = "{\"hash\":\"0000000000000000\"," +
+        good.substr(1);
+    appendBytes(file.str(), twice + good);
+
+    std::vector<StoreLine::Kind> kinds;
+    const auto scan = scanStore(file.str(), [&](StoreLine &line) {
+        kinds.push_back(line.kind);
+    });
+    ASSERT_TRUE(scan.has_value());
+    ASSERT_EQ(kinds.size(), 2u);
+    EXPECT_EQ(kinds[0], StoreLine::Kind::Malformed);
+    EXPECT_EQ(kinds[1], StoreLine::Kind::Good);
+}
+
 // ---------------------------------------------------------------------------
 // Merge
 
