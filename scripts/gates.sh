@@ -4,10 +4,9 @@
 #
 #   cache-drift          a fully-cached rerun diffs clean against a
 #                        fresh run (zero tolerance)
-#   sharded-smoke        a 2-shard run merges to the unsharded store;
-#                        cache compact + gc leave the diff clean
-#   analyze-drift        the flat analyze path == the legacy one over
-#                        the 416-job matrix (zero tolerance)
+#   sharded-smoke        a 2-shard run, with jobs in both shards,
+#                        merges to the unsharded store; cache compact
+#                        + gc leave the diff clean
 #   trace-conformance    lint --trace is clean over the 416-job matrix
 #   verify-global-drift  CRITICS_VERIFY=global changes no result over
 #                        the 416-job matrix (zero tolerance)
@@ -51,33 +50,26 @@ cache_drift() (
 
 sharded_smoke() (
     # A tiny batch as 2 shards, merged and diffed against an unsharded
-    # run; then cache compact + gc must leave that diff clean.
+    # run; then cache compact + gc must leave that diff clean.  The
+    # grid's 8 jobs hash into both shards, and a shard store the merge
+    # read that is missing or empty fails the gate: a grid that lands
+    # wholly in one shard would prove nothing about the merge.
     export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-shard-ci"
     scripts/run_sharded.sh -n 2 --check -- \
-        --apps Acrobat,Office --variants baseline,critic
+        --apps Acrobat,Office --variants baseline,critic,opp16,allhw
+    for k in 1 2; do
+        store="$CRITICS_CACHE_DIR/results.shard-$k-of-2.jsonl"
+        [ -s "$store" ] || {
+            echo "shard $k of 2 left no records in $store"
+            exit 1
+        }
+        echo "shard $k of 2: $(wc -l < "$store") record(s)"
+    done
     CLI=build/examples/critics_cli
     "$CLI" cache compact
     "$CLI" cache gc --max-bytes 512M
     "$CLI" diff "$CRITICS_CACHE_DIR/results.unsharded-check.jsonl" \
         "$CRITICS_CACHE_DIR/results.jsonl"
-)
-
-analyze_drift() (
-    # Equivalence proof for the CRITICS_FLAT_ANALYZE escape hatch: the
-    # full 26-app x 16-variant matrix through the default flat analysis
-    # pipeline and again through the legacy one, then a zero-tolerance
-    # diff.  Any greedy-decision, trim, aggregation or selection
-    # divergence between the two shows up as a metric mismatch.
-    export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-flat"
-    build/examples/critics_cli run --apps all --variants all \
-        --insts 100000 --batch analyze-drift
-    export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-legacy"
-    CRITICS_FLAT_ANALYZE=off build/examples/critics_cli run \
-        --apps all --variants all --insts 100000 \
-        --batch analyze-drift
-    build/examples/critics_cli diff --rel 0 --abs 0 \
-        "$RUNNER_TEMP/critics-flat/results.jsonl" \
-        "$RUNNER_TEMP/critics-legacy/results.jsonl"
 )
 
 trace_conformance() (
@@ -116,15 +108,13 @@ verify_global_drift() (
         "$RUNNER_TEMP/critics-global/results.jsonl"
 )
 
-GATES="cache-drift sharded-smoke analyze-drift trace-conformance
-verify-global-drift"
+GATES="cache-drift sharded-smoke trace-conformance verify-global-drift"
 
 run_gate() {
     echo "=== gate: $1"
     case "$1" in
         cache-drift) cache_drift ;;
         sharded-smoke) sharded_smoke ;;
-        analyze-drift) analyze_drift ;;
         trace-conformance) trace_conformance ;;
         verify-global-drift) verify_global_drift ;;
         *) echo "unknown gate '$1'; one of: all" $GATES; exit 2 ;;
