@@ -58,7 +58,8 @@ class JsonValue
     std::optional<bool> asBool() const;
 };
 
-/** Parse one JSON document; nullopt on any syntax error. */
+/** Parse one JSON document; nullopt on any syntax error, a repeated
+ *  object key, or nesting deeper than 128 levels. */
 std::optional<JsonValue> parseJson(const std::string &text);
 
 /**
