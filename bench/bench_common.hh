@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "runner/orchestrator.hh"
+#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "support/logging.hh"
-#include "support/parallel.hh"
 #include "support/table.hh"
 
 namespace critics::bench
@@ -151,7 +151,7 @@ experiments(const std::vector<workload::AppProfile> &profiles,
 {
     std::vector<std::shared_ptr<sim::AppExperiment>> exps(
         profiles.size());
-    parallelFor(profiles.size(), [&](std::size_t i) {
+    runner::ThreadPool::shared().forEach(profiles.size(), [&](std::size_t i) {
         exps[i] =
             runner::sharedRunner().experiment(profiles[i], options);
     });

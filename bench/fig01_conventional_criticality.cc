@@ -72,7 +72,7 @@ main()
         }
 
         std::vector<double> critFrac(exps.size()), noDep(exps.size());
-        parallelFor(exps.size(), [&](std::size_t i) {
+        runner::ThreadPool::shared().forEach(exps.size(), [&](std::size_t i) {
             critFrac[i] = exps[i]->fanout().critFraction();
             noDep[i] = exps[i]->chainStats().noDependentCritFrac;
         });

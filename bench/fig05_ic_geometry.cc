@@ -46,7 +46,7 @@ main()
     // parallelized over the runner's pool.
     for (auto &suite : suites) {
         auto exps = experiments(suite.apps);
-        parallelFor(exps.size(), [&](std::size_t i) {
+        runner::ThreadPool::shared().forEach(exps.size(), [&](std::size_t i) {
             (void)exps[i]->chainStats();
             (void)exps[i]->mined();
         });

@@ -32,9 +32,11 @@
  *   critics_cli prof report <file>
  *       Pretty-print a --profile report.
  *
- * The original single-run interface still works:
- *   critics_cli --app Acrobat --variant critic [--json]
- *   critics_cli --list
+ * `run` is the one way to run a job.  One job's full view is a
+ * one-job batch: `run --apps Acrobat --variants critic --no-cache`
+ * with `--json` for its stats, `--stats-interval` for their time
+ * series and `--trace-out` for each instruction's pipeline stages.
+ * `--help` lists every app and variant.
  *
  * Every command line is one FlagTable (support/flags.hh): its rows
  * parse the flags, reject unknown flags and stray arguments, and
@@ -92,7 +94,6 @@ namespace
 // protocol and the worker argv (sim/variants.hh), so a spec submitted
 // over the wire resolves to exactly the grid these flags would build.
 using sim::parseApps;
-using sim::parseVariant;
 
 /** Print why the command line was refused (if given) and the help of
  *  every command; returns the exit code 2. */
@@ -468,7 +469,7 @@ cmdRun(CommandLine &cmd)
                     "sharded runs default to "
                     "results.shard-K-of-N.jsonl)",
                     options.cachePath),
-         Flag::toggle("--json", "emit per-job comparison JSON", json),
+         Flag::toggle("--json", "print each job's stats as JSON", json),
          Flag::integer("--stats-interval", "<n>",
                        "sample all stats every n committed insts "
                        "into the interval JSONL (simulated jobs "
@@ -479,7 +480,9 @@ cmdRun(CommandLine &cmd)
                     statsOut),
          Flag::text("--trace-out", "<file>",
                     "Chrome trace of runner phases, per-job spans and "
-                    "pipeline-stage spans (load in Perfetto)",
+                    "pipeline-stage spans (load in Perfetto); a "
+                    "one-job batch that simulates adds each "
+                    "instruction's stage residencies in cycles",
                     traceOut),
          Flag::text("--profile", "<file>",
                     "sample this process with SIGPROF and write a "
@@ -488,8 +491,8 @@ cmdRun(CommandLine &cmd)
                     profilePath)}}))
         return cmd.status;
     const auto apps = parseApps(appsArg);
-    // `all` expands to every variant, as in lint — the analyze-drift
-    // CI sweep runs the complete matrix.
+    // `all` expands to every variant, as in lint — the drift gates
+    // sweep the complete matrix.
     const auto variants = sim::parseVariants(variantsArg);
 
     // Each shard appends to its own disjoint store; `cache merge`
@@ -504,34 +507,42 @@ cmdRun(CommandLine &cmd)
 
     stats::TraceEventWriter trace;
     if (!traceOut.empty()) {
-        // Every span arrives through the sink: the Runner's phase and
-        // job spans and the pipeline's stage spans.  Re-basing their
+        // The Runner's phase and job spans and the stage spans nested
+        // in them arrive through the sink, on process 1.  Re-basing their
         // CLOCK_MONOTONIC timestamps on an epoch taken here puts them
         // on a 0-based timeline, each stage span nested under the job
         // span of the same pool thread.
-        trace.setProcessName(0, "runner: " + batchName);
+        trace.setProcessName(1, "runner: " + batchName);
         const std::uint64_t epochUs = obs::monotonicMicros();
         obs::setSpanSink([&trace, epochUs](const obs::SpanRecord &s) {
             trace.complete(s.name, s.category,
                            s.startUs > epochUs ? s.startUs - epochUs
                                                : 0,
-                           s.durUs, 0, trace.tidForCurrentThread());
+                           s.durUs, 1, trace.tidForCurrentThread());
         });
     }
+    // One job's pipeline, instruction by instruction, goes on process
+    // 0 in simulated cycles; across many jobs it would be unreadable.
+    stats::TraceEventWriter *const pipelineTrace =
+        !traceOut.empty() && apps.size() * variants.size() == 1
+            ? &trace
+            : nullptr;
 
-    // Interval sampling rides the executor: each simulated job runs
-    // with its own series (cache hits never execute, so they produce
-    // no rows) and appends its JSONL under the batch lock.
+    // The hooks ride the executor, so only simulated jobs run with them
+    // (cache hits never execute: no interval rows, no pipeline spans).
+    // Each job samples into its own series and appends its JSONL under
+    // the batch lock.
     std::mutex statsLock;
     std::string statsJsonl;
-    if (statsInterval > 0) {
-        options.executor = [&statsLock, &statsJsonl, statsInterval](
-                               const runner::JobSpec &spec,
-                               sim::AppExperiment &experiment) {
+    if (statsInterval > 0 || pipelineTrace != nullptr) {
+        options.executor = [&statsLock, &statsJsonl, statsInterval,
+                            pipelineTrace](const runner::JobSpec &spec,
+                                           sim::AppExperiment &experiment) {
             sim::RunHooks hooks;
             stats::IntervalSeries series;
             hooks.statsInterval = statsInterval;
             hooks.intervals = &series;
+            hooks.trace = pipelineTrace;
             auto result = experiment.run(spec.variant, hooks);
             std::lock_guard<std::mutex> guard(statsLock);
             statsJsonl += series.toJsonl(spec.profile.name + "/" +
@@ -1284,105 +1295,6 @@ cmdProfReport(CommandLine &cmd)
 }
 
 // ---------------------------------------------------------------------------
-// The single-run interface (legacy): no subcommand word.
-
-int
-cmdSingleRun(CommandLine &cmd)
-{
-    std::string app = "Acrobat";
-    std::string variantName = "critic";
-    std::uint64_t insts = 400000;
-    std::uint64_t statsInterval = 0;
-    std::string statsOut = "stats_single.jsonl";
-    std::string traceOut;
-    bool json = false;
-    bool list = false;
-    if (!cmd.parse({"critics_cli --app <name> --variant <name> [options]",
-                    "single run (legacy) against the baseline",
-                    {Flag::text("--app", "<name>", "app (default Acrobat)",
-                                app),
-                     Flag::text("--variant", "<name>",
-                                "variant (default critic)", variantName),
-                     Flag::integer("--insts", "<n>",
-                                   "dynamic instructions per sample", insts),
-                     Flag::toggle("--json", "emit comparison JSON", json),
-                     Flag::integer("--stats-interval", "<n>",
-                                   "sample all stats every n committed insts",
-                                   statsInterval),
-                     Flag::text("--stats-out", "<f>",
-                                "interval JSONL path (default "
-                                "stats_single.jsonl)",
-                                statsOut),
-                     Flag::text("--trace-out", "<f>",
-                                "Chrome trace of the CPU pipeline stages",
-                                traceOut),
-                     Flag::toggle("--list", "list registered apps and exit",
-                                  list)}}))
-        return cmd.status;
-    if (list) {
-        for (const auto &profile : workload::allApps()) {
-            std::printf("%-12s %-10s %s\n", profile.name.c_str(),
-                        workload::suiteName(profile.suite),
-                        profile.activity.c_str());
-        }
-        return 0;
-    }
-
-    sim::ExperimentOptions options;
-    options.traceInsts = insts;
-    sim::AppExperiment exp(workload::findApp(app), options);
-    const sim::Variant variant = parseVariant(variantName);
-    const auto &base = exp.baseline();
-
-    sim::RunHooks hooks;
-    stats::IntervalSeries series;
-    stats::TraceEventWriter trace;
-    hooks.statsInterval = statsInterval;
-    if (statsInterval > 0)
-        hooks.intervals = &series;
-    if (!traceOut.empty())
-        hooks.trace = &trace;
-    const auto result = exp.run(variant, hooks);
-
-    if (statsInterval > 0) {
-        std::ofstream out(statsOut, std::ios::trunc);
-        out << series.toJsonl(app + "/" + variantName);
-        std::fprintf(stderr, "stats: %s (%zu rows)\n",
-                     statsOut.c_str(), series.size());
-    }
-    if (!traceOut.empty() && trace.writeTo(traceOut)) {
-        std::fprintf(stderr, "trace: %s (%zu events)\n",
-                     traceOut.c_str(), trace.size());
-    }
-
-    if (json) {
-        std::printf("%s\n",
-                    sim::comparisonJson(base, result, variantName)
-                        .c_str());
-        return 0;
-    }
-
-    Table table({"metric", "baseline", variantName});
-    table.addRow({"cycles", fmt(double(base.cpu.cycles), 0),
-                  fmt(double(result.cpu.cycles), 0)});
-    table.addRow({"IPC", fmt(base.cpu.ipc()), fmt(result.cpu.ipc())});
-    table.addRow({"F.StallForI", pct(base.cpu.fracStallForI()),
-                  pct(result.cpu.fracStallForI())});
-    table.addRow({"F.StallForR+D", pct(base.cpu.fracStallForRd()),
-                  pct(result.cpu.fracStallForRd())});
-    table.addRow({"dyn 16-bit", pct(base.dynThumbFraction),
-                  pct(result.dynThumbFraction)});
-    table.addRow({"SoC energy (norm.)", fmt(1.0),
-                  fmt(result.energy.total() / base.energy.total(), 4)});
-    std::printf("%s (%s) under '%s'\n%s\nspeedup: %s\n",
-                app.c_str(),
-                workload::suiteName(exp.profile().suite),
-                variantName.c_str(), table.render().c_str(),
-                gainPct(exp.speedup(result)).c_str());
-    return 0;
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch.
 
 struct Subcommand
@@ -1419,7 +1331,10 @@ usage(const std::string &why)
     helpMode.help = &text;
     for (const Subcommand &sub : kSubcommands)
         sub.main(helpMode);
-    cmdSingleRun(helpMode);
+    std::string apps;
+    for (const auto &profile : workload::allApps())
+        apps += (apps.empty() ? "" : ", ") + profile.name;
+    text += FlagTable{"apps:", apps, {}}.help();
     std::string variants;
     for (const auto &name : sim::allVariantNames())
         variants += (variants.empty() ? "" : ", ") + name;
@@ -1455,9 +1370,8 @@ run(int argc, char **argv)
             return sub.main(cmd);
         }
     }
-    cmd.argc = argc - 1;
-    cmd.argv = argv + 1;
-    return cmdSingleRun(cmd);
+    return usage(first.empty() ? "no command given"
+                               : "unknown command '" + first + "'");
 }
 
 int

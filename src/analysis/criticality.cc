@@ -204,10 +204,8 @@ extractChains(const Trace &trace, const FanoutInfo &fanout,
 }
 
 ChainStats
-chainStatistics(const Trace &trace, const DynChains &chains,
-                const FanoutInfo &fanout, const CriticalityConfig &config)
+chainStatistics(const DynChains &chains, const FanoutInfo &fanout)
 {
-    (void)trace;
     ChainStats stats;
     std::uint64_t critTotal = 0;
     std::uint64_t critWithoutSuccessor = 0;
@@ -234,7 +232,6 @@ chainStatistics(const Trace &trace, const DynChains &chains,
         if (lastCritPos >= 0)
             ++critWithoutSuccessor; // the last critical member has none
     }
-    (void)config;
     stats.noDependentCritFrac = critTotal
         ? static_cast<double>(critWithoutSuccessor) /
           static_cast<double>(critTotal) : 0.0;

@@ -130,10 +130,8 @@ struct ChainStats
     std::uint64_t multiMemberChains = 0;
 };
 
-ChainStats chainStatistics(const program::Trace &trace,
-                           const DynChains &chains,
-                           const FanoutInfo &fanout,
-                           const CriticalityConfig &config);
+ChainStats chainStatistics(const DynChains &chains,
+                           const FanoutInfo &fanout);
 
 /**
  * The PC-indexed criticality table used by the single-instruction

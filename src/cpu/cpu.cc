@@ -90,6 +90,9 @@ constexpr std::uint32_t Unknown = 0xFFFFFFFFu;
 constexpr std::uint32_t NoSlot = 0xFFFFFFFFu;
 /** "No future event" for the idle-cycle skip. */
 constexpr std::uint64_t NoEvent = ~std::uint64_t{0};
+/** Post-warmup commits that get stage spans when a trace sink is set:
+ *  enough for a readable pipeline diagram, small enough to load. */
+constexpr std::uint64_t kTraceMaxInsts = 4096;
 
 /** Functional-unit pools. */
 enum class FuPool : std::uint8_t { Alu, MulDiv, Fp, Mem };
@@ -476,7 +479,7 @@ Pipeline::commit()
         if (critMask_ && (*critMask_)[head.dyn])
             account(stats_.crit);
         if (tsink_ && warmupDone_ &&
-            tracedInsts_ < config_.traceMaxInsts) {
+            tracedInsts_ < kTraceMaxInsts) {
             traceSpans(head, commitC);
         }
         robHead_ = (robHead_ + 1) % config_.robSize;

@@ -93,11 +93,9 @@ struct CpuConfig
      *  boundary and the end of run are always sampled too. */
     std::uint64_t statsInterval = 0;
     stats::IntervalSeries *intervals = nullptr;
-    /** Per-instruction stage-residency spans (Chrome trace events);
-     *  spans are emitted for post-warmup committed instructions up to
-     *  traceMaxInsts. */
+    /** Per-instruction stage-residency spans (Chrome trace events) for
+     *  the first 4096 post-warmup committed instructions. */
     stats::TraceEventWriter *traceSink = nullptr;
-    std::uint64_t traceMaxInsts = 4096;
 
     /** Apply the hypothetical 2xFD front end of Fig. 11. */
     void

@@ -1,10 +1,10 @@
 /**
  * @file
- * The process-wide worker pool behind both the runner's job scheduler
- * and critics::parallelFor.  Threads are created once and reused, so a
- * bench that issues dozens of parallel regions no longer pays a
- * spawn/join per region (the old parallelFor started fresh threads on
- * every call).
+ * The process-wide worker pool behind the runner's job scheduler and
+ * every parallel loop of the benches and tests
+ * (`ThreadPool::shared().forEach`).  Threads are created once and
+ * reused, so a bench that issues dozens of parallel regions pays no
+ * spawn/join per region.
  */
 
 #ifndef CRITICS_RUNNER_THREAD_POOL_HH

@@ -97,8 +97,7 @@ AppExperiment::chainStats()
 {
     std::call_once(chainStatsOnce_, [&] {
         obs::StageScope scope(obs::Stage::Analyze);
-        chainStats_ = analysis::chainStatistics(trace_, chains(),
-                                                fanout(), options_.crit);
+        chainStats_ = analysis::chainStatistics(chains(), fanout());
     });
     return *chainStats_;
 }
@@ -324,7 +323,6 @@ AppExperiment::run(const Variant &variant, const RunHooks &hooks)
     cpuCfg.statsInterval = hooks.statsInterval;
     cpuCfg.intervals = hooks.intervals;
     cpuCfg.traceSink = hooks.trace;
-    cpuCfg.traceMaxInsts = hooks.traceMaxInsts;
 
     mem::MemConfig memCfg;
     if (variant.icache4x)

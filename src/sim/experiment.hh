@@ -96,7 +96,6 @@ struct RunHooks
     stats::IntervalSeries *intervals = nullptr;
     /** Per-instruction pipeline spans (Chrome trace events). */
     stats::TraceEventWriter *trace = nullptr;
-    std::uint64_t traceMaxInsts = 4096;
 };
 
 /** A variant's transformed binary plus the trace re-emitted from it

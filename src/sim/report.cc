@@ -1,7 +1,5 @@
 #include "sim/report.hh"
 
-#include <cmath>
-
 #include "stats/registry.hh"
 #include "support/json.hh"
 
@@ -23,57 +21,15 @@ bindRunResult(stats::StatRegistry &reg, const RunResult &result)
                  "dynamic instructions in 16-bit format");
 }
 
-namespace
-{
-
-void
-writeRun(json::JsonWriter &w, const RunResult &result,
-         const std::string &label)
-{
-    stats::StatRegistry reg;
-    bindRunResult(reg, result);
-    w.field("label", label);
-    reg.writeJson(w);
-}
-
-double
-finiteOrZero(double v)
-{
-    return std::isfinite(v) ? v : 0.0;
-}
-
-} // namespace
-
 std::string
 toJson(const RunResult &result, const std::string &label)
 {
-    json::JsonWriter w;
-    w.beginObject();
-    writeRun(w, result, label);
-    w.endObject();
-    return w.str();
-}
-
-std::string
-comparisonJson(const RunResult &baseline, const RunResult &variant,
-               const std::string &label)
-{
+    stats::StatRegistry reg;
+    bindRunResult(reg, result);
     json::JsonWriter w;
     w.beginObject();
     w.field("label", label);
-    w.fieldReadable("speedup",
-                    finiteOrZero(
-                        static_cast<double>(baseline.cpu.cycles) /
-                        static_cast<double>(variant.cpu.cycles)));
-    w.fieldReadable("energyRatio",
-                    finiteOrZero(variant.energy.total() /
-                                 baseline.energy.total()));
-    w.beginObject("baseline");
-    writeRun(w, baseline, "baseline");
-    w.endObject();
-    w.beginObject("variant");
-    writeRun(w, variant, label);
-    w.endObject();
+    reg.writeJson(w);
     w.endObject();
     return w.str();
 }

@@ -37,11 +37,6 @@ void bindRunResult(stats::StatRegistry &reg, const RunResult &result);
 std::string toJson(const RunResult &result,
                    const std::string &label = "run");
 
-/** Serialize a labelled baseline/variant pair with the speedup. */
-std::string comparisonJson(const RunResult &baseline,
-                           const RunResult &variant,
-                           const std::string &label);
-
 } // namespace critics::sim
 
 #endif // CRITICS_SIM_REPORT_HH

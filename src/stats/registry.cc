@@ -37,8 +37,6 @@ StatDef::eval() const
             sum += elem.eval();
         return sum;
       }
-      case StatKind::Distribution:
-        return dist ? dist->total() : 0.0;
       case StatKind::Latency:
         return latency ? static_cast<double>(latency->count()) : 0.0;
     }
@@ -123,18 +121,6 @@ StatRegistry::addVector(const std::string &name,
 }
 
 void
-StatRegistry::addDistribution(const std::string &name, const Histogram &h,
-                              std::string desc)
-{
-    StatDef def;
-    def.name = name;
-    def.desc = std::move(desc);
-    def.kind = StatKind::Distribution;
-    def.dist = &h;
-    add(std::move(def));
-}
-
-void
 StatRegistry::addLatency(const std::string &name,
                          const LatencyHistogram &h, std::string desc)
 {
@@ -191,14 +177,6 @@ StatRegistry::snapshot() const
             for (const auto &elem : def.elems)
                 out.emplace_back(def.name + "." + elem.name, elem.eval());
             break;
-          case StatKind::Distribution:
-            out.emplace_back(def.name + ".count", def.dist->total());
-            out.emplace_back(def.name + ".mean", def.dist->mean());
-            out.emplace_back(def.name + ".min",
-                             static_cast<double>(def.dist->minBucket()));
-            out.emplace_back(def.name + ".max",
-                             static_cast<double>(def.dist->maxBucket()));
-            break;
           case StatKind::Latency:
             out.emplace_back(def.name + ".count",
                              static_cast<double>(def.latency->count()));
@@ -241,20 +219,6 @@ writeLeaf(json::JsonWriter &w, const char *key, const StatDef &def)
         }
         w.endObject();
         break;
-      case StatKind::Distribution: {
-        w.beginObject(key);
-        w.fieldReadable("count", def.dist->total());
-        w.fieldReadable("mean", def.dist->mean());
-        w.field("min", static_cast<std::int64_t>(def.dist->minBucket()));
-        w.field("max", static_cast<std::int64_t>(def.dist->maxBucket()));
-        w.beginObject("buckets");
-        for (const auto &[bucket, weight] : def.dist->buckets()) {
-            w.fieldReadable(std::to_string(bucket).c_str(), weight);
-        }
-        w.endObject();
-        w.endObject();
-        break;
-      }
       case StatKind::Latency: {
         w.beginObject(key);
         w.field("count", def.latency->count());

@@ -7,7 +7,7 @@
  * harness) walks the one registry instead of hand-rolling field lists.
  *
  * Stats are *views*: a registered stat references storage owned by the
- * component (a struct field, a Histogram, a closure over both), so the
+ * component (a struct field, a histogram, a closure over both), so the
  * existing stats structs stay the source of truth and benches remain
  * source-compatible.  The registry itself owns only names, descriptions
  * and accessors; registrants must outlive it.
@@ -19,7 +19,6 @@
  *                   miss rates) evaluated lazily at export time
  *   - Vector:       a named tuple of counter/value elements under one
  *                   name (e.g. a stage-residency breakdown)
- *   - Distribution: a support/Histogram (count/mean/min/max + buckets)
  *   - Latency:      a support/LatencyHistogram (log-bucketed µs
  *                   distribution exporting count/mean/p50/p90/p99)
  */
@@ -49,7 +48,6 @@ enum class StatKind : std::uint8_t
     Value,
     Formula,
     Vector,
-    Distribution,
     Latency,
 };
 
@@ -74,12 +72,10 @@ struct StatDef
     const double *value = nullptr;           ///< Value
     std::function<double()> formula;         ///< Formula
     std::vector<VectorElem> elems;           ///< Vector
-    const Histogram *dist = nullptr;         ///< Distribution
     const LatencyHistogram *latency = nullptr; ///< Latency
 
     /** Scalar reading: Counter/Value/Formula values, the sum of a
-     *  Vector's elements, a Distribution's total weight, a Latency
-     *  histogram's sample count.  Non-finite formula results clamp to
+     *  Vector's elements, a Latency histogram's sample count.  Non-finite formula results clamp to
      *  0 so exports stay valid JSON. */
     double eval() const;
 };
@@ -100,8 +96,6 @@ class StatRegistry
                     std::string desc = "");
     void addVector(const std::string &name, std::vector<VectorElem> elems,
                    std::string desc = "");
-    void addDistribution(const std::string &name, const Histogram &h,
-                         std::string desc = "");
     void addLatency(const std::string &name, const LatencyHistogram &h,
                     std::string desc = "");
 
@@ -117,8 +111,7 @@ class StatRegistry
 
     /**
      * Flat numeric snapshot in name order: Counter/Value/Formula as
-     * (name, value); Vector elements as name.elem; Distributions as
-     * name.count / name.mean / name.min / name.max; Latency histograms
+     * (name, value); Vector elements as name.elem; Latency histograms
      * as name.count / name.mean / name.p50 / name.p90 / name.p99.
      * This is the surface the interval sampler and the diff harness
      * consume.

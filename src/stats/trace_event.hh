@@ -12,8 +12,9 @@
  *   - `critics_cli run --trace-out` (through its obs span sink) and
  *     the serve daemon (its request spans plus stitched worker spans)
  *     write spans with `ts` in real microseconds.
- * Both clocks start at 0 for their process track, so the two never
- * appear in the same file.
+ * Both clocks start at 0 and each keeps to its own process track: a
+ * one-job `run --trace-out` holds both, the pipeline's cycles on pid 0
+ * and the runner's microseconds on pid 1.
  *
  * The writer is thread-safe (spans arrive from pool workers) and
  * bounds memory with a max-event cap: once full, further events are

@@ -1,15 +1,19 @@
 /**
  * @file
  * Shared construction helpers for the test suite: tiny hand-built
- * programs, blocks and traces with known dataflow, and the FNV-1a
- * digests the golden tables record.
+ * programs, blocks and traces with known dataflow, the FNV-1a digests
+ * the golden tables record, and a scratch directory.
  */
 
 #ifndef CRITICS_TESTS_HELPERS_HH
 #define CRITICS_TESTS_HELPERS_HH
 
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include "analysis/miner.hh"
 #include "program/program.hh"
@@ -160,6 +164,29 @@ minedDigest(const analysis::MineResult &mined)
     }
     return digest.value();
 }
+
+/** A fresh scratch directory, unique to this process and removed on
+ *  destruction. */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string &stem)
+        : path_(std::filesystem::temp_directory_path() /
+                (stem + "-" + std::to_string(::getpid())))
+    {
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    std::string str() const { return path_.string(); }
+
+  private:
+    std::filesystem::path path_;
+};
 
 } // namespace critics::test
 

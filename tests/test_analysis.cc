@@ -250,8 +250,7 @@ TEST(Chains, GapHistogram)
     CriticalityConfig cfg;
     const auto info = analysis::computeFanout(trace, cfg);
     const auto chains = analysis::extractChains(trace, info, cfg);
-    const auto stats =
-        analysis::chainStatistics(trace, chains, info, cfg);
+    const auto stats = analysis::chainStatistics(chains, info);
 
     // The I0 -> I10 -> I20 -> I22 chain has gaps 0 (I0 to I10) and 1
     // (I10 -(I20)-> I22).

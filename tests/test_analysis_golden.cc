@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/variants.hh"
-#include "support/parallel.hh"
 #include "helpers.hh"
 
 using namespace critics;
@@ -101,7 +101,7 @@ TEST(AnalysisGolden, EveryAppMatchesRecordedChainsAndMining)
     // One chains line plus one mined line per fraction, per app.
     const std::size_t perApp = 1 + fractions.size();
     std::vector<std::string> actual(apps.size() * perApp);
-    parallelFor(apps.size(), [&](std::size_t a) {
+    runner::ThreadPool::shared().forEach(apps.size(), [&](std::size_t a) {
         sim::AppExperiment exp(apps[a], options);
         const std::string &app = apps[a].name;
         const auto &chains = exp.chains();

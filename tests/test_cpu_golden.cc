@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/variants.hh"
-#include "support/parallel.hh"
 
 using namespace critics;
 
@@ -85,7 +85,7 @@ TEST(CpuGolden, FullSweepMatchesRecordedStats)
     const auto apps = sim::parseApps("all");
     const auto variants = sim::parseVariants("all");
     std::vector<std::string> actual(apps.size() * variants.size());
-    parallelFor(apps.size(), [&](std::size_t a) {
+    runner::ThreadPool::shared().forEach(apps.size(), [&](std::size_t a) {
         sim::AppExperiment exp(apps[a], options);
         for (std::size_t v = 0; v < variants.size(); ++v) {
             actual[a * variants.size() + v] =

@@ -28,32 +28,13 @@
 #include "support/histogram.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "helpers.hh"
 
 using namespace critics;
+using critics::test::TempDir;
 
 namespace
 {
-
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &stem)
-        : path_(std::filesystem::temp_directory_path() /
-                (stem + "-" + std::to_string(::getpid())))
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-    std::string str() const { return path_.string(); }
-
-  private:
-    std::filesystem::path path_;
-};
 
 // ---------------------------------------------------------------------------
 // LatencyHistogram

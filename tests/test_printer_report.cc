@@ -89,14 +89,3 @@ TEST(Report, JsonHasStableKeys)
     }
     EXPECT_EQ(depth, 0);
 }
-
-TEST(Report, ComparisonComputesSpeedup)
-{
-    sim::RunResult base, variant;
-    base.cpu.cycles = 1200;
-    variant.cpu.cycles = 1000;
-    base.cpu.all.insts = variant.cpu.all.insts = 1000;
-    const auto json = sim::comparisonJson(base, variant, "critic");
-    EXPECT_NE(json.find("\"speedup\":1.2"), std::string::npos);
-    EXPECT_NE(json.find("\"baseline\":{"), std::string::npos);
-}

@@ -12,9 +12,9 @@
 
 #include "helpers.hh"
 #include "program/dfg.hh"
+#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/variants.hh"
-#include "support/parallel.hh"
 #include "verify/verify.hh"
 
 using namespace critics;
@@ -188,7 +188,7 @@ TEST(Layout, LocateFindsEveryInstructionOfEveryTransform)
     std::vector<std::size_t> misplaced(apps.size(), 0);
     std::vector<std::size_t> checked(apps.size(), 0);
     std::vector<std::size_t> errors(apps.size(), 0);
-    parallelFor(apps.size(), [&](std::size_t a) {
+    runner::ThreadPool::shared().forEach(apps.size(), [&](std::size_t a) {
         sim::AppExperiment exp(apps[a], options);
         for (const auto &variant : transforms) {
             verify::PassAudit audit;

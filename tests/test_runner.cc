@@ -26,7 +26,6 @@
 #include "runner/thread_pool.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
-#include "support/parallel.hh"
 
 using namespace critics;
 using namespace critics::runner;
@@ -716,11 +715,36 @@ TEST(Manifest, StrictReaderRejectsMalformedJobs)
         R"({"jobs":[{"app":7,"variant":"v","hash":"h","ok":true}]})"));
 }
 
+TEST(ThreadPool, VisitsEveryIndexOnce)
+{
+    std::vector<std::atomic<int>> counts(257);
+    ThreadPool::shared().forEach(counts.size(),
+                                 [&](std::size_t i) { ++counts[i]; });
+    for (const auto &c : counts)
+        EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ThreadPool, PropagatesException)
+{
+    const auto body = [](std::size_t i) {
+        if (i == 13)
+            throw std::runtime_error("boom");
+    };
+    EXPECT_THROW(ThreadPool::shared().forEach(64, body),
+                 std::runtime_error);
+}
+
+TEST(ThreadPool, ZeroIterations)
+{
+    EXPECT_NO_THROW(
+        ThreadPool::shared().forEach(0, [](std::size_t) { FAIL(); }));
+}
+
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     std::atomic<int> total{0};
-    parallelFor(4, [&](std::size_t) {
-        parallelFor(8, [&](std::size_t) { ++total; });
+    ThreadPool::shared().forEach(4, [&](std::size_t) {
+        ThreadPool::shared().forEach(8, [&](std::size_t) { ++total; });
     });
     EXPECT_EQ(total.load(), 32);
 }

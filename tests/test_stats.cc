@@ -11,7 +11,6 @@
 #include "stats/interval.hh"
 #include "stats/registry.hh"
 #include "stats/trace_event.hh"
-#include "support/histogram.hh"
 #include "support/json.hh"
 
 #include <cmath>
@@ -75,15 +74,11 @@ TEST(StatRegistry, SnapshotFlattensVectorsAndDistributions)
 {
     std::uint64_t fetch = 4;
     double execute = 2.5;
-    Histogram hist;
-    hist.add(2);
-    hist.add(4);
 
     StatRegistry reg;
     reg.addVector("cpu.stage",
                   {{"fetch", &fetch, nullptr},
                    {"execute", nullptr, &execute}});
-    reg.addDistribution("cpu.fanout", hist);
 
     const auto snap = reg.snapshot();
     auto value = [&](const std::string &name) {
@@ -96,8 +91,6 @@ TEST(StatRegistry, SnapshotFlattensVectorsAndDistributions)
     };
     EXPECT_DOUBLE_EQ(value("cpu.stage.fetch"), 4.0);
     EXPECT_DOUBLE_EQ(value("cpu.stage.execute"), 2.5);
-    EXPECT_DOUBLE_EQ(value("cpu.fanout.count"), 2.0);
-    EXPECT_DOUBLE_EQ(value("cpu.fanout.mean"), 3.0);
 }
 
 TEST(StatRegistry, ToJsonNestsGroupsAndParses)

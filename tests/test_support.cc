@@ -12,11 +12,9 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/number.hh"
-#include "support/parallel.hh"
 #include "support/rng.hh"
 #include "support/table.hh"
 
-#include <atomic>
 #include <cstdlib>
 
 using namespace critics;
@@ -170,29 +168,6 @@ TEST(Formatting, Helpers)
     EXPECT_EQ(pct(0.1265, 2), "12.65%");
     EXPECT_EQ(gainPct(1.1265, 2), "12.65%");
     EXPECT_EQ(gainPct(0.95, 1), "-5.0%");
-}
-
-TEST(Parallel, VisitsEveryIndexOnce)
-{
-    std::vector<std::atomic<int>> counts(257);
-    parallelFor(counts.size(), [&](std::size_t i) { ++counts[i]; });
-    for (const auto &c : counts)
-        EXPECT_EQ(c.load(), 1);
-}
-
-TEST(Parallel, PropagatesException)
-{
-    EXPECT_THROW(
-        parallelFor(64, [](std::size_t i) {
-            if (i == 13)
-                throw std::runtime_error("boom");
-        }),
-        std::runtime_error);
-}
-
-TEST(Parallel, ZeroIterations)
-{
-    EXPECT_NO_THROW(parallelFor(0, [](std::size_t) { FAIL(); }));
 }
 
 // ---------------------------------------------------------------------------

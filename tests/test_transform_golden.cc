@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/variants.hh"
-#include "support/parallel.hh"
 #include "verify/verify.hh"
 #include "helpers.hh"
 
@@ -130,7 +130,7 @@ TEST(TransformGolden, EveryTransformMatchesRecordedProgram)
     // are covered by the verify tests and the lint gate.
     std::vector<std::string> actual(apps.size() * unique.size());
     std::vector<std::size_t> errors(apps.size(), 0);
-    parallelFor(apps.size(), [&](std::size_t a) {
+    runner::ThreadPool::shared().forEach(apps.size(), [&](std::size_t a) {
         sim::AppExperiment exp(apps[a], options);
         for (std::size_t v = 0; v < unique.size(); ++v) {
             verify::PassAudit audit;
