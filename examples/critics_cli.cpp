@@ -291,7 +291,8 @@ cmdLint(CommandLine &cmd)
                      Flag::text("--variants", "<list>",
                                 "variant names (default: all)", variantsArg),
                      Flag::integer("--insts", "<n>",
-                                   "synthesis budget per app", insts),
+                                   "synthesis budget per app", insts,
+                                   runner::kMaxInsts),
                      Flag::integer("--min-run", "<n>",
                                    "unconverted-run lint threshold "
                                    "(default 3)",
@@ -442,7 +443,8 @@ cmdRun(CommandLine &cmd)
                     "comma list of variant names, or all",
                     variantsArg),
          Flag::integer("--insts", "<n>",
-                       "dynamic instructions per sample", insts),
+                       "dynamic instructions per sample", insts,
+                       runner::kMaxInsts),
          Flag::text("--batch", "<name>",
                     "manifest name (default 'cli')", batchName),
          Flag::toggle("--no-cache",
@@ -956,9 +958,10 @@ cmdServe(CommandLine &cmd)
         "critics_cli serve [options]",
         "job-queue daemon: JSONL submit/status/wait over TCP, warm "
         "jobs answered from the result store without simulating, "
-        "cold jobs hash-sharded across forked serve-worker "
-        "processes (crash -> bounded restart); SIGTERM drains "
-        "in-flight work and exits",
+        "cold jobs hash-sharded across long-lived serve-worker "
+        "processes fed one batch line each on stdin (crash -> "
+        "bounded restart); SIGTERM drains in-flight work, reaps the "
+        "workers and exits",
         {Flag::text("--host", "<ip>",
                     "bind address (default 127.0.0.1)", options.host),
          Flag::integer("--port", "<n>",
@@ -968,11 +971,11 @@ cmdServe(CommandLine &cmd)
                     "write the bound port here after listen",
                     options.portFile),
          Flag::integer("--workers", "<n>",
-                       "worker processes per batch (default 2, at "
+                       "long-lived worker processes (default 2, at "
                        "least 1)",
                        options.workers),
          Flag::integer("--max-restarts", "<n>",
-                       "respawns per crashed worker (default 2)",
+                       "respawns per worker and batch (default 2)",
                        options.maxRestarts),
          Flag::integer("--attempts", "<n>",
                        "per-job attempt budget (default 2)",
@@ -1055,7 +1058,8 @@ cmdSubmit(CommandLine &cmd)
                          Flag::text("--variants", "<list>", "as `run`",
                                     submit.variants),
                          Flag::integer("--insts", "<n>", "as `run`",
-                                       submit.insts),
+                                       submit.insts,
+                                       runner::kMaxInsts),
                          Flag::text("--batch", "<name>", "as `run`",
                                     submit.batch),
                          Flag::toggle("--refresh", "as `run`",

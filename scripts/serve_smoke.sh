@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serve daemon (src/serve/): start it on
-# an ephemeral port, run a cold batch through forked workers with one
-# worker kill -9'd mid-batch (the supervisor must restart it and the
-# batch must still finish clean), resubmit the identical batch and
-# demand it is answered entirely from the warm store (zero new
-# simulations), check the served store holds each job's record exactly
-# once after both and that no scratch shard store (or its lock sidecar)
-# outlives its batch, SIGTERM-drain the daemon, and finally diff the served
-# result store bit-for-bit against a direct `critics_cli run` of the
-# same grid — the service layer must be invisible in the numbers.
+# an ephemeral port, run a cold batch through its long-lived workers
+# with one worker kill -9'd mid-batch (the supervisor must restart it
+# and the batch must still finish clean), resubmit the identical batch
+# and demand it is answered entirely from the warm store (zero new
+# simulations), run a second cold batch and demand the same worker
+# processes serve it, check the served store holds each job's record
+# exactly once and that no scratch shard store (or its lock sidecar)
+# outlives its batch, SIGTERM-drain the daemon and demand it reaped
+# every worker, diff the served result store bit-for-bit against a
+# direct `critics_cli run` of the same grids — the service layer must
+# be invisible in the numbers — and finally kill -9 a second daemon and
+# demand its idle workers exit on their own.
 #
 # Usage: scripts/serve_smoke.sh   (after cmake --build build)
 set -euo pipefail
@@ -21,8 +24,9 @@ case "$CLI" in /*) ;; *) CLI="$PWD/$CLI" ;; esac
 
 APPS="Acrobat,Office"
 VARIANTS="baseline,critic"
+VARIANTS2="efetch,opp16" # the second cold batch
 INSTS=50000
-JOBS=4 # |apps| x |variants|
+JOBS=4 # |apps| x |variants|, in each cold batch
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/critics-serve-smoke.XXXXXX")"
 SERVER_PID=""
@@ -33,22 +37,36 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# start_daemon <port-file> <store> <log> [serve flags...]: SERVER_PID
+# is the daemon, up and listening when this returns.
+start_daemon() {
+    local port_file=$1 store=$2 log=$3
+    shift 3
+    "$CLI" serve --port 0 --port-file "$port_file" --workers 2 \
+        --cache-file "$store" "$@" >"$log" 2>&1 &
+    SERVER_PID=$!
+    for _ in $(seq 1 100); do
+        [ -s "$port_file" ] && break
+        kill -0 "$SERVER_PID" 2>/dev/null || {
+            echo "daemon died on startup:"; cat "$log"; exit 1
+        }
+        sleep 0.1
+    done
+    [ -s "$port_file" ] || { echo "daemon never published its port"; exit 1; }
+}
+
+# The worker pids a batch's status lists, one per line.
+status_pids() {
+    "$CLI" status "$1" --port-file "$2" |
+        sed -n 's/.*"pids":\[\([^]]*\)\].*/\1/p' | tr -d '"' | tr ',' '\n'
+}
+
 PORT_FILE="$WORK/port"
 STORE="$WORK/cache/results.jsonl"
 
-"$CLI" serve --port 0 --port-file "$PORT_FILE" --workers 2 \
-    --cache-file "$STORE" --stats-out "$WORK/serve_stats.json" \
-    --trace-out "$WORK/serve_trace.json" >"$WORK/serve.log" 2>&1 &
-SERVER_PID=$!
-
-for _ in $(seq 1 100); do
-    [ -s "$PORT_FILE" ] && break
-    kill -0 "$SERVER_PID" 2>/dev/null || {
-        echo "daemon died on startup:"; cat "$WORK/serve.log"; exit 1
-    }
-    sleep 0.1
-done
-[ -s "$PORT_FILE" ] || { echo "daemon never published its port"; exit 1; }
+start_daemon "$PORT_FILE" "$STORE" "$WORK/serve.log" \
+    --stats-out "$WORK/serve_stats.json" \
+    --trace-out "$WORK/serve_trace.json"
 echo "daemon up on port $(cat "$PORT_FILE")"
 
 # ---- 1. Cold batch, with a worker murdered mid-flight ----------------
@@ -110,25 +128,81 @@ grep -q '"simulated":0' "$WORK/submit2.log"
 no_shard_stores
 echo "warm resubmit served $JOBS/$JOBS jobs from the store"
 
-# ---- 3. SIGTERM drain ------------------------------------------------
+# ---- 3. Second cold batch: the same worker processes serve it -------
+PIDS1="$(status_pids "$JOB" "$PORT_FILE")"
+[ -n "$PIDS1" ] || { echo "the first batch's status lists no worker"; exit 1; }
+"$CLI" submit --port-file "$PORT_FILE" --apps "$APPS" \
+    --variants "$VARIANTS2" --insts "$INSTS" --batch smoke-2 \
+    >"$WORK/submit3.log"
+grep -q '"warm":0' "$WORK/submit3.log"
+grep -q '"state":"done"' "$WORK/submit3.log"
+grep -q '"failed":0' "$WORK/submit3.log"
+JOB3="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$WORK/submit3.log" | head -1)"
+PIDS3="$(status_pids "$JOB3" "$PORT_FILE")"
+[ "$PIDS1" = "$PIDS3" ] || {
+    echo "workers changed between batches: $PIDS1 vs $PIDS3"; exit 1
+}
+[ "$(store_lines)" -eq $((2 * JOBS)) ] || {
+    echo "served store holds $(store_lines) lines, want $((2 * JOBS))"
+    exit 1
+}
+no_shard_stores
+echo "second cold batch ran in the same workers ($(echo $PIDS3))"
+
+# ---- 4. SIGTERM drain ------------------------------------------------
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 SERVER_PID=""
+# The daemon reaped every worker before it exited.
+for pid in $PIDS3; do
+    if kill -0 "$pid" 2>/dev/null; then
+        echo "worker $pid outlived the drain"; exit 1
+    fi
+done
 # The drain summary proves the daemon's own accounting: every job
 # warm-hit once, simulated once, zero failures, and the kill above
 # really cost (at least) one worker restart.
-grep -q "drained; $JOBS warm hit(s), $JOBS simulated, 0 failed" \
+grep -q "drained; $JOBS warm hit(s), $((2 * JOBS)) simulated, 0 failed" \
     "$WORK/serve.log"
 grep -Eq '[1-9][0-9]* worker restart' "$WORK/serve.log"
 # And the serve.* registry agrees: the warm pass simulated zero jobs.
 grep -q "\"warmHits\":$JOBS" "$WORK/serve_stats.json"
-grep -q "\"simulated\":$JOBS" "$WORK/serve_stats.json"
+grep -q "\"simulated\":$((2 * JOBS))" "$WORK/serve_stats.json"
 grep -q '"failedJobs":0' "$WORK/serve_stats.json"
-echo "daemon drained cleanly"
+echo "daemon drained cleanly and reaped its workers"
 
-# ---- 4. Served results == direct results, digit for digit -----------
+# ---- 5. Served results == direct results, digit for digit -----------
 export CRITICS_CACHE_DIR="$WORK/direct"
-"$CLI" run --apps "$APPS" --variants "$VARIANTS" --insts "$INSTS" \
-    --batch direct >/dev/null
+"$CLI" run --apps "$APPS" --variants "$VARIANTS,$VARIANTS2" \
+    --insts "$INSTS" --batch direct >/dev/null
 "$CLI" diff --rel 0 --abs 0 "$STORE" "$CRITICS_CACHE_DIR/results.jsonl"
-echo "serve smoke passed: served store is bit-exact vs a direct run"
+echo "served store is bit-exact vs a direct run"
+
+# ---- 6. A daemon killed -9 leaves no worker behind -------------------
+# Its workers see EOF on stdin and exit by themselves.
+start_daemon "$WORK/port-k" "$WORK/cache-k/results.jsonl" "$WORK/serve-k.log"
+"$CLI" submit --port-file "$WORK/port-k" --apps "$APPS" \
+    --variants "$VARIANTS" --insts 20000 --batch smoke-k >"$WORK/submit-k.log"
+grep -q '"failed":0' "$WORK/submit-k.log"
+JOBK="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$WORK/submit-k.log" | head -1)"
+PIDSK="$(status_pids "$JOBK" "$WORK/port-k")"
+[ -n "$PIDSK" ] || { echo "the batch's status lists no worker"; exit 1; }
+disown "$SERVER_PID" # no "Killed" job notice
+kill -9 "$SERVER_PID"
+SERVER_PID=""
+# Gone, or a zombie: exited, waiting for whoever reaps orphans.
+alive() {
+    local state
+    state="$(ps -o stat= -p "$1" 2>/dev/null || true)"
+    [ -n "$state" ] && [ "${state#Z}" = "$state" ]
+}
+for pid in $PIDSK; do
+    for _ in $(seq 1 50); do
+        alive "$pid" || break
+        sleep 0.1
+    done
+    if alive "$pid"; then
+        echo "worker $pid outlived its killed daemon"; exit 1
+    fi
+done
+echo "serve smoke passed: workers of a killed daemon exited on their own"

@@ -1,7 +1,7 @@
 /**
  * @file
- * A built-in SIGPROF sampling profiler (--profile on run/bench/
- * serve-worker), pointed first at the `analyze` stage ROADMAP names as
+ * A built-in SIGPROF sampling profiler (--profile on run, and per
+ * batch in serve workers under serve --profile-dir), pointed first at the `analyze` stage ROADMAP names as
  * the next optimization target.
  *
  * Design: setitimer(ITIMER_PROF) delivers SIGPROF on a fixed budget of

@@ -8,11 +8,11 @@
  *   {"event":"span","trace":T,"name":N,"cat":C,"ts":S,"dur":D,"tid":I}
  *
  * `trace` is the batch's traceId (minted at submit, carried to the
- * worker via --trace-id); the span itself is an obs::SpanRecord, and
+ * worker in its batch line); the span itself is an obs::SpanRecord, and
  * the trace id travels alongside it.  `ts` is *absolute*
  * CLOCK_MONOTONIC µs — the stitching side subtracts its own epoch, so
  * span lines are meaningful only to a reader on the same host within
- * the same boot, which is exactly the supervisor that forked the
+ * the same boot, which is exactly the supervisor that started the
  * worker.
  */
 

@@ -28,6 +28,12 @@ namespace critics::runner
  */
 constexpr int kResultSchemaVersion = 1;
 
+/** The largest trace budget (ExperimentOptions::traceInsts) a command
+ *  line or a serve request may ask for: 25x the largest run the repo's
+ *  scripts make, and a bound on what one request can make a worker
+ *  allocate. */
+constexpr std::uint64_t kMaxInsts = 50'000'000;
+
 /**
  * 64-bit FNV-1a over "critics-runner-schema-v<schema>|<spec>" — the
  * store's content hash for a raw spec string.  Exposed so the cache

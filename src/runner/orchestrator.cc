@@ -178,6 +178,16 @@ Runner::experiment(const workload::AppProfile &profile,
     return slot->get(profile, options);
 }
 
+void
+Runner::pin(const JobSpec &spec, std::shared_ptr<sim::AppExperiment> built)
+{
+    auto slot = std::make_shared<ExpSlot>();
+    std::call_once(slot->once,
+                   [&] { slot->experiment = std::move(built); });
+    std::lock_guard<std::mutex> guard(expLock_);
+    experiments_[spec.appKey()] = std::move(slot);
+}
+
 BatchResult
 Runner::run(const std::string &batchName,
             const std::vector<JobSpec> &jobs)

@@ -138,6 +138,13 @@ class Runner
     experiment(const workload::AppProfile &profile,
                const sim::ExperimentOptions &options);
 
+    /** Pin `built`, an experiment made elsewhere for `spec`'s app and
+     *  options (JobSpec::appKey()), as if experiment() had built it:
+     *  a long-lived serve worker carries one experiment from one
+     *  batch's Runner to the next this way. */
+    void pin(const JobSpec &spec,
+             std::shared_ptr<sim::AppExperiment> built);
+
     ResultStore &store() { return store_; }
     const RunnerOptions &options() const { return options_; }
 

@@ -6,25 +6,36 @@
  * is already in the result store are "warm" and answered immediately
  * without simulating anything, and the cold remainder is partitioned
  * with the same deterministic hash sharding as `run --shard` and
- * fanned out to a pool of forked serve-worker processes whose progress
- * events stream back to every waiting client.
+ * fanned out, one batch line per shard, to a pool of long-lived
+ * serve-worker processes (serve/supervisor.hh, serve/worker.hh) whose
+ * progress events stream back to every waiting client.
  *
  * Lifecycle guarantees:
- *   - a worker crash costs a bounded respawn (the restarted worker
- *     warm-replays its shard store), and a worker that exhausts its
- *     budget degrades its unfinished jobs to failed-job events instead
- *     of wedging the batch;
+ *   - a worker slot is spawned by the first batch that needs it and
+ *     kept for the daemon's life, so a batch pays no exec and a worker
+ *     may reuse the previous batch's experiment;
+ *   - a worker crash costs a bounded respawn (the restarted worker gets
+ *     the same batch line and warm-replays its shard store), and a
+ *     worker that exhausts its budget degrades its unfinished jobs to
+ *     failed-job events instead of wedging the batch;
  *   - a client disconnect never cancels a job — the batch keeps
  *     running and a later status/wait replays its full event log;
  *   - SIGTERM (requestShutdown) drains the in-flight batch, fails the
  *     queued ones with a clear error, appends its shard stores'
- *     records to the shared store and returns from wait().
+ *     records to the shared store, closes every worker's stdin, reaps
+ *     every worker and returns from wait();
+ *   - one socket bounds what it can cost: a request line longer than
+ *     kMaxLineBytes gets an error reply and the connection closes, a
+ *     connection past maxClients is refused with a reason, and a
+ *     submit's insts is at most runner::kMaxInsts.
  *
  * Threading: one accept loop, one scheduler (batches execute one at a
  * time — simulator jobs already saturate the machine through the
- * worker pool), one detached thread per client connection.  All shared
- * state sits behind one mutex + condvar; the signal path only touches
- * an atomic and a self-pipe.
+ * worker pool), one detached thread per client connection, at most
+ * maxClients of them.  All shared state sits behind one mutex +
+ * condvar; the signal path only touches an atomic and a self-pipe.
+ * Every fd the daemon opens is close-on-exec, so a worker holds no
+ * client socket and no other worker's channel.
  */
 
 #ifndef CRITICS_SERVE_SERVER_HH
@@ -58,6 +69,12 @@ class TraceEventWriter;
 namespace critics::serve
 {
 
+class WorkerSupervisor;
+
+/** Client connections served at once; past it, a new connection gets
+ *  one error line and is closed. */
+constexpr unsigned kMaxClients = 64;
+
 struct ServerOptions
 {
     std::string host = "127.0.0.1";
@@ -66,24 +83,27 @@ struct ServerOptions
     /** When non-empty, the bound port is written here after listen()
      *  succeeds — how scripts using --port 0 find the daemon. */
     std::string portFile;
-    /** Worker processes per batch; start() refuses 0. */
+    /** Long-lived worker processes; start() refuses 0. */
     unsigned workers = 2;
-    /** Respawns allowed per crashed worker. */
+    /** Respawns allowed per worker slot and batch. */
     unsigned maxRestarts = 2;
     /** Per-job attempt budget inside each worker. */
     unsigned maxAttempts = 2;
     /** Result store; "" = cacheDir()/results.jsonl. */
     std::string cachePath;
-    /** The critics_cli binary workers are exec'd from; start()
+    /** The critics_cli binary workers are started from; start()
      *  refuses "" (the CLI passes /proc/self/exe). */
     std::string workerExe;
     /** Per-request spans (ts/dur in real µs); nullptr = off.  When
-     *  set, workers are started with --trace-id and their span events
-     *  are stitched into this writer under the worker's pid/tid. */
+     *  set, each batch line carries the batch's trace id and the
+     *  workers' span events are stitched into this writer under the
+     *  worker's pid/tid. */
     stats::TraceEventWriter *trace = nullptr;
     /** When non-empty, each worker profiles itself (--profile) and
      *  writes `<profileDir>/<batch-id>.worker-<k>.json`. */
     std::string profileDir;
+    /** Live client connections at most (kMaxClients; tests lower it). */
+    unsigned maxClients = kMaxClients;
 };
 
 class Server
@@ -159,8 +179,9 @@ class Server
         /** Hashes already accounted for: a restarted worker replays
          *  its shard, so duplicate events must count once. */
         std::unordered_map<std::string, bool> seen;
-        /** Live worker pids (status exposes them; the smoke test
-         *  kills one mid-batch). */
+        /** The pid of each worker slot while the batch ran (-1 for a
+         *  slot with no worker); status lists the live ones, and they
+         *  stay after the batch ends. */
         std::vector<pid_t> workerPids;
         /** nowMicros() of the last crash per worker slot (0 = never):
          *  the respawn's onSpawn turns it into a restart-delay
@@ -222,6 +243,9 @@ class Server
     unsigned short boundPort_ = 0;
     std::thread acceptThread_;
     std::thread schedulerThread_;
+    /** The worker pool; only the scheduler thread touches it, and it
+     *  reaps every worker as the scheduler drains. */
+    std::unique_ptr<WorkerSupervisor> workers_;
     std::atomic<std::uint64_t> activeClients_{0};
 
     // serve.* stats (all guarded by lock_ except the atomics above).

@@ -1,151 +1,205 @@
 #include "serve/supervisor.hh"
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "serve/protocol.hh"
 #include "support/logging.hh"
 
 namespace critics::serve
 {
 
-namespace
+WorkerSupervisor::WorkerSupervisor(std::vector<std::string> argv,
+                                   std::size_t slots,
+                                   unsigned maxRestarts)
+    : argv_(std::move(argv)), maxRestarts_(maxRestarts), slots_(slots)
 {
+}
 
-/** One worker slot: the argv it (re)runs and its live child state. */
-struct Slot
+WorkerSupervisor::~WorkerSupervisor()
 {
-    std::vector<std::string> argv;
-    pid_t pid = -1;
-    int fd = -1; ///< read end of the child's stdout pipe
-    LineReader lines;
-    unsigned spawns = 0;
-    bool done = false;
-    bool ok = false;
-};
+    // EOF on stdin is a worker's signal to exit; close every stdin
+    // first so the workers wind down together, then reap them.
+    for (Slot &slot : slots_) {
+        if (slot.in >= 0)
+            ::close(slot.in);
+        slot.in = -1;
+    }
+    for (Slot &slot : slots_) {
+        if (slot.pid > 0) {
+            int status = 0;
+            while (::waitpid(slot.pid, &status, 0) < 0 &&
+                   errno == EINTR) {
+            }
+        }
+        if (slot.out >= 0)
+            ::close(slot.out);
+    }
+}
 
-/** fork+exec `slot.argv` with stdout piped back to the parent; false
- *  when the pipe or fork itself fails (exec failures surface as a
- *  child exiting 127, i.e. a crash). */
+std::vector<pid_t>
+WorkerSupervisor::pids() const
+{
+    std::vector<pid_t> out;
+    for (const Slot &slot : slots_)
+        out.push_back(slot.pid);
+    return out;
+}
+
+/** fork+exec argv_ with stdin on a socket pair and stdout on a pipe,
+ *  both back to us; false when the pipes or the fork fail (an exec
+ *  failure surfaces as a child exiting 127, i.e. a crash).  Every fd
+ *  is close-on-exec, so no worker holds another worker's channel. */
 bool
-spawn(Slot &slot)
+WorkerSupervisor::spawn(Slot &slot)
 {
-    int fds[2];
-    if (::pipe(fds) != 0)
+    int in[2], out[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, in) != 0)
         return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
+    if (::pipe2(out, O_CLOEXEC) != 0) {
+        ::close(in[0]);
+        ::close(in[1]);
         return false;
     }
+    // Built before fork: the child of a threaded process may not
+    // allocate.
+    std::vector<char *> argv;
+    for (auto &arg : argv_)
+        argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
     if (pid == 0) {
-        ::close(fds[0]);
-        ::dup2(fds[1], STDOUT_FILENO);
-        ::close(fds[1]);
-        std::vector<char *> argv;
-        argv.reserve(slot.argv.size() + 1);
-        for (auto &arg : slot.argv)
-            argv.push_back(arg.data());
-        argv.push_back(nullptr);
+        ::dup2(in[1], STDIN_FILENO);
+        ::dup2(out[1], STDOUT_FILENO);
         ::execvp(argv[0], argv.data());
         ::_exit(127);
     }
-    ::close(fds[1]);
+    ::close(in[1]);
+    ::close(out[1]);
+    if (pid < 0) {
+        ::close(in[0]);
+        ::close(out[0]);
+        return false;
+    }
     slot.pid = pid;
-    slot.fd = fds[0];
-    slot.spawns++;
+    slot.in = in[0];
+    slot.out = out[0];
+    slot.lines = LineReader();
     return true;
 }
 
-} // namespace
-
-WorkerSupervisor::WorkerSupervisor(SupervisorOptions options)
-    : options_(std::move(options))
+int
+WorkerSupervisor::reap(Slot &slot)
 {
+    int status = 0;
+    pid_t done;
+    while ((done = ::waitpid(slot.pid, &status, WNOHANG)) < 0 &&
+           errno == EINTR) {
+    }
+    if (done == 0) { // still running, but broken: put it down
+        ::kill(slot.pid, SIGKILL);
+        while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
+        }
+    }
+    ::close(slot.in);
+    ::close(slot.out);
+    slot = Slot();
+    return status;
 }
 
 SupervisorResult
-WorkerSupervisor::run(const std::vector<std::vector<std::string>> &argvs)
+WorkerSupervisor::runBatch(const std::vector<std::string> &lines,
+                           const SupervisorHooks &hooks)
 {
-    std::vector<Slot> slots(argvs.size());
+    const std::size_t n = slots_.size();
     SupervisorResult result;
-    result.workerOk.assign(argvs.size(), false);
+    result.workerOk.assign(n, true);
+    std::vector<unsigned> restartsLeft(n, maxRestarts_);
+    std::vector<bool> busy(n, false);
 
-    for (std::size_t i = 0; i < argvs.size(); ++i) {
-        slots[i].argv = argvs[i];
-        if (spawn(slots[i])) {
-            if (options_.onSpawn)
-                options_.onSpawn(i, slots[i].pid);
-        } else {
-            critics_warn("serve: could not spawn worker ", i, ": ",
-                         std::strerror(errno));
-            slots[i].done = true;
-        }
-    }
-
-    // One poll()-gated read per wakeup (never a second, possibly
-    // blocking, read); false on EOF or error means "reap this child".
-    auto drain = [&](Slot &slot, std::size_t index) {
-        char buf[4096];
-        ssize_t n;
-        do {
-            n = ::read(slot.fd, buf, sizeof(buf));
-        } while (n < 0 && errno == EINTR);
-        if (n <= 0)
+    // Slot k's worker died or broke mid-batch: reap it; true when the
+    // budget allows a respawn.
+    auto crashed = [&](std::size_t k) {
+        const int status = reap(slots_[k]);
+        busy[k] = false;
+        const bool willRestart = restartsLeft[k] > 0;
+        if (hooks.onCrash)
+            hooks.onCrash(k, status, willRestart);
+        if (!willRestart) {
+            result.workerOk[k] = false;
             return false;
-        slot.lines.feed(buf, static_cast<std::size_t>(n));
-        while (const auto line = slot.lines.nextLine()) {
-            if (options_.onLine)
-                options_.onLine(index, *line);
         }
+        restartsLeft[k]--;
+        result.restarts++;
         return true;
     };
 
-    auto reap = [&](Slot &slot, std::size_t index) {
-        ::close(slot.fd);
-        slot.fd = -1;
-        int status = 0;
-        while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        slot.pid = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            slot.done = true;
-            slot.ok = true;
-            return;
-        }
-        // Crash (signal) or nonzero exit: respawn if budget remains.
-        const bool willRestart = slot.spawns <= options_.maxRestarts;
-        if (options_.onCrash)
-            options_.onCrash(index, status, willRestart);
-        if (!willRestart) {
-            slot.done = true;
-            return;
-        }
-        slot.lines = LineReader(); // drop any truncated tail line
-        if (spawn(slot)) {
-            result.restarts++;
-            if (options_.onSpawn)
-                options_.onSpawn(index, slot.pid);
-        } else {
-            critics_warn("serve: could not respawn worker ", index,
-                         ": ", std::strerror(errno));
-            slot.done = true;
+    // Put slot k to work: spawn its worker if it has none, then send
+    // the line.  A worker that refuses the line (it died while idle)
+    // is a crash like any other.
+    auto begin = [&](std::size_t k) {
+        Slot &slot = slots_[k];
+        for (;;) {
+            if (slot.pid < 0) {
+                if (!spawn(slot)) {
+                    critics_warn("serve: could not spawn worker ", k,
+                                 ": ", std::strerror(errno));
+                    result.workerOk[k] = false;
+                    return;
+                }
+                if (hooks.onSpawn)
+                    hooks.onSpawn(k, slot.pid);
+            }
+            if (sendAll(slot.in, lines[k] + "\n")) {
+                busy[k] = true;
+                return;
+            }
+            if (!crashed(k))
+                return;
         }
     };
+
+    // One poll()-gated read per wakeup (never a second, possibly
+    // blocking, read); false on EOF, a read error or an overlong
+    // line, which all mean "this worker is gone or broken".
+    auto drain = [&](std::size_t k) {
+        Slot &slot = slots_[k];
+        char buf[4096];
+        ssize_t got;
+        do {
+            got = ::read(slot.out, buf, sizeof(buf));
+        } while (got < 0 && errno == EINTR);
+        if (got <= 0)
+            return false;
+        slot.lines.feed(buf, static_cast<std::size_t>(got));
+        while (const auto line = slot.lines.nextLine()) {
+            if (hooks.onLine)
+                hooks.onLine(k, *line);
+            if (parseShardDone(*line))
+                busy[k] = false;
+        }
+        return !slot.lines.overflowed();
+    };
+
+    for (std::size_t k = 0; k < n; ++k) {
+        if (!lines[k].empty())
+            begin(k);
+    }
 
     for (;;) {
         std::vector<struct pollfd> fds;
         std::vector<std::size_t> owner;
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i].done || slots[i].fd < 0)
+        for (std::size_t k = 0; k < n; ++k) {
+            if (!busy[k])
                 continue;
-            fds.push_back({slots[i].fd, POLLIN, 0});
-            owner.push_back(i);
+            fds.push_back({slots_[k].out, POLLIN, 0});
+            owner.push_back(k);
         }
         if (fds.empty())
             break;
@@ -156,22 +210,22 @@ WorkerSupervisor::run(const std::vector<std::vector<std::string>> &argvs)
             if (errno == EINTR)
                 continue;
             critics_warn("serve: poll failed: ", std::strerror(errno));
+            for (const std::size_t k : owner) {
+                reap(slots_[k]);
+                result.workerOk[k] = false;
+            }
             break;
         }
         for (std::size_t f = 0; f < fds.size(); ++f) {
-            if (fds[f].revents == 0)
-                continue;
-            Slot &slot = slots[owner[f]];
-            if (!drain(slot, owner[f]))
-                reap(slot, owner[f]); // EOF: child closed stdout
+            if (fds[f].revents != 0 && !drain(owner[f]) &&
+                crashed(owner[f]))
+                begin(owner[f]);
         }
     }
 
     result.allOk = true;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        result.workerOk[i] = slots[i].ok;
-        result.allOk = result.allOk && slots[i].ok;
-    }
+    for (const bool ok : result.workerOk)
+        result.allOk = result.allOk && ok;
     return result;
 }
 

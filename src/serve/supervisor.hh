@@ -1,22 +1,39 @@
 /**
  * @file
- * Local worker-pool supervisor: fork+exec one child per argv, capture
- * each child's stdout through a pipe, feed complete lines to the
- * caller as they arrive, and restart crashed children (killed by a
- * signal, or nonzero exit) up to a bounded number of times.  A child
- * that exits 0 is done; a child that exhausts its restart budget is
- * recorded as failed and the pool keeps draining the others — one bad
- * worker degrades the batch (its jobs surface as failed records), it
- * does not abort it.
+ * Local worker-pool supervisor: a fixed number of worker slots, each
+ * one long-lived child process that reads one batch line at a time on
+ * its stdin and answers with stdout lines ending in a "shard-done"
+ * line (serve/protocol.hh).  A slot is spawned when its first batch
+ * arrives and then kept for the supervisor's life; destroying the
+ * supervisor closes every stdin, and each worker exits at EOF and is
+ * reaped.  Its stdin is one end of a socket pair held only by the
+ * supervisor, so a worker also sees EOF when the supervising process
+ * dies, however it dies.
  *
- * The supervisor is deliberately generic over argv: the serve server
- * passes `critics_cli serve-worker ...` command lines, and the unit
- * tests pass `/bin/sh -c` scripts that print marker lines and crash on
- * cue — the restart state machine is exercised without a simulator in
- * the loop.  Restart correctness leans on worker idempotence: a
- * respawned serve-worker replays its shard against its per-shard
- * store, answering already-finished jobs from cache (and re-emitting
- * their events; the consumer deduplicates by job hash).
+ * Per slot, per batch:
+ *
+ *     idle --line--> busy --shard-done--> idle
+ *                     |
+ *                     +--crash--> respawn, re-send the line --> busy
+ *                     +--crash, restarts used up--> dead (batch failed
+ *                                                  for this slot)
+ *
+ * A crash is the worker exiting or dying before its shard-done line,
+ * its stdin refusing the line, or a stdout line longer than
+ * kMaxLineBytes (the worker is then killed).  A worker that died while
+ * idle is found when the next batch's line is sent to it, so it costs
+ * one respawn of that batch.  Each batch gives every slot the same
+ * restart budget; a slot that used it up is spawned afresh by the next
+ * batch that needs it.
+ *
+ * The supervisor is generic over argv: the serve server runs
+ * `critics_cli serve-worker`, and the unit tests run `/bin/sh -c`
+ * scripts that read lines, print marker lines and crash on cue, so the
+ * restart state machine is exercised without a simulator in the loop.
+ * Restart correctness leans on worker idempotence: a respawned
+ * serve-worker replays its shard against its per-shard store,
+ * answering already-finished jobs from cache (and re-emitting their
+ * events; the consumer deduplicates by job hash).
  */
 
 #ifndef CRITICS_SERVE_SUPERVISOR_HH
@@ -29,19 +46,20 @@
 
 #include <sys/types.h>
 
+#include "serve/protocol.hh"
+
 namespace critics::serve
 {
 
-struct SupervisorOptions
+/** Callbacks for one batch, all made on the thread in runBatch(). */
+struct SupervisorHooks
 {
-    /** Respawns allowed per worker slot (on top of the first spawn). */
-    unsigned maxRestarts = 2;
-    /** One complete stdout line from worker `index`. */
+    /** One complete stdout line from the worker of slot `index`. */
     std::function<void(std::size_t index, const std::string &line)>
         onLine;
-    /** A worker (re)started as `pid`. */
+    /** Slot `index` (re)started its worker as `pid`. */
     std::function<void(std::size_t index, pid_t pid)> onSpawn;
-    /** Worker `index` died abnormally with waitpid `status`;
+    /** Slot `index`'s worker crashed mid-batch with waitpid `status`;
      *  `willRestart` tells whether a respawn follows. */
     std::function<void(std::size_t index, int status, bool willRestart)>
         onCrash;
@@ -49,26 +67,53 @@ struct SupervisorOptions
 
 struct SupervisorResult
 {
-    bool allOk = false;          ///< every slot eventually exited 0
+    bool allOk = false;          ///< every engaged slot sent shard-done
     std::uint64_t restarts = 0;  ///< respawns across all slots
-    std::vector<bool> workerOk;  ///< per-slot final verdict
+    std::vector<bool> workerOk;  ///< per slot (true when not engaged)
 };
 
 class WorkerSupervisor
 {
   public:
-    explicit WorkerSupervisor(SupervisorOptions options = {});
+    /** `slots` worker slots that each run `argv` ({executable, arg1,
+     *  ...}, resolved via execvp), respawned at most `maxRestarts`
+     *  times per batch.  Spawns nothing yet. */
+    WorkerSupervisor(std::vector<std::string> argv, std::size_t slots,
+                     unsigned maxRestarts);
+    /** Close every worker's stdin and reap every worker. */
+    ~WorkerSupervisor();
+
+    WorkerSupervisor(const WorkerSupervisor &) = delete;
+    WorkerSupervisor &operator=(const WorkerSupervisor &) = delete;
 
     /**
-     * Spawn one worker per argv vector and block until every worker
-     * has exited 0 or exhausted its restarts.  Each argv is
-     * `{executable, arg1, ...}` resolved via execvp.
+     * Send `lines[k]` (one line, no newline) to slot k — an empty
+     * string leaves the slot out of this batch — and block until every
+     * engaged slot has printed its shard-done line or used up its
+     * restarts.
      */
-    SupervisorResult
-    run(const std::vector<std::vector<std::string>> &argvs);
+    SupervisorResult runBatch(const std::vector<std::string> &lines,
+                              const SupervisorHooks &hooks);
+
+    /** The live worker pid of each slot (-1 for none). */
+    std::vector<pid_t> pids() const;
 
   private:
-    SupervisorOptions options_;
+    struct Slot
+    {
+        pid_t pid = -1;
+        int in = -1;  ///< our end of the worker's stdin socket pair
+        int out = -1; ///< read end of the worker's stdout pipe
+        LineReader lines;
+    };
+
+    bool spawn(Slot &slot);
+    /** Kill (if still running) and reap slot's worker; its status. */
+    int reap(Slot &slot);
+
+    std::vector<std::string> argv_;
+    unsigned maxRestarts_;
+    std::vector<Slot> slots_;
 };
 
 } // namespace critics::serve

@@ -59,15 +59,16 @@ struct Flag
                 }};
     }
 
-    /** An unsigned integer no larger than `T` holds (uintFlag()). */
+    /** An unsigned integer no larger than `max`, by default the
+     *  largest `T` holds (uintFlag()). */
     template <typename T>
     static Flag
-    integer(std::string name, std::string value, std::string help, T &out)
+    integer(std::string name, std::string value, std::string help, T &out,
+            std::uint64_t max = std::numeric_limits<T>::max())
     {
         return {std::move(name), std::move(value), std::move(help),
-                [&out](const std::string &flag, const std::string &v) {
-                    out = static_cast<T>(uintFlag(
-                        flag, v, std::numeric_limits<T>::max()));
+                [&out, max](const std::string &flag, const std::string &v) {
+                    out = static_cast<T>(uintFlag(flag, v, max));
                 }};
     }
 
