@@ -39,7 +39,8 @@ class ServeClient
     bool sendLine(const std::string &line);
 
     /** Next complete reply line, waiting up to `timeoutMs` (-1 =
-     *  forever); nullopt on timeout or a closed connection. */
+     *  forever); nullopt on timeout or a closed connection.  A reply
+     *  line longer than kMaxLineBytes closes the connection. */
     std::optional<std::string> readLine(int timeoutMs = -1);
 
   private:
