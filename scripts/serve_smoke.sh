@@ -4,14 +4,16 @@
 # with one worker kill -9'd mid-batch (the supervisor must restart it
 # and the batch must still finish clean), resubmit the identical batch
 # and demand it is answered entirely from the warm store (zero new
-# simulations), run a second cold batch and demand the same worker
-# processes serve it, check the served store holds each job's record
-# exactly once and that no scratch shard store (or its lock sidecar)
-# outlives its batch, SIGTERM-drain the daemon and demand it reaped
-# every worker, diff the served result store bit-for-bit against a
-# direct `critics_cli run` of the same grids — the service layer must
-# be invisible in the numbers — and finally kill -9 a second daemon and
-# demand its idle workers exit on their own.
+# simulations), run a second and a third cold batch (the third of two
+# transformed variants neither earlier batch ran, so a worker that
+# kept its experiment must build their traces on it) and demand the
+# same worker processes serve them, check the served store holds each
+# job's record exactly once and that no scratch shard store (or its
+# lock sidecar) outlives its batch, SIGTERM-drain the daemon and demand
+# it reaped every worker, diff the served result store bit-for-bit
+# against a direct `critics_cli run` of the same grids — the service
+# layer must be invisible in the numbers — and finally kill -9 a second
+# daemon and demand its idle workers exit on their own.
 #
 # Usage: scripts/serve_smoke.sh   (after cmake --build build)
 set -euo pipefail
@@ -25,6 +27,7 @@ case "$CLI" in /*) ;; *) CLI="$PWD/$CLI" ;; esac
 APPS="Acrobat,Office"
 VARIANTS="baseline,critic"
 VARIANTS2="efetch,opp16" # the second cold batch
+VARIANTS3="hoist,compress" # the third: transformed, not run before
 INSTS=50000
 JOBS=4 # |apps| x |variants|, in each cold batch
 
@@ -128,33 +131,39 @@ grep -q '"simulated":0' "$WORK/submit2.log"
 no_shard_stores
 echo "warm resubmit served $JOBS/$JOBS jobs from the store"
 
-# ---- 3. Second cold batch: the same worker processes serve it -------
+# ---- 3. Second and third cold batches: the same workers serve them --
 PIDS1="$(status_pids "$JOB" "$PORT_FILE")"
 [ -n "$PIDS1" ] || { echo "the first batch's status lists no worker"; exit 1; }
-"$CLI" submit --port-file "$PORT_FILE" --apps "$APPS" \
-    --variants "$VARIANTS2" --insts "$INSTS" --batch smoke-2 \
-    >"$WORK/submit3.log"
-grep -q '"warm":0' "$WORK/submit3.log"
-grep -q '"state":"done"' "$WORK/submit3.log"
-grep -q '"failed":0' "$WORK/submit3.log"
-JOB3="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$WORK/submit3.log" | head -1)"
-PIDS3="$(status_pids "$JOB3" "$PORT_FILE")"
-[ "$PIDS1" = "$PIDS3" ] || {
-    echo "workers changed between batches: $PIDS1 vs $PIDS3"; exit 1
+# cold_batch <n> <variants> <batch>: submit, demand a clean all-cold
+# run in the first batch's workers, and n*JOBS lines in the store.
+cold_batch() {
+    local n=$1 variants=$2 batch=$3 log="$WORK/submit-$3.log" job pids
+    "$CLI" submit --port-file "$PORT_FILE" --apps "$APPS" \
+        --variants "$variants" --insts "$INSTS" --batch "$batch" >"$log"
+    grep -q '"warm":0' "$log"
+    grep -q '"state":"done"' "$log"
+    grep -q '"failed":0' "$log"
+    job="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$log" | head -1)"
+    pids="$(status_pids "$job" "$PORT_FILE")"
+    [ "$PIDS1" = "$pids" ] || {
+        echo "workers changed by $batch: $PIDS1 vs $pids"; exit 1
+    }
+    [ "$(store_lines)" -eq $((n * JOBS)) ] || {
+        echo "served store holds $(store_lines) lines, want $((n * JOBS))"
+        exit 1
+    }
+    no_shard_stores
+    echo "cold batch $batch ran in the same workers ($(echo $pids))"
 }
-[ "$(store_lines)" -eq $((2 * JOBS)) ] || {
-    echo "served store holds $(store_lines) lines, want $((2 * JOBS))"
-    exit 1
-}
-no_shard_stores
-echo "second cold batch ran in the same workers ($(echo $PIDS3))"
+cold_batch 2 "$VARIANTS2" smoke-2
+cold_batch 3 "$VARIANTS3" smoke-3
 
 # ---- 4. SIGTERM drain ------------------------------------------------
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 SERVER_PID=""
 # The daemon reaped every worker before it exited.
-for pid in $PIDS3; do
+for pid in $PIDS1; do
     if kill -0 "$pid" 2>/dev/null; then
         echo "worker $pid outlived the drain"; exit 1
     fi
@@ -162,18 +171,18 @@ done
 # The drain summary proves the daemon's own accounting: every job
 # warm-hit once, simulated once, zero failures, and the kill above
 # really cost (at least) one worker restart.
-grep -q "drained; $JOBS warm hit(s), $((2 * JOBS)) simulated, 0 failed" \
+grep -q "drained; $JOBS warm hit(s), $((3 * JOBS)) simulated, 0 failed" \
     "$WORK/serve.log"
 grep -Eq '[1-9][0-9]* worker restart' "$WORK/serve.log"
 # And the serve.* registry agrees: the warm pass simulated zero jobs.
 grep -q "\"warmHits\":$JOBS" "$WORK/serve_stats.json"
-grep -q "\"simulated\":$((2 * JOBS))" "$WORK/serve_stats.json"
+grep -q "\"simulated\":$((3 * JOBS))" "$WORK/serve_stats.json"
 grep -q '"failedJobs":0' "$WORK/serve_stats.json"
 echo "daemon drained cleanly and reaped its workers"
 
 # ---- 5. Served results == direct results, digit for digit -----------
 export CRITICS_CACHE_DIR="$WORK/direct"
-"$CLI" run --apps "$APPS" --variants "$VARIANTS,$VARIANTS2" \
+"$CLI" run --apps "$APPS" --variants "$VARIANTS,$VARIANTS2,$VARIANTS3" \
     --insts "$INSTS" --batch direct >/dev/null
 "$CLI" diff --rel 0 --abs 0 "$STORE" "$CRITICS_CACHE_DIR/results.jsonl"
 echo "served store is bit-exact vs a direct run"

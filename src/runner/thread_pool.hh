@@ -33,7 +33,9 @@ class ThreadPool
   public:
     /**
      * The shared pool (hardware_concurrency workers, or
-     * $CRITICS_THREADS).  Created on first use, joined at exit.
+     * $CRITICS_THREADS).  Created on first use, joined at exit.  The
+     * count is of *helper* threads: a forEach() caller drains its
+     * region too, so CRITICS_THREADS=1 runs two bodies at once.
      */
     static ThreadPool &shared();
 
@@ -63,9 +65,10 @@ class ThreadPool
 
     /**
      * Run body(0..n-1) across the pool and the calling thread, which
-     * participates instead of idling.  Returns when all n indices are
-     * done; the first exception is rethrown (remaining indices are
-     * abandoned once an error is seen).
+     * participates instead of idling, so up to threadCount() + 1
+     * bodies run at once (one at a time when nested inside a worker).
+     * Returns when all n indices are done; the first exception is
+     * rethrown (remaining indices are abandoned once an error is seen).
      */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &body);

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -54,31 +53,13 @@ eventOf(const runner::JobSpec &spec)
     return event;
 }
 
-/** Transformed traces a kept experiment may hold after a batch. */
-constexpr std::size_t kMaxKeptTransforms = 2;
-
 /** The experiment a worker carries from one batch to the next (see
  *  worker.hh). */
 struct KeptExperiment
 {
     std::string key; ///< its JobSpec::appKey()
     std::shared_ptr<sim::AppExperiment> experiment;
-    /** Memo keys of the transformed traces it holds. */
-    std::set<sim::TransformKey> transforms;
 };
-
-bool
-transformed(const runner::JobSpec &spec)
-{
-    return spec.variant.transform != sim::Transform::None;
-}
-
-sim::TransformKey
-transformKey(const runner::JobSpec &spec)
-{
-    return sim::transformMemoKey(spec.variant,
-                                 spec.options.profileFraction);
-}
 
 /** Run the jobs of one batch line and account for each of them on
  *  stdout; false (with *error set) when the line names an unknown app
@@ -104,19 +85,16 @@ runBatch(const WorkerBatch &line, unsigned maxAttempts,
             jobs.push_back(std::move(spec));
     }
 
-    // Reuse the kept experiment for jobs of its own key, unless that
-    // would leave it memoizing more than kMaxKeptTransforms transformed
-    // traces; otherwise free it before this batch builds its own.
+    // Reuse the kept experiment for jobs of its own key; otherwise free
+    // it before this batch builds its own.
     const runner::JobSpec *reuse = nullptr;
-    std::set<sim::TransformKey> held = kept.transforms;
     for (const auto &spec : jobs) {
-        if (spec.appKey() != kept.key)
-            continue;
-        reuse = &spec;
-        if (transformed(spec))
-            held.insert(transformKey(spec));
+        if (spec.appKey() == kept.key) {
+            reuse = &spec;
+            break;
+        }
     }
-    if (reuse == nullptr || held.size() > kMaxKeptTransforms)
+    if (reuse == nullptr)
         kept = KeptExperiment();
 
     // A trace id: every StageScope — the Runner's phase and job spans
@@ -150,12 +128,8 @@ runBatch(const WorkerBatch &line, unsigned maxAttempts,
                            sim::AppExperiment &experiment) {
         if (spec.appKey() == lastKey) {
             std::lock_guard<std::mutex> guard(keptLock);
-            if (kept.experiment.get() != &experiment) {
-                kept = KeptExperiment{lastKey,
-                                      experiment.shared_from_this(), {}};
-            }
-            if (transformed(spec))
-                kept.transforms.insert(transformKey(spec));
+            if (kept.experiment.get() != &experiment)
+                kept = KeptExperiment{lastKey, experiment.shared_from_this()};
         }
         const std::uint64_t startUs = obs::monotonicMicros();
         auto result = experiment.run(spec.variant);
@@ -173,9 +147,13 @@ runBatch(const WorkerBatch &line, unsigned maxAttempts,
     };
 
     runner::Runner runner(options);
-    if (reuse != nullptr && kept.experiment)
+    if (reuse != nullptr)
         runner.pin(*reuse, kept.experiment);
     const auto result = runner.run(line.batch, jobs);
+    // Between batches the kept experiment holds its offline profile
+    // only, no more than a fresh worker would build.
+    if (kept.experiment)
+        kept.experiment->dropTransforms();
 
     if (profiler.running()) {
         profiler.stop();

@@ -13,13 +13,12 @@
  *
  * Between batches the worker keeps the last batch's AppExperiment (the
  * synthesized program, its trace and its offline profile), keyed by
- * JobSpec::appKey(), and pins it into the next batch's Runner when
- * that batch runs jobs of the same app at the same insts; a batch of
- * another key drops it first.  The experiment memoizes every
- * transformed trace run on it, so the worker also drops it when reuse
- * would leave it holding more than two of them — what one 2-cold grid
- * builds anyway, so a warm worker needs no more memory than a fresh
- * one.
+ * JobSpec::appKey(), and pins it into the next batch's Runner whenever
+ * that batch runs a job of the same app at the same insts; a batch of
+ * another key drops it first.  The experiment memoizes the transformed
+ * traces run on it, so the worker drops those after every batch: an
+ * idle worker holds the offline profile only, never more than a fresh
+ * worker would build, and reuse needs no bound.
  *
  * Restart idempotence: everything a batch needs is in its line and its
  * shard store, so a worker respawned after a crash gets the same line,

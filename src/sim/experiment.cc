@@ -194,6 +194,13 @@ AppExperiment::transformedTrace(const Variant &variant)
     return slot;
 }
 
+void
+AppExperiment::dropTransforms()
+{
+    std::lock_guard<std::mutex> guard(memoLock_);
+    memo_.clear();
+}
+
 RunResult
 AppExperiment::run(const Variant &variant)
 {

@@ -202,6 +202,11 @@ class AppExperiment : public std::enable_shared_from_this<AppExperiment>
     /** baselineCycles / variantCycles. */
     double speedup(const RunResult &result);
 
+    /** Forget every memoized transformed trace; the next run of a
+     *  transformed variant builds its trace again.  A run in flight
+     *  keeps its own trace alive.  The offline profile stays. */
+    void dropTransforms();
+
   private:
     struct MinedSlot;     ///< per-fraction once-latch + result
     struct TransformSlot; ///< per-key once-latch + transformed trace

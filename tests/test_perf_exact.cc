@@ -1,7 +1,8 @@
 /**
  * @file
  * Regression tests for the simulator hot paths: the transformed-trace
- * memo must make reruns bit-identical, the memo key must distinguish
+ * memo must make reruns bit-identical, before and after
+ * dropTransforms() empties it, the memo key must distinguish
  * every binary-changing variant field, and the emit-time thumb
  * counters must agree with a full rescan.  (The pre-overhaul legacy
  * paths and their CRITICS_PACKED_TRACE=off escape hatch were removed
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hh"
 #include "sim/experiment.hh"
 
 using namespace critics;
@@ -93,6 +95,38 @@ expectSameStats(const cpu::CpuStats &a, const cpu::CpuStats &b)
     EXPECT_EQ(a.mem.storeAccesses, b.mem.storeAccesses);
 }
 
+void
+expectSamePass(const compiler::PassStats &a, const compiler::PassStats &b)
+{
+    EXPECT_EQ(a.chainsAttempted, b.chainsAttempted);
+    EXPECT_EQ(a.chainsTransformed, b.chainsTransformed);
+    EXPECT_EQ(a.hoistFailures, b.hoistFailures);
+    EXPECT_EQ(a.localRenames, b.localRenames);
+    EXPECT_EQ(a.blockedRaw, b.blockedRaw);
+    EXPECT_EQ(a.blockedMem, b.blockedMem);
+    EXPECT_EQ(a.blockedCtl, b.blockedCtl);
+    EXPECT_EQ(a.blockedRename, b.blockedRename);
+    EXPECT_EQ(a.instsConverted, b.instsConverted);
+    EXPECT_EQ(a.instsExpanded, b.instsExpanded);
+    EXPECT_EQ(a.cdpsInserted, b.cdpsInserted);
+    EXPECT_EQ(a.switchBranchesInserted, b.switchBranchesInserted);
+}
+
+/** Run `variant` on `exp`, counting the transform spans it records. */
+sim::RunResult
+runCountingTransforms(AppExperiment &exp, const Variant &variant,
+                      std::size_t *transforms)
+{
+    *transforms = 0;
+    obs::setSpanSink([transforms](const obs::SpanRecord &span) {
+        if (span.name == "transform")
+            ++*transforms;
+    });
+    auto result = exp.run(variant);
+    obs::setSpanSink(nullptr);
+    return result;
+}
+
 } // namespace
 
 TEST(PackedTrace, MemoizedRerunIsIdentical)
@@ -106,6 +140,31 @@ TEST(PackedTrace, MemoizedRerunIsIdentical)
     const auto first = exp.run(v);
     const auto second = exp.run(v);
     expectSameStats(first.cpu, second.cpu);
+    EXPECT_EQ(first.dynThumbFraction, second.dynThumbFraction);
+}
+
+TEST(PackedTrace, RerunAfterDropTransformsIsIdentical)
+{
+    // dropTransforms() forgets the memoized trace, so the rerun builds
+    // it afresh (a new transform span) and must match the first run.
+    AppExperiment exp(smallApp("Angrybirds"), smallOptions());
+    Variant v;
+    v.label = "opp16+critic";
+    v.transform = Transform::Opp16PlusCritIc;
+    std::size_t built = 0;
+    const auto first = runCountingTransforms(exp, v, &built);
+    EXPECT_GT(built, 0u);
+    std::size_t transforms = 0;
+    runCountingTransforms(exp, v, &transforms);
+    EXPECT_EQ(transforms, 0u); // served from the memo
+
+    exp.dropTransforms();
+    const auto second = runCountingTransforms(exp, v, &transforms);
+    EXPECT_EQ(transforms, built);
+    expectSameStats(first.cpu, second.cpu);
+    expectSamePass(first.pass, second.pass);
+    EXPECT_EQ(first.selectionCoverage, second.selectionCoverage);
+    EXPECT_EQ(first.staticThumbFraction, second.staticThumbFraction);
     EXPECT_EQ(first.dynThumbFraction, second.dynThumbFraction);
 }
 

@@ -1077,6 +1077,35 @@ traceOf(ServeClient &client, const std::string &job)
     return reply ? stringField(*reply, "trace") : "";
 }
 
+/** The record `store` holds for `app`/`variant` at grid()'s insts
+ *  must equal a direct Runner run's (the Runner's store goes under
+ *  `dir`). */
+void
+expectServedMatchesDirect(const std::string &store, const std::string &dir,
+                          const std::string &app, const std::string &variant)
+{
+    runner::RunnerOptions direct;
+    direct.cachePath = dir + "/direct/results.jsonl";
+    direct.progress = false;
+    direct.writeManifest = false;
+    sim::ExperimentOptions expOptions;
+    expOptions.traceInsts = grid(app, variant).insts;
+    const auto jobs = runner::makeGrid(*sim::tryParseApps(app),
+                                       *sim::tryParseVariants(variant),
+                                       expOptions);
+    const auto batch = runner::Runner(direct).run("direct", jobs);
+    ASSERT_TRUE(batch.allOk());
+    bool found = false;
+    for (const auto &record : runner::readResultRecords(store)) {
+        if (record.hash != jobs[0].hashHex())
+            continue;
+        found = true;
+        EXPECT_EQ(record.spec, jobs[0].specString());
+        EXPECT_EQ(sim::toJson(record.result), sim::toJson(batch.result(0)));
+    }
+    EXPECT_TRUE(found) << app << "/" << variant << " was not served";
+}
+
 } // namespace
 
 TEST(ServeServer, WarmRoundTripsAreNotHeldForDelayedAcks)
@@ -1169,27 +1198,65 @@ TEST(ServeServer, WarmWorkerKeepsItsPidAndExperimentAcrossBatches)
     EXPECT_EQ(warm.count("synth"), 0u);
     EXPECT_EQ(warm.count("emit"), 0u);
 
-    runner::RunnerOptions direct;
-    direct.cachePath = dir.str() + "/direct/results.jsonl";
-    direct.progress = false;
-    direct.writeManifest = false;
-    sim::ExperimentOptions expOptions;
-    expOptions.traceInsts = 20000;
-    const auto jobs = runner::makeGrid(*sim::tryParseApps("Acrobat"),
-                                       *sim::tryParseVariants("hoist"),
-                                       expOptions);
-    const auto batch = runner::Runner(direct).run("direct", jobs);
-    ASSERT_TRUE(batch.allOk());
-    bool found = false;
-    for (const auto &record :
-         runner::readResultRecords(options.cachePath)) {
-        if (record.hash != jobs[0].hashHex())
-            continue;
-        found = true;
-        EXPECT_EQ(record.spec, jobs[0].specString());
-        EXPECT_EQ(sim::toJson(record.result), sim::toJson(batch.result(0)));
+    expectServedMatchesDirect(options.cachePath, dir.str(), "Acrobat",
+                              "hoist");
+
+    server.requestShutdown();
+    server.wait();
+}
+
+TEST(ServeServer, WarmWorkerReusesItsExperimentForEveryGridOfItsKey)
+{
+    // Three cold grids of one key, two transformed variants each, run
+    // in one worker process on one experiment: the worker drops the
+    // transformed traces after each batch instead of the experiment, so
+    // batches 2 and 3 have job spans but no synth or emit span.
+    setQuiet(true);
+    TempPath dir("critics-serve-reuse");
+    std::filesystem::create_directories(dir.str());
+    stats::TraceEventWriter trace;
+    ServerOptions options;
+    options.workers = 1;
+    options.workerExe = CRITICS_CLI;
+    options.cachePath = dir.str() + "/results.jsonl";
+    options.trace = &trace;
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+        << error;
+
+    const std::vector<std::pair<std::string, std::string>> grids = {
+        {"critic", "hoist"},
+        {"opp16", "compress"},
+        {"critic-ideal", "opp16+critic"}};
+    std::vector<std::string> batches;
+    for (const auto &[a, b] : grids) {
+        json::JsonValue done;
+        batches.push_back(
+            submitAndWait(client, grid("Acrobat", a + "," + b), &done));
+        ASSERT_FALSE(batches.back().empty()) << a << "," << b;
+        EXPECT_EQ(uintField(done, "simulated"), 2u) << a << "," << b;
+        EXPECT_EQ(uintField(done, "failed"), 0u) << a << "," << b;
     }
-    EXPECT_TRUE(found);
+
+    const auto pids = statusPids(client, batches[0]);
+    ASSERT_EQ(pids.size(), 1u);
+    const auto cold = spanNames(trace, traceOf(client, batches[0]));
+    EXPECT_EQ(cold.count("synth"), 1u);
+    EXPECT_EQ(cold.count("emit"), 1u);
+    for (std::size_t i = 1; i < batches.size(); ++i) {
+        EXPECT_EQ(statusPids(client, batches[i]), pids) << "batch " << i;
+        const auto warm = spanNames(trace, traceOf(client, batches[i]));
+        EXPECT_EQ(warm.count("Acrobat/" + grids[i].first), 1u);
+        EXPECT_EQ(warm.count("Acrobat/" + grids[i].second), 1u);
+        EXPECT_EQ(warm.count("synth"), 0u) << "batch " << i;
+        EXPECT_EQ(warm.count("emit"), 0u) << "batch " << i;
+    }
+
+    expectServedMatchesDirect(options.cachePath, dir.str(), "Acrobat",
+                              "opp16+critic");
 
     server.requestShutdown();
     server.wait();
