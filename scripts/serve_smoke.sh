@@ -8,9 +8,12 @@
 # transformed variants neither earlier batch ran, so a worker that
 # kept its experiment must build their traces on it) and demand the
 # same worker processes serve them, check the served store holds each
-# job's record exactly once and that no scratch shard store (or its
-# lock sidecar) outlives its batch, SIGTERM-drain the daemon and demand
-# it reaped every worker, diff the served result store bit-for-bit
+# job's record exactly once and that a batch leaves nothing in the
+# store's directory but the store, its lock sidecar and the manifests,
+# SIGTERM-drain the daemon and demand it reaped every worker and that
+# the killed worker's respawn re-simulated no job whose event had
+# arrived (one job span per job), diff the served result store
+# bit-for-bit
 # against a direct `critics_cli run` of the same grids — the service
 # layer must be invisible in the numbers — and finally kill -9 a second
 # daemon and demand its idle workers exit on their own.
@@ -74,14 +77,15 @@ echo "daemon up on port $(cat "$PORT_FILE")"
 
 # ---- 1. Cold batch, with a worker murdered mid-flight ----------------
 # --sleep-ms slows each simulated job so a worker is reliably alive to
-# kill; the supervisor must respawn it and the respawn must warm-replay
-# its shard store, so the batch still completes with zero failures.
+# kill; the supervisor must respawn it with the jobs whose events had
+# not arrived, so the batch still completes with zero failures.
 "$CLI" submit --port-file "$PORT_FILE" --apps "$APPS" \
     --variants "$VARIANTS" --insts "$INSTS" --sleep-ms 1500 \
     --batch smoke --no-wait >"$WORK/submit1.json"
 cat "$WORK/submit1.json"
 JOB="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$WORK/submit1.json")"
 [ -n "$JOB" ] || { echo "submit returned no job id"; exit 1; }
+TRACE1="$(sed -n 's/.*"trace":"\([^"]*\)".*/\1/p' "$WORK/submit1.json")"
 
 # Anchor the pattern on the absolute binary path so pgrep can only
 # match real serve-worker processes, never this script's own cmdline,
@@ -102,19 +106,25 @@ echo "killed worker $VICTIM mid-batch"
 grep -q '"state":"done"' "$WORK/wait1.log"
 grep -q '"failed":0' "$WORK/wait1.log"
 [ "$(grep -c '"event":"job"' "$WORK/wait1.log")" -eq "$JOBS" ]
-# Every shard record was appended to the served store exactly once: a
-# doubled or torn fold changes the line count.
+# Results ride only the worker leg: a client's events carry none.
+if grep -q '"result"' "$WORK/wait1.log"; then
+    echo "a client event carries a result"; exit 1
+fi
+# Every job's record was appended to the served store exactly once: a
+# doubled or torn append changes the line count.
 store_lines() { wc -l <"$STORE" | tr -d ' '; }
 [ "$(store_lines)" -eq "$JOBS" ] || {
     echo "served store holds $(store_lines) lines, want $JOBS"; exit 1
 }
-# The batch's scratch shard stores were removed with their sidecars.
-no_shard_stores() {
+# A batch writes its store appends and its manifest, nothing else.
+only_store_files() {
     local left
-    left="$(find "$(dirname "$STORE")" -name 'results.*.shard-*')"
-    [ -z "$left" ] || { echo "left behind by a batch: $left"; exit 1; }
+    left="$(LC_ALL=C ls -A "$(dirname "$STORE")" | tr '\n' ' ')"
+    [ "$left" = "manifests results.jsonl results.jsonl.lock " ] || {
+        echo "the store's directory holds: $left"; exit 1
+    }
 }
-no_shard_stores
+only_store_files
 echo "cold batch survived the worker kill ($JOBS/$JOBS jobs ok)"
 
 # ---- 2. Warm resubmit: answered from the store, nothing simulated ---
@@ -128,7 +138,7 @@ grep -q '"simulated":0' "$WORK/submit2.log"
 [ "$(store_lines)" -eq "$JOBS" ] || {
     echo "warm resubmit changed the store: $(store_lines) lines"; exit 1
 }
-no_shard_stores
+only_store_files
 echo "warm resubmit served $JOBS/$JOBS jobs from the store"
 
 # ---- 3. Second and third cold batches: the same workers serve them --
@@ -152,7 +162,7 @@ cold_batch() {
         echo "served store holds $(store_lines) lines, want $((n * JOBS))"
         exit 1
     }
-    no_shard_stores
+    only_store_files
     echo "cold batch $batch ran in the same workers ($(echo $pids))"
 }
 cold_batch 2 "$VARIANTS2" smoke-2
@@ -178,6 +188,17 @@ grep -Eq '[1-9][0-9]* worker restart' "$WORK/serve.log"
 grep -q "\"warmHits\":$JOBS" "$WORK/serve_stats.json"
 grep -q "\"simulated\":$((3 * JOBS))" "$WORK/serve_stats.json"
 grep -q '"failedJobs":0' "$WORK/serve_stats.json"
+# The killed worker's respawn simulated only the jobs without an event:
+# the merged trace holds one job span per job of the first batch.
+SPANS1="$(python3 -c '
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+print(sum(1 for e in events if e.get("cat") == "job" and
+          (e.get("args") or {}).get("trace") == sys.argv[2]))
+' "$WORK/serve_trace.json" "$TRACE1")"
+[ "$SPANS1" -eq "$JOBS" ] || {
+    echo "the first batch has $SPANS1 job spans, want $JOBS"; exit 1
+}
 echo "daemon drained cleanly and reaped its workers"
 
 # ---- 5. Served results == direct results, digit for digit -----------

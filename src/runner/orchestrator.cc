@@ -140,9 +140,10 @@ struct Runner::ExpSlot
     }
 };
 
-Runner::Runner(RunnerOptions options)
-    : options_(std::move(options)), store_(options_.cachePath)
+Runner::Runner(RunnerOptions options) : options_(std::move(options))
 {
+    if (options_.useCache)
+        store_.emplace(options_.cachePath);
     if (!options_.executor) {
         options_.executor = [](const JobSpec &spec,
                                sim::AppExperiment &experiment) {
@@ -156,7 +157,8 @@ Runner::~Runner() = default;
 void
 Runner::registerStats(stats::StatRegistry &reg) const
 {
-    store_.registerStats(reg, "runner.cache");
+    if (store_)
+        store_->registerStats(reg, "runner.cache");
     ThreadPool::shared().registerStats(reg, "runner.pool");
     reg.addLatency("runner.jobWall", jobWall_,
                    "wall time of executed jobs (us)");
@@ -268,8 +270,8 @@ Runner::run(const std::string &batchName,
     phase.emplace(obs::Stage::None, "cache-lookup", "phase");
     std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < owned.size(); ++i) {
-        if (options_.useCache && !options_.refresh) {
-            if (auto cached = store_.lookup(hashes[i], specs[i])) {
+        if (store_ && !options_.refresh) {
+            if (auto cached = store_->lookup(hashes[i], specs[i])) {
                 auto &outcome = batch.outcomes[i];
                 outcome.ok = true;
                 outcome.fromCache = true;
@@ -384,10 +386,10 @@ Runner::run(const std::string &batchName,
             if (emergency)
                 records.push_back(recordOf(i, outcome).toJson());
         }
-        if (outcome.ok && options_.useCache) {
-            store_.insert(hashes[group[0]], specs[group[0]],
-                          spec.profile.name, spec.variant.label,
-                          outcome.result);
+        if (outcome.ok && store_) {
+            store_->insert(hashes[group[0]], specs[group[0]],
+                           spec.profile.name, spec.variant.label,
+                           outcome.result);
         }
         for (std::size_t k = 0; k < records.size(); ++k)
             emergency->publish(group[k], std::move(records[k]));
@@ -410,10 +412,12 @@ Runner::run(const std::string &batchName,
     phase.emplace(obs::Stage::None, "manifest", "phase");
     batch.manifest.wallSeconds = secondsSince(startWall);
     batch.manifest.interrupted = SigintGuard::interrupted();
-    batch.manifest.runnerStats.cacheHits = store_.hits();
-    batch.manifest.runnerStats.cacheMisses = store_.misses();
-    batch.manifest.runnerStats.cacheInserts = store_.inserts();
-    batch.manifest.runnerStats.cacheCollisions = store_.collisions();
+    if (store_) {
+        batch.manifest.runnerStats.cacheHits = store_->hits();
+        batch.manifest.runnerStats.cacheMisses = store_->misses();
+        batch.manifest.runnerStats.cacheInserts = store_->inserts();
+        batch.manifest.runnerStats.cacheCollisions = store_->collisions();
+    }
     batch.manifest.runnerStats.poolTasks =
         ThreadPool::shared().tasksSubmitted();
     batch.manifest.runnerStats.poolThreads =
@@ -463,7 +467,8 @@ Runner::run(const std::string &batchName,
                      "flushed to %s\n",
                      manifestName.c_str(),
                      owned.size() - batch.manifest.failedCount(),
-                     owned.size(), store_.path().c_str());
+                     owned.size(),
+                     store_ ? store_->path().c_str() : "no store");
         std::exit(130);
     }
     return batch;

@@ -55,7 +55,7 @@ struct RunnerOptions
 {
     /** Cache file; "" = cacheDir()/results.jsonl. */
     std::string cachePath;
-    /** Read and write the persistent cache. */
+    /** Read and write the persistent cache; false opens no store. */
     bool useCache = true;
     /** Ignore cached records (still re-writes fresh ones). */
     bool refresh = false;
@@ -145,18 +145,19 @@ class Runner
     void pin(const JobSpec &spec,
              std::shared_ptr<sim::AppExperiment> built);
 
-    ResultStore &store() { return store_; }
+    /** The result store; only when options().useCache. */
+    ResultStore &store() { return *store_; }
     const RunnerOptions &options() const { return options_; }
 
     /** Register the runner's infrastructure counters: the result
-     *  cache under "runner.cache", the pool under "runner.pool", and
-     *  the per-job wall-time latency histogram as "runner.jobWall".
-     *  The Runner must outlive the registry. */
+     *  cache (if any) under "runner.cache", the pool under
+     *  "runner.pool", and the per-job wall-time latency histogram as
+     *  "runner.jobWall".  The Runner must outlive the registry. */
     void registerStats(stats::StatRegistry &reg) const;
 
   private:
     RunnerOptions options_;
-    ResultStore store_;
+    std::optional<ResultStore> store_; ///< set when options_.useCache
     /** Wall time of every executed (non-cached) job, in µs. */
     LatencyHistogram jobWall_;
 

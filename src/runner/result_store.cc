@@ -412,14 +412,6 @@ StoreLock::~StoreLock()
         ::close(fd_); // releases the flock
 }
 
-void
-removeStore(const std::string &path)
-{
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::filesystem::remove(path + ".lock", ec);
-}
-
 std::string
 cacheDir()
 {
@@ -450,12 +442,6 @@ void
 ResultStore::refresh()
 {
     std::lock_guard<std::mutex> guard(lock_);
-    refreshLocked();
-}
-
-void
-ResultStore::refreshLocked()
-{
     struct stat viaPath{};
     if (::stat(path_.c_str(), &viaPath) != 0) {
         forgetLocked(); // removed, or not created yet
@@ -508,29 +494,6 @@ ResultStore::forgetLocked()
     }
     indexed_ = 0;
     entries_.clear();
-}
-
-std::size_t
-ResultStore::absorb(const std::string &shardPath)
-{
-    std::string lines;
-    std::size_t records = 0;
-    scanStore(shardPath, [&](StoreLine &line) {
-        if (line.kind == StoreLine::Kind::Good) {
-            lines += line.bytes;
-            lines += '\n';
-            ++records;
-        }
-    });
-    if (records == 0)
-        return 0; // also a shard that ran nothing and wrote no store
-    std::lock_guard<std::mutex> guard(lock_);
-    appendLocked(lines);
-    inserts_ += records;
-    // Indexes the absorbed lines, and anything other processes
-    // appended since the last refresh.
-    refreshLocked();
-    return records;
 }
 
 std::optional<sim::RunResult>

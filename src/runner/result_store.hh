@@ -9,8 +9,8 @@
  * classification.
  *
  * The lock: every writer holds StoreLock, an exclusive flock(2) on the
- * sidecar `<store>.lock`.  Appenders (insert, absorb) hold it around
- * one O_APPEND write(2) of whole lines; clear() and the rewriters
+ * sidecar `<store>.lock`.  An appender (insert) holds it around one
+ * O_APPEND write(2) of a whole line; clear() and the rewriters
  * (cache_admin.hh) across their fold + temp + rename.  The sidecar is
  * never renamed, so every holder contends on one inode; a lock on the
  * data file would be orphaned by the very rename it guards.  With no
@@ -20,10 +20,10 @@
  * dying mid-write leaves at most one unterminated tail.
  *
  * The scanner: scanStore() is the one reader of store files, used by
- * the index, absorb(), readResultRecords() and the rewriters, so all
- * agree on what a record is.  It never hands over an unterminated
- * tail: under the lock that tail is torn, and without it the tail may
- * be a write in progress, read once its newline lands.
+ * the index, readResultRecords() and the rewriters, so all agree on
+ * what a record is.  It never hands over an unterminated tail: under
+ * the lock that tail is torn, and without it the tail may be a write
+ * in progress, read once its newline lands.
  *
  * Incremental index: the index covers the file up to the byte past the
  * last line scanned, and the store keeps an O_RDONLY descriptor on the
@@ -91,14 +91,6 @@ class StoreLock
   private:
     int fd_ = -1;
 };
-
-/**
- * Delete a store file and its lock sidecar.  Only for a store no
- * process writes any more (a finished shard's scratch store): removing
- * the sidecar under a live writer would let the next one lock a fresh
- * inode.
- */
-void removeStore(const std::string &path);
 
 /** One record of a result-store file, with its provenance fields. */
 struct ResultRecord
@@ -214,20 +206,7 @@ class ResultStore
      */
     void refresh();
 
-    /**
-     * Append the Good lines of the store file `shardPath` verbatim
-     * (the shard writer's bytes, as `cache merge` keeps them) in one
-     * append under the StoreLock, then index them.  Malformed,
-     * old-schema and unterminated lines are dropped; a missing file
-     * absorbs nothing.  Like insert(), it
-     * does not deduplicate: a record whose hash is already stored is
-     * appended and supersedes the older one.  Returns the number of
-     * records appended.
-     */
-    std::size_t absorb(const std::string &shardPath);
-
   private:
-    void refreshLocked();
     void indexFromLocked(); ///< scan [indexed_, EOF) of readFd_
     void forgetLocked();    ///< drop the index and the pinned inode
     /** One O_APPEND write of whole lines under the StoreLock,

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 
 #include "runner/job.hh"
+#include "runner/result_store.hh"
 #include "support/json.hh"
 
 namespace critics::serve
@@ -238,12 +239,15 @@ renderJobEvent(const JobEvent &event)
         w.fieldReadable("wall-s", event.wallSeconds);
     if (!event.error.empty())
         w.field("error", event.error);
+    if (event.result) // the store's bit-exact rendering, verbatim
+        return w.str() + ",\"result\":" +
+               runner::resultToJson(*event.result) + "}";
     w.endObject();
     return w.str();
 }
 
 std::optional<JobEvent>
-parseJobEvent(const std::string &line)
+parseJobEvent(const std::string &line, bool fromWorker)
 {
     const auto doc = json::parseJson(line);
     if (!doc || !doc->isObject())
@@ -277,6 +281,13 @@ parseJobEvent(const std::string &line)
     }
     if (const auto *f = doc->find("error"))
         event.error = f->asString().value_or("");
+    if (const auto *f = doc->find("result")) {
+        event.result = runner::resultFromJson(*f);
+        if (!event.result)
+            return std::nullopt;
+    }
+    if (fromWorker && event.ok && !event.fromCache && !event.result)
+        return std::nullopt;
     return event;
 }
 
@@ -289,8 +300,7 @@ renderWorkerBatch(const WorkerBatch &batch)
         .field("batch", batch.batch)
         .field("apps", batch.apps)
         .field("variants", batch.variants)
-        .field("insts", batch.insts)
-        .field("store", batch.store);
+        .field("insts", batch.insts);
     w.beginArray("hashes");
     for (const auto &hash : batch.hashes)
         w.element(hash);
@@ -337,7 +347,6 @@ parseWorkerBatch(const std::string &line, std::string *error)
     if (!text("batch", batch.batch, true) ||
         !text("apps", batch.apps, true) ||
         !text("variants", batch.variants, true) ||
-        !text("store", batch.store, true) ||
         !text("trace-id", batch.traceId, false) ||
         !text("profile", batch.profile, false))
         return std::nullopt;
@@ -375,38 +384,17 @@ parseWorkerBatch(const std::string &line, std::string *error)
 }
 
 std::string
-renderShardDone(const ShardDone &done)
+renderShardDone()
 {
-    json::JsonWriter w;
-    w.beginObject()
-        .field("event", "shard-done")
-        .field("failed", done.failed)
-        .field("total", done.total)
-        .endObject();
-    return w.str();
+    return "{\"event\":\"shard-done\"}";
 }
 
-std::optional<ShardDone>
+bool
 parseShardDone(const std::string &line)
 {
     const auto doc = json::parseJson(line);
-    if (!doc || !doc->isObject())
-        return std::nullopt;
-    const auto *kind = doc->find("event");
-    const auto kindText = kind ? kind->asString() : std::nullopt;
-    if (!kindText || *kindText != "shard-done")
-        return std::nullopt;
-
-    ShardDone done;
-    const auto *failed = doc->find("failed");
-    const auto *total = doc->find("total");
-    const auto failedVal = failed ? failed->asUint() : std::nullopt;
-    const auto totalVal = total ? total->asUint() : std::nullopt;
-    if (!failedVal || !totalVal)
-        return std::nullopt;
-    done.failed = *failedVal;
-    done.total = *totalVal;
-    return done;
+    const auto *kind = doc && doc->isObject() ? doc->find("event") : nullptr;
+    return kind != nullptr && kind->asString() == "shard-done";
 }
 
 } // namespace critics::serve

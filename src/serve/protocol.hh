@@ -18,14 +18,17 @@
  *
  * Worker batch (server → worker stdin, one per batch and shard):
  *            {"op":"batch","batch":B,"apps":A,"variants":V,"insts":N,
- *             "store":S,"hashes":[H,...],"sleep-ms":0,
- *             "trace-id":T,"profile":P}
+ *             "hashes":[H,...],"sleep-ms":0,"trace-id":T,"profile":P}
  *
  * Job events (worker stdout AND server wait/status streams):
  *            {"event":"job","hash":H,"app":A,"variant":V,
- *             "ok":true,"from-cache":false,"wall-s":1.5,"error":""}
+ *             "ok":true,"from-cache":false,"wall-s":1.5,"error":"",
+ *             "result":R}
+ * `result` (runner::resultToJson, bit-exact) rides only the worker
+ * leg, on each simulated job's event: the server writes it to its
+ * store and strips it before clients see the event.
  * Worker end-of-shard marker (ends the batch for that worker):
- *            {"event":"shard-done","failed":F,"total":T}
+ *            {"event":"shard-done"}
  *
  * A batch line with a trace-id makes the worker also emit span events
  * ({"event":"span",...}, see obs/span.hh) on the same stdout channel;
@@ -41,6 +44,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "sim/experiment.hh"
 
 namespace critics::serve
 {
@@ -134,7 +139,7 @@ std::string renderRequest(const Request &request);
  * One job's terminal state, as streamed live from a worker and
  * re-streamed (after dedup) to every waiting client.  `hash` is the
  * JobSpec content hash — the stable identity events are deduplicated
- * by when a restarted worker replays its shard.
+ * by.
  */
 struct JobEvent
 {
@@ -147,18 +152,24 @@ struct JobEvent
      *  hits) — feeds the server's serve.jobLatency histogram. */
     double wallSeconds = 0.0;
     std::string error; ///< last failure message when !ok
+    /** The simulated result, on the worker leg only. */
+    std::optional<sim::RunResult> result;
 };
 
 std::string renderJobEvent(const JobEvent &event);
-std::optional<JobEvent> parseJobEvent(const std::string &line);
+/** nullopt unless `line` is a job event with a hash, well-typed
+ *  fields and, if it has one, a complete result.  `fromWorker` (the
+ *  worker leg) also demands the result of an ok, simulated job. */
+std::optional<JobEvent> parseJobEvent(const std::string &line,
+                                      bool fromWorker = false);
 
 /**
  * One batch for a long-lived serve-worker, written to its stdin: run
  * the jobs whose hashes are listed, out of the apps × variants grid at
- * `insts`, against the shard store `store`.  The server names each app,
- * variant and hash of the shard's own jobs once, so the line stays
- * small whatever the request's lists.  A worker respawned after a crash gets
- * the same line again and warm-replays its shard store.
+ * `insts`.  The server names each app, variant and hash of the shard's
+ * own jobs once, so the line stays small whatever the request's lists.
+ * A worker respawned after a crash gets a line naming only the jobs
+ * that have no event yet.
  */
 struct WorkerBatch
 {
@@ -166,7 +177,6 @@ struct WorkerBatch
     std::string apps;
     std::string variants;
     std::uint64_t insts = 0;
-    std::string store; ///< this shard's result store
     std::vector<std::string> hashes; ///< the jobs this shard owns
     std::uint64_t sleepMs = 0;
     std::string traceId; ///< "" = stream no spans
@@ -181,14 +191,8 @@ std::optional<WorkerBatch> parseWorkerBatch(const std::string &line,
 
 /** A worker's last line of a batch: every owned job has been
  *  accounted for. */
-struct ShardDone
-{
-    std::uint64_t failed = 0;
-    std::uint64_t total = 0;
-};
-
-std::string renderShardDone(const ShardDone &done);
-std::optional<ShardDone> parseShardDone(const std::string &line);
+std::string renderShardDone();
+bool parseShardDone(const std::string &line);
 
 } // namespace critics::serve
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <unordered_map>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -51,19 +52,19 @@ errorLine(const std::string &message)
     return w.str();
 }
 
+} // namespace
+
 const char *
-stateName(std::uint8_t state)
+Server::stateName(Batch::State state)
 {
     switch (state) {
-      case 0: return "queued";
-      case 1: return "running";
-      case 2: return "done";
-      case 3: return "failed";
+      case Batch::State::Queued: return "queued";
+      case Batch::State::Running: return "running";
+      case Batch::State::Done: return "done";
+      case Batch::State::Failed: return "failed";
     }
     return "unknown";
 }
-
-} // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), store_(options_.cachePath),
@@ -402,8 +403,9 @@ Server::handleSubmit(const SubmitRequest &submit)
     batch->startedUnix =
         static_cast<std::uint64_t>(::time(nullptr));
     {
-        // Trace context, minted here and carried through worker argv:
-        // unique per daemon lifetime (epoch µs) and per batch (id).
+        // Trace context, minted here and carried on each worker batch
+        // line: unique per daemon lifetime (epoch µs) and per batch
+        // (id).
         char traceId[64];
         std::snprintf(traceId, sizeof(traceId), "%llx-%s",
                       static_cast<unsigned long long>(epochUs_),
@@ -485,8 +487,7 @@ Server::statusJson(const Batch &batch) const
     w.beginObject()
         .field("ok", true)
         .field("job", batch.id)
-        .field("state",
-               stateName(static_cast<std::uint8_t>(batch.state)))
+        .field("state", stateName(batch.state))
         .field("trace", batch.traceId)
         .field("total", batch.total)
         .field("warm", batch.warm)
@@ -545,9 +546,7 @@ Server::streamWait(int fd, const std::string &jobId)
                 w.beginObject()
                     .field("event", "done")
                     .field("job", batch->id)
-                    .field("state",
-                           stateName(static_cast<std::uint8_t>(
-                               batch->state)))
+                    .field("state", stateName(batch->state))
                     .field("total", batch->total)
                     .field("warm", batch->warm)
                     .field("simulated", batch->simulated)
@@ -569,10 +568,10 @@ void
 Server::recordEventLocked(Batch &batch, const JobEvent &event,
                           bool warmOrigin)
 {
-    // A respawned worker replays its whole shard, so its event stream
-    // may repeat hashes; the first event for a hash is the one that
-    // counts (and the only one clients see).
-    if (!batch.seen.emplace(event.hash, event.ok).second)
+    // A grid that names an app or a variant twice holds a job twice;
+    // the first event for a hash is the one that counts (and the only
+    // one clients see).
+    if (!batch.seen.insert(event.hash).second)
         return;
     batch.events.push_back(renderJobEvent(event));
     if (!event.ok) {
@@ -736,53 +735,46 @@ Server::writeBatchManifest(const std::shared_ptr<Batch> &batch,
 void
 Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
 {
-    const std::string dir =
-        std::filesystem::path(store_.path()).parent_path().string();
-    {
-        // The store file itself is created lazily on first insert, so
-        // the directory may not exist yet on a fresh cache.
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-    }
     const unsigned workers = options_.workers;
 
-    // The same pure hash partition as `run --shard K/N`: every process
-    // computes the same split, so a respawned worker owns exactly the
-    // jobs its predecessor did.
-    std::vector<std::vector<const runner::JobSpec *>> shards(workers);
+    // The same pure hash partition as `run --shard K/N`.  `pending`
+    // holds each cold job without an event yet; only this thread
+    // touches it (runBatch makes every callback here).
+    std::unordered_map<std::string, const runner::JobSpec *> pending;
+    std::vector<std::vector<std::string>> shards(workers);
     for (const auto &spec : batch->coldSpecs) {
-        shards[runner::shardOf(spec, workers) - 1].push_back(&spec);
+        std::string hash = spec.hashHex();
+        if (pending.emplace(hash, &spec).second)
+            shards[runner::shardOf(spec, workers) - 1].push_back(hash);
     }
 
-    // One batch line per engaged slot; a slot with no cold job of this
-    // batch gets none and sits it out.
-    std::vector<std::string> lines(workers);
-    std::vector<std::string> shardStores;
-    for (unsigned k = 0; k < workers; ++k) {
-        if (shards[k].empty())
-            continue;
-        const std::string tag = batch->id + ".shard-" +
-                                std::to_string(k + 1) + "-of-" +
-                                std::to_string(workers);
-        // Every field is bounded whatever the request said: the tag,
-        // not the client's batch name; each app, variant and hash of
-        // the shard once (a request may repeat names).
+    // Slot k's batch line: its shard's pending jobs, each app, variant
+    // and hash once, so every field is bounded whatever the request
+    // said (a request may repeat names); "" when none is pending.  A
+    // respawned worker is sent a fresh line, so it re-runs no job
+    // whose event arrived.
+    auto lineFor = [&](std::size_t k) {
         WorkerBatch line;
-        line.batch = tag;
-        line.insts = batch->request.insts;
-        line.store = dir + "/results." + tag + ".jsonl";
-        line.sleepMs = batch->request.sleepMs;
-        std::set<std::string> apps, variants, hashes;
-        for (const auto *spec : shards[k]) {
-            if (apps.insert(spec->profile.name).second)
+        std::set<std::string> apps, variants;
+        for (const auto &hash : shards[k]) {
+            const auto it = pending.find(hash);
+            if (it == pending.end())
+                continue;
+            const runner::JobSpec &spec = *it->second;
+            if (apps.insert(spec.profile.name).second)
                 line.apps += (line.apps.empty() ? "" : ",") +
-                             spec->profile.name;
-            if (variants.insert(spec->variant.label).second)
+                             spec.profile.name;
+            if (variants.insert(spec.variant.label).second)
                 line.variants += (line.variants.empty() ? "" : ",") +
-                                 spec->variant.label;
-            if (hashes.insert(spec->hashHex()).second)
-                line.hashes.push_back(spec->hashHex());
+                                 spec.variant.label;
+            line.hashes.push_back(hash);
         }
+        if (line.hashes.empty())
+            return std::string();
+        line.batch = batch->id + ".shard-" + std::to_string(k + 1) +
+                     "-of-" + std::to_string(workers);
+        line.insts = batch->request.insts;
+        line.sleepMs = batch->request.sleepMs;
         if (options_.trace != nullptr)
             line.traceId = batch->traceId;
         if (!options_.profileDir.empty()) {
@@ -792,22 +784,34 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
             line.profile = options_.profileDir + "/" + batch->id +
                            ".worker-" + std::to_string(k + 1) + ".json";
         }
-        runner::removeStore(line.store);
-        shardStores.push_back(line.store);
-        lines[k] = renderWorkerBatch(line);
-    }
+        return renderWorkerBatch(line);
+    };
 
     {
         std::lock_guard<std::mutex> lock(lock_);
-        inFlightShards_ = shardStores.size();
+        inFlightShards_ = 0;
+        for (const auto &shard : shards)
+            inFlightShards_ += shard.empty() ? 0 : 1;
         batch->workerPids = workers_->pids();
         batch->crashedAtUs.assign(workers, 0);
     }
 
     SupervisorHooks hooks;
-    hooks.onLine = [this, batch](std::size_t index,
-                                 const std::string &line) {
-        if (const auto event = parseJobEvent(line)) {
+    hooks.onLine = [&](std::size_t index, const std::string &line) {
+        if (auto event = parseJobEvent(line, /*fromWorker=*/true)) {
+            // The first event of a pending job counts.  Its result goes
+            // into the store before any client can see the event.
+            const auto it = pending.find(event->hash);
+            if (it == pending.end())
+                return;
+            if (event->result) {
+                const runner::JobSpec &spec = *it->second;
+                store_.insert(it->first, spec.specString(),
+                              spec.profile.name, spec.variant.label,
+                              *event->result);
+                event->result.reset();
+            }
+            pending.erase(it);
             recordEvent(batch, *event);
             return;
         }
@@ -846,36 +850,34 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
         batch->workerPids[index] = -1;
         if (willRestart)
             batch->crashedAtUs[index] = nowMicros();
+        else if (inFlightShards_ > 0) // the slot is done without shard-done
+            inFlightShards_--;
         cv_.notify_all();
     };
-    workers_->runBatch(lines, hooks);
+    workers_->runBatch(lineFor, hooks);
 
-    // Append every shard store's records to the shared one (and the
-    // index) so the next submission of these specs is warm: the cost
-    // is the batch's new records, not the store's size.  Then drop
-    // the scratch shard stores, each with its lock sidecar.
-    for (const auto &shardStore : shardStores) {
-        store_.absorb(shardStore);
-        runner::removeStore(shardStore);
-    }
+    // Index what other processes appended and what `cache merge`,
+    // `compact` or `gc` rewrote while the batch ran.
+    store_.refresh();
 
-    // Anything not accounted for by an event belongs to a worker that
-    // burned through its restart budget: a failed-job record, not a
-    // hang.
-    {
-        std::lock_guard<std::mutex> lock(lock_);
-        for (const auto &spec : batch->coldSpecs) {
+    // A job still pending belongs to a worker that burned through its
+    // restart budget: a failed-job record, not a hang.
+    std::lock_guard<std::mutex> lock(lock_);
+    for (const auto &shard : shards) {
+        for (const auto &hash : shard) {
+            const auto it = pending.find(hash);
+            if (it == pending.end())
+                continue;
             JobEvent event;
-            event.hash = spec.hashHex();
-            event.app = spec.profile.name;
-            event.variant = spec.variant.label;
-            event.ok = false;
+            event.hash = hash;
+            event.app = it->second->profile.name;
+            event.variant = it->second->variant.label;
             event.error =
                 "worker exhausted restarts before finishing this job";
             recordEventLocked(*batch, event, /*warmOrigin=*/false);
         }
-        inFlightShards_ = 0;
     }
+    inFlightShards_ = 0;
 }
 
 std::uint64_t

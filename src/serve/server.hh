@@ -8,22 +8,23 @@
  * with the same deterministic hash sharding as `run --shard` and
  * fanned out, one batch line per shard, to a pool of long-lived
  * serve-worker processes (serve/supervisor.hh, serve/worker.hh) whose
- * progress events stream back to every waiting client.
+ * progress events stream back to every waiting client.  A simulated
+ * job's event brings its result, which the daemon, the store's only
+ * writer, appends to the store before the event reaches a client.
  *
  * Lifecycle guarantees:
  *   - a worker slot is spawned by the first batch that needs it and
  *     kept for the daemon's life, so a batch pays no exec and a worker
  *     may reuse the previous batch's experiment;
- *   - a worker crash costs a bounded respawn (the restarted worker gets
- *     the same batch line and warm-replays its shard store), and a
- *     worker that exhausts its budget degrades its unfinished jobs to
+ *   - a worker crash costs a bounded respawn (the restarted worker is
+ *     sent only the jobs whose events had not arrived), and a worker
+ *     that exhausts its budget degrades its unfinished jobs to
  *     failed-job events instead of wedging the batch;
  *   - a client disconnect never cancels a job — the batch keeps
  *     running and a later status/wait replays its full event log;
  *   - SIGTERM (requestShutdown) drains the in-flight batch, fails the
- *     queued ones with a clear error, appends its shard stores'
- *     records to the shared store, closes every worker's stdin, reaps
- *     every worker and returns from wait();
+ *     queued ones with a clear error, closes every worker's stdin,
+ *     reaps every worker and returns from wait();
  *   - one socket bounds what it can cost: a request line longer than
  *     kMaxLineBytes gets an error reply and the connection closes, a
  *     connection past maxClients is refused with a reason, and a
@@ -50,7 +51,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <sys/types.h>
@@ -176,9 +177,9 @@ class Server
         /** Rendered event lines in arrival order — the replay log a
          *  late status/wait streams from index 0. */
         std::vector<std::string> events;
-        /** Hashes already accounted for: a restarted worker replays
-         *  its shard, so duplicate events must count once. */
-        std::unordered_map<std::string, bool> seen;
+        /** Hashes already accounted for, so a job the grid holds
+         *  twice counts once. */
+        std::unordered_set<std::string> seen;
         /** The pid of each worker slot while the batch ran (-1 for a
          *  slot with no worker); status lists the live ones, and they
          *  stay after the batch ends. */
@@ -191,6 +192,8 @@ class Server
          *  arrival order — the rows of the per-batch manifest. */
         std::vector<runner::JobRecord> records;
     };
+
+    static const char *stateName(Batch::State state);
 
     void acceptLoop();
     void schedulerLoop();

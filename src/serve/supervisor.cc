@@ -114,7 +114,7 @@ WorkerSupervisor::reap(Slot &slot)
 }
 
 SupervisorResult
-WorkerSupervisor::runBatch(const std::vector<std::string> &lines,
+WorkerSupervisor::runBatch(const LineFn &lineFor,
                            const SupervisorHooks &hooks)
 {
     const std::size_t n = slots_.size();
@@ -123,29 +123,31 @@ WorkerSupervisor::runBatch(const std::vector<std::string> &lines,
     std::vector<unsigned> restartsLeft(n, maxRestarts_);
     std::vector<bool> busy(n, false);
 
-    // Slot k's worker died or broke mid-batch: reap it; true when the
-    // budget allows a respawn.
+    // Slot k's worker died or broke mid-batch: reap it; the line its
+    // respawn gets, or "" when the slot is finished — nothing is left
+    // for it, or its budget is used up.
     auto crashed = [&](std::size_t k) {
         const int status = reap(slots_[k]);
         busy[k] = false;
-        const bool willRestart = restartsLeft[k] > 0;
+        std::string line = lineFor(k);
+        const bool willRestart = !line.empty() && restartsLeft[k] > 0;
         if (hooks.onCrash)
             hooks.onCrash(k, status, willRestart);
         if (!willRestart) {
-            result.workerOk[k] = false;
-            return false;
+            result.workerOk[k] = line.empty();
+            return std::string();
         }
         restartsLeft[k]--;
         result.restarts++;
-        return true;
+        return line;
     };
 
-    // Put slot k to work: spawn its worker if it has none, then send
-    // the line.  A worker that refuses the line (it died while idle)
-    // is a crash like any other.
-    auto begin = [&](std::size_t k) {
+    // Put slot k to work on `line` ("" leaves it idle): spawn its
+    // worker if it has none, then send the line.  A worker that
+    // refuses the line (it died while idle) is a crash like any other.
+    auto begin = [&](std::size_t k, std::string line) {
         Slot &slot = slots_[k];
-        for (;;) {
+        while (!line.empty()) {
             if (slot.pid < 0) {
                 if (!spawn(slot)) {
                     critics_warn("serve: could not spawn worker ", k,
@@ -156,12 +158,11 @@ WorkerSupervisor::runBatch(const std::vector<std::string> &lines,
                 if (hooks.onSpawn)
                     hooks.onSpawn(k, slot.pid);
             }
-            if (sendAll(slot.in, lines[k] + "\n")) {
+            if (sendAll(slot.in, line + "\n")) {
                 busy[k] = true;
                 return;
             }
-            if (!crashed(k))
-                return;
+            line = crashed(k);
         }
     };
 
@@ -187,10 +188,8 @@ WorkerSupervisor::runBatch(const std::vector<std::string> &lines,
         return !slot.lines.overflowed();
     };
 
-    for (std::size_t k = 0; k < n; ++k) {
-        if (!lines[k].empty())
-            begin(k);
-    }
+    for (std::size_t k = 0; k < n; ++k)
+        begin(k, lineFor(k));
 
     for (;;) {
         std::vector<struct pollfd> fds;
@@ -217,9 +216,8 @@ WorkerSupervisor::runBatch(const std::vector<std::string> &lines,
             break;
         }
         for (std::size_t f = 0; f < fds.size(); ++f) {
-            if (fds[f].revents != 0 && !drain(owner[f]) &&
-                crashed(owner[f]))
-                begin(owner[f]);
+            if (fds[f].revents != 0 && !drain(owner[f]))
+                begin(owner[f], crashed(owner[f]));
         }
     }
 

@@ -14,7 +14,8 @@
  *
  *     idle --line--> busy --shard-done--> idle
  *                     |
- *                     +--crash--> respawn, re-send the line --> busy
+ *                     +--crash--> respawn, send a fresh line --> busy
+ *                     +--crash, nothing left--> idle
  *                     +--crash, restarts used up--> dead (batch failed
  *                                                  for this slot)
  *
@@ -30,10 +31,9 @@
  * `critics_cli serve-worker`, and the unit tests run `/bin/sh -c`
  * scripts that read lines, print marker lines and crash on cue, so the
  * restart state machine is exercised without a simulator in the loop.
- * Restart correctness leans on worker idempotence: a respawned
- * serve-worker replays its shard against its per-shard store,
- * answering already-finished jobs from cache (and re-emitting their
- * events; the consumer deduplicates by job hash).
+ * The supervisor asks for a slot's line each time it sends one, so
+ * the serve server can give a respawned worker only the jobs whose
+ * events have not arrived: a crash costs no repeated simulation.
  */
 
 #ifndef CRITICS_SERVE_SUPERVISOR_HH
@@ -67,7 +67,7 @@ struct SupervisorHooks
 
 struct SupervisorResult
 {
-    bool allOk = false;          ///< every engaged slot sent shard-done
+    bool allOk = false;          ///< no slot left its jobs unfinished
     std::uint64_t restarts = 0;  ///< respawns across all slots
     std::vector<bool> workerOk;  ///< per slot (true when not engaged)
 };
@@ -86,13 +86,18 @@ class WorkerSupervisor
     WorkerSupervisor(const WorkerSupervisor &) = delete;
     WorkerSupervisor &operator=(const WorkerSupervisor &) = delete;
 
+    /** The line (no newline) slot k is sent; "" = none. */
+    using LineFn = std::function<std::string(std::size_t k)>;
+
     /**
-     * Send `lines[k]` (one line, no newline) to slot k — an empty
-     * string leaves the slot out of this batch — and block until every
-     * engaged slot has printed its shard-done line or used up its
-     * restarts.
+     * Send `lineFor(k)` to slot k — an empty line leaves the slot out
+     * of this batch — and block until every engaged slot has printed
+     * its shard-done line or used up its restarts.  After a crash the
+     * slot's line is asked for again, after every line the dead
+     * worker printed has gone to onLine; an empty answer finishes the
+     * slot without a respawn.
      */
-    SupervisorResult runBatch(const std::vector<std::string> &lines,
+    SupervisorResult runBatch(const LineFn &lineFor,
                               const SupervisorHooks &hooks);
 
     /** The live worker pid of each slot (-1 for none). */

@@ -111,8 +111,10 @@ runBatch(const WorkerBatch &line, unsigned maxAttempts,
     if (!line.profile.empty())
         profiler.start();
 
+    // The daemon is the store's only writer: a worker reads no store
+    // and sends each result up on its job event.
     runner::RunnerOptions options;
-    options.cachePath = line.store;
+    options.useCache = false;
     options.maxAttempts = maxAttempts;
     options.progress = false;
     // The supervisor's event stream is the record of this shard; a run
@@ -142,6 +144,7 @@ runBatch(const WorkerBatch &line, unsigned maxAttempts,
         event.wallSeconds = static_cast<double>(
                                 obs::monotonicMicros() - startUs) /
                             1e6;
+        event.result = result;
         emitLine(renderJobEvent(event));
         return result;
     };
@@ -161,25 +164,17 @@ runBatch(const WorkerBatch &line, unsigned maxAttempts,
     }
     obs::setSpanSink(nullptr);
 
-    // Simulated successes streamed live from the executor; account for
-    // everything else (cache answers, exhausted-retry failures) here.
-    // A respawned worker finds its earlier work in the shard store, so
-    // this sweep is what re-emits the pre-crash events.
-    ShardDone done;
-    done.total = result.jobs.size();
+    // Successes streamed live from the executor; account for the
+    // failures (attempts used up) here.
     for (std::size_t i = 0; i < result.jobs.size(); ++i) {
         const auto &outcome = result.outcomes[i];
-        if (outcome.ok && !outcome.fromCache)
+        if (outcome.ok)
             continue;
         JobEvent event = eventOf(result.jobs[i]);
-        event.ok = outcome.ok;
-        event.fromCache = outcome.fromCache;
         event.error = outcome.error;
         emitLine(renderJobEvent(event));
     }
-    for (const auto &outcome : result.outcomes)
-        done.failed += outcome.ok ? 0 : 1;
-    emitLine(renderShardDone(done));
+    emitLine(renderShardDone());
     return true;
 }
 

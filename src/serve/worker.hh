@@ -5,11 +5,12 @@
  * batch line (serve::WorkerBatch) to its stdin per batch; the worker
  * rebuilds the batch's grid from the line's apps/variants/insts, keeps
  * only the jobs whose hashes the line lists, runs them through an
- * ordinary Runner over the line's per-shard result store, and streams
- * one JSONL JobEvent per finished job on stdout, ending the batch with
- * a "shard-done" line.  It then waits for the next line, and exits 0
- * when stdin closes, which is how the daemon stops it and how it
- * notices that the daemon died.
+ * ordinary Runner that reads and writes no result store, and streams
+ * one JSONL JobEvent per finished job on stdout — a simulated job's
+ * event carries its result, which the daemon writes to its store —
+ * ending the batch with a "shard-done" line.  It then waits for the
+ * next line, and exits 0 when stdin closes, which is how the daemon
+ * stops it and how it notices that the daemon died.
  *
  * Between batches the worker keeps the last batch's AppExperiment (the
  * synthesized program, its trace and its offline profile), keyed by
@@ -20,13 +21,10 @@
  * idle worker holds the offline profile only, never more than a fresh
  * worker would build, and reuse needs no bound.
  *
- * Restart idempotence: everything a batch needs is in its line and its
- * shard store, so a worker respawned after a crash gets the same line,
- * answers already-completed jobs from its shard store (emitting their
- * events again — the server dedupes by hash) and simulates only the
- * remainder.  So the worker always reads its shard store: a
- * submit-time `refresh` is the server's business (it sends cached jobs
- * cold and empties each shard store first).
+ * A worker never answers from cache: the daemon sends it only jobs
+ * that are not in the store (all of them on a submit-time `refresh`),
+ * and a worker respawned after a crash gets a line naming only the
+ * jobs whose events had not arrived.
  */
 
 #ifndef CRITICS_SERVE_WORKER_HH

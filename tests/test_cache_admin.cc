@@ -380,7 +380,7 @@ INSTANTIATE_TEST_SUITE_P(Rewriters, CacheGcRace, ::testing::Values(1, 2),
                          });
 
 // ---------------------------------------------------------------------------
-// Incremental refresh and shard absorb
+// Incremental refresh
 
 TEST(ResultStore, RefreshParsesOnlyAppendedLines)
 {
@@ -409,46 +409,10 @@ TEST(ResultStore, RefreshParsesOnlyAppendedLines)
     EXPECT_EQ(parsed->eval(), static_cast<double>(kRecords + 1));
 }
 
-TEST(ResultStore, AbsorbAppendsOnlyGoodLines)
-{
-    TempPath file("critics-absorb"), shard("critics-absorb-shard");
-    ResultStore live(file.str());
-    live.insert(tinySpec(1), sampleResult(1.0));
-    const std::string before = fileBytes(file.str());
-
-    const std::string good = makeLine(tinySpec(2), sampleResult(2.0), 7);
-    std::string torn = makeLine(tinySpec(4), sampleResult(4.0), 7);
-    torn.pop_back(); // a complete record, but its newline never landed
-    appendBytes(shard.str(),
-                good + "{\"schema\":1,\"hash\":\"mangled\n" +
-                    makeLine(tinySpec(3), sampleResult(), 7, "",
-                             kResultSchemaVersion + 1) +
-                    torn);
-
-    setQuiet(true);
-    EXPECT_EQ(live.absorb(shard.str()), 1u);
-    EXPECT_EQ(live.absorb(shard.str() + ".missing"), 0u);
-    setQuiet(false);
-    EXPECT_EQ(fileBytes(file.str()), before + good); // byte for byte
-
-    ResultStore fresh(file.str());
-    EXPECT_EQ(live.size(), 2u);
-    EXPECT_EQ(fresh.size(), 2u);
-    for (const std::uint64_t seed : {1, 2, 3, 4}) {
-        const auto want = fresh.lookup(tinySpec(seed));
-        const auto got = live.lookup(tinySpec(seed));
-        ASSERT_EQ(got.has_value(), want.has_value()) << seed;
-        if (want) {
-            EXPECT_EQ(resultToJson(*got), resultToJson(*want));
-        }
-    }
-    EXPECT_TRUE(live.lookup(tinySpec(2)).has_value());
-}
-
 TEST(ResultStore, RefreshMatchesFreshLoad)
 {
     // A long-lived store refreshed after every step of a seeded mix of
-    // appends, torn tails, absorbs, rewrites (inode swaps) and
+    // appends, malformed lines, torn tails, rewrites (inode swaps) and
     // removals must index exactly what a fresh load of the file does.
     TempPath file("critics-refresh-prop"), shard("critics-refresh-shard");
     constexpr std::uint64_t kSpecs = 10;
@@ -477,14 +441,11 @@ TEST(ResultStore, RefreshMatchesFreshLoad)
                         sampleResult(rng.uniform()));
             tailPending = false;
             break;
-          case 2: { // absorb a shard with a malformed line in it
-            std::filesystem::remove(shard.str());
-            appendBytes(shard.str(),
+          case 2: // another writer appends a malformed line
+            appendBytes(file.str(),
                         randomLine() + "not a record\n" + randomLine());
-            live.absorb(shard.str());
             tailPending = false;
             break;
-          }
           case 3: // a record without its newline, later completed
             if (tailPending) {
                 appendBytes(file.str(), "\n");
@@ -722,21 +683,18 @@ TEST(CacheMerge, FiltersOldSchemaAndTruncatedTail)
     EXPECT_EQ(stats->malformed, 1u);
     EXPECT_EQ(readResultRecords(out.str()).size(), 1u);
 
-    // A complete record whose newline never landed: merge and absorb of
-    // the same shard agree that it is not (yet) a record.
-    TempPath shard("critics-merge-shard"), merged("critics-merge-out3"),
-        absorbed("critics-merge-absorbed");
+    // A complete record whose newline never landed is not (yet) a
+    // record: merge keeps only the terminated line, verbatim.
+    TempPath shard("critics-merge-shard"), merged("critics-merge-out3");
+    const std::string good = makeLine(tinySpec(3), sampleResult(), 100);
     std::string unterminated = makeLine(tinySpec(4), sampleResult(), 100);
     unterminated.pop_back();
-    appendBytes(shard.str(),
-                makeLine(tinySpec(3), sampleResult(), 100) + unterminated);
+    appendBytes(shard.str(), good + unterminated);
     const auto shardStats = mergeStores(merged.str(), {shard.str()});
     ASSERT_TRUE(shardStats.has_value());
     EXPECT_EQ(shardStats->recordsKept, 1u);
     EXPECT_EQ(shardStats->malformed, 1u);
-    ResultStore store(absorbed.str());
-    EXPECT_EQ(store.absorb(shard.str()), shardStats->recordsKept);
-    EXPECT_EQ(fileBytes(absorbed.str()), fileBytes(merged.str()));
+    EXPECT_EQ(fileBytes(merged.str()), good);
     EXPECT_EQ(readResultRecords(shard.str()).size(), 1u);
 }
 

@@ -24,6 +24,7 @@
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
 #include "runner/thread_pool.hh"
+#include "stats/registry.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -294,6 +295,41 @@ TEST(Runner, ColdThenWarmIsBitIdenticalAndSimulationFree)
     EXPECT_TRUE(warm.outcomes[1].fromCache);
     EXPECT_EQ(resultToJson(warm.result(0)), coldJson0);
     EXPECT_EQ(resultToJson(warm.result(1)), coldJson1);
+}
+
+TEST(Runner, NoCacheRunnerOpensNoStore)
+{
+    // A store full of records costs a no-cache Runner nothing: it
+    // parses none of them, answers nothing from them and adds none.
+    TempPath file("critics-runner-nocache");
+    const std::vector<JobSpec> jobs{tinySpec("Acrobat")};
+    {
+        Runner warm(testOptions(file.str()));
+        ASSERT_TRUE(warm.run("fill", jobs).allOk());
+    }
+    const auto fileSize = std::filesystem::file_size(file.str());
+
+    std::atomic<int> executed{0};
+    RunnerOptions options = testOptions(file.str());
+    options.useCache = false;
+    options.executor = [&](const JobSpec &spec,
+                           sim::AppExperiment &experiment) {
+        ++executed;
+        return experiment.run(spec.variant);
+    };
+    Runner runner(options);
+    stats::StatRegistry reg;
+    runner.registerStats(reg);
+    EXPECT_EQ(reg.find("runner.cache.parsedLines"), nullptr);
+
+    const auto batch = runner.run("nocache", jobs);
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_EQ(executed.load(), 1);
+    EXPECT_FALSE(batch.outcomes[0].fromCache);
+    EXPECT_EQ(batch.manifest.runnerStats.cacheHits, 0u);
+    EXPECT_EQ(batch.manifest.runnerStats.cacheMisses, 0u);
+    EXPECT_EQ(batch.manifest.runnerStats.cacheInserts, 0u);
+    EXPECT_EQ(std::filesystem::file_size(file.str()), fileSize);
 }
 
 TEST(Runner, PhaseAndJobSpansGoThroughTheSpanSink)

@@ -35,6 +35,7 @@
 
 #include "obs/span.hh"
 #include "runner/orchestrator.hh"
+#include "runner/result_store.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -217,23 +218,101 @@ TEST(ServeProtocol, JobEventRoundTripsWithAndWithoutError)
     EXPECT_EQ(back->error, "simulator said \"no\"");
 }
 
+namespace
+{
+
+/** An irregular result: odd doubles, large counters. */
+sim::RunResult
+sampleResult()
+{
+    sim::RunResult r;
+    r.cpu.cycles = 123456789012345ULL;
+    r.cpu.committed = 400000;
+    r.cpu.efetchAccuracy = 2.0 / 3.0;
+    r.cpu.all.fetch = 0.1;
+    r.cpu.crit.insts = 77;
+    r.cpu.mem.dram.totalLatency = 700;
+    r.energy.cpuCore = 0.12345678901234567;
+    r.energy.icache = 2e-9;
+    r.pass.chainsTransformed = 10;
+    r.selectionCoverage = 1.0 / 7.0;
+    r.dynThumbFraction = 1e-17;
+    return r;
+}
+
+/** A simulated job's event as a worker sends it. */
+JobEvent
+simulatedEvent()
+{
+    JobEvent event;
+    event.hash = "9f86d081884c7d65";
+    event.app = "Acrobat";
+    event.variant = "critic";
+    event.ok = true;
+    event.wallSeconds = 12.25;
+    event.result = sampleResult();
+    return event;
+}
+
+} // namespace
+
+TEST(ServeProtocol, JobEventCarriesItsResultBitExactly)
+{
+    const JobEvent sent = simulatedEvent();
+    const auto back = parseJobEvent(renderJobEvent(sent), true);
+    ASSERT_TRUE(back.has_value());
+    ASSERT_TRUE(back->result.has_value());
+    EXPECT_EQ(runner::resultToJson(*back->result),
+              runner::resultToJson(*sent.result));
+    EXPECT_EQ(renderJobEvent(*back), renderJobEvent(sent));
+
+    // What clients see: the same event without its result.
+    JobEvent stripped = sent;
+    stripped.result.reset();
+    const std::string line = renderJobEvent(stripped);
+    EXPECT_EQ(line.find("result"), std::string::npos);
+    const auto client = parseJobEvent(line);
+    ASSERT_TRUE(client.has_value());
+    EXPECT_FALSE(client->result.has_value());
+}
+
+TEST(ServeProtocol, WorkerEventWithoutACompleteResultIsRejected)
+{
+    JobEvent event = simulatedEvent();
+    event.result.reset();
+    const std::string bare = renderJobEvent(event);
+    EXPECT_FALSE(parseJobEvent(bare, true).has_value());
+    EXPECT_TRUE(parseJobEvent(bare).has_value()); // a client's line
+
+    // A result missing a field is refused on either leg.
+    std::string torn = renderJobEvent(simulatedEvent());
+    const auto at = torn.find("\"energy\":");
+    ASSERT_NE(at, std::string::npos);
+    torn.replace(at, 9, "\"enerxy\":");
+    EXPECT_FALSE(parseJobEvent(torn, true).has_value());
+    EXPECT_FALSE(parseJobEvent(torn).has_value());
+
+    // A failed job, or a cache answer, has no result to carry.
+    event.ok = false;
+    event.error = "no";
+    EXPECT_TRUE(parseJobEvent(renderJobEvent(event), true).has_value());
+    event.ok = true;
+    event.fromCache = true;
+    EXPECT_TRUE(parseJobEvent(renderJobEvent(event), true).has_value());
+}
+
 TEST(ServeProtocol, ShardDoneRoundTripsAndKindsDoNotCross)
 {
-    ShardDone done;
-    done.failed = 3;
-    done.total = 17;
-    const std::string doneLine = renderShardDone(done);
-    const auto back = parseShardDone(doneLine);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->failed, 3u);
-    EXPECT_EQ(back->total, 17u);
+    const std::string doneLine = renderShardDone();
+    EXPECT_EQ(doneLine, "{\"event\":\"shard-done\"}");
+    EXPECT_TRUE(parseShardDone(doneLine));
 
     JobEvent event;
     event.hash = "beef";
     const std::string eventLine = renderJobEvent(event);
     // A parser only accepts its own event kind.
     EXPECT_FALSE(parseJobEvent(doneLine).has_value());
-    EXPECT_FALSE(parseShardDone(eventLine).has_value());
+    EXPECT_FALSE(parseShardDone(eventLine));
     // And a job event without its identity is useless.
     EXPECT_FALSE(parseJobEvent("{\"event\":\"job\"}").has_value());
     EXPECT_FALSE(parseJobEvent("{\"event\":\"job\",\"hash\":\"\"}")
@@ -264,7 +343,6 @@ sampleBatch()
     batch.apps = "Acrobat,Office";
     batch.variants = "baseline,critic";
     batch.insts = 50000;
-    batch.store = "/tmp/cache/results.serve-3.shard-1-of-2.jsonl";
     batch.hashes = {"9f86d081884c7d65", "60303ae22b998861"};
     batch.sleepMs = 1500;
     batch.traceId = "5af3-serve-3";
@@ -279,7 +357,6 @@ expectSameBatch(const WorkerBatch &a, const WorkerBatch &b)
     EXPECT_EQ(a.apps, b.apps);
     EXPECT_EQ(a.variants, b.variants);
     EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.store, b.store);
     EXPECT_EQ(a.hashes, b.hashes);
     EXPECT_EQ(a.sleepMs, b.sleepMs);
     EXPECT_EQ(a.traceId, b.traceId);
@@ -323,7 +400,7 @@ TEST(ServeProtocol, WorkerBatchRoundTripsAndRejectsBadFields)
           with("\"insts\":50000", "\"insts\":50000001"),
           with("\"insts\":50000", "\"insts\":-5"),
           with("\"apps\":\"Acrobat,Office\"", "\"apps\":\"\""),
-          with("\"store\":", "\"stash\":"),
+          with("\"variants\":", "\"variantz\":"),
           with("\"hashes\":[", "\"hashes\":[7,"),
           with("\"hashes\":[", "\"hashes\":[\"\","),
           with("\"hashes\":[\"9f86d081884c7d65\",\"60303ae22b998861\"]",
@@ -340,35 +417,28 @@ TEST(ServeProtocol, WorkerBatchRoundTripsAndRejectsBadFields)
 
 TEST(ServeProtocol, MutatedChannelLinesRoundTripOrAreRejected)
 {
-    // A worker's stdout carries span, job-event and shard-done lines,
-    // and its stdin batch lines.  Seeded byte flips, truncations and
-    // inserted quotes or braces in each kind: a mutated line is
-    // refused, or it decodes as one kind only and the decoded value
-    // re-renders to a line that parses back equal — what its bytes
-    // encode, nothing half-read.
+    // A worker's stdout carries span, job-event (with and without a
+    // result) and shard-done lines, and its stdin batch lines.  Seeded
+    // byte flips, truncations and inserted quotes or braces in each
+    // kind: a mutated line is refused, or it decodes as one kind only
+    // and the decoded value re-renders to a line that parses back
+    // equal — what its bytes encode, nothing half-read.
     obs::SpanRecord span;
     span.name = "Acrobat/critic";
     span.category = "job";
     span.startUs = 123456789;
     span.durUs = 250000;
     span.tid = 3;
-    JobEvent simulated;
-    simulated.hash = "9f86d081884c7d65";
-    simulated.app = "Acrobat";
-    simulated.variant = "critic";
-    simulated.ok = true;
-    simulated.wallSeconds = 12.25;
+    const JobEvent simulated = simulatedEvent();
     JobEvent failed = simulated;
     failed.ok = false;
     failed.wallSeconds = 0.0;
     failed.error = "simulator said \"no\"";
-    ShardDone done;
-    done.failed = 1;
-    done.total = 17;
+    failed.result.reset();
     const std::vector<std::string> good = {
         obs::renderSpanEvent(span, "5af3-serve-1"),
         renderJobEvent(simulated), renderJobEvent(failed),
-        renderShardDone(done), renderWorkerBatch(sampleBatch())};
+        renderShardDone(), renderWorkerBatch(sampleBatch())};
 
     auto spanReparses = [](const obs::SpanRecord &a,
                            const std::string &traceId) {
@@ -384,7 +454,7 @@ TEST(ServeProtocol, MutatedChannelLinesRoundTripOrAreRejected)
         EXPECT_EQ(b->tid, a.tid);
     };
     auto eventReparses = [](const JobEvent &a) {
-        const auto b = parseJobEvent(renderJobEvent(a));
+        const auto b = parseJobEvent(renderJobEvent(a), true);
         ASSERT_TRUE(b.has_value());
         EXPECT_EQ(b->hash, a.hash);
         EXPECT_EQ(b->app, a.app);
@@ -393,12 +463,11 @@ TEST(ServeProtocol, MutatedChannelLinesRoundTripOrAreRejected)
         EXPECT_EQ(b->fromCache, a.fromCache);
         EXPECT_EQ(b->wallSeconds, a.wallSeconds);
         EXPECT_EQ(b->error, a.error);
-    };
-    auto doneReparses = [](const ShardDone &a) {
-        const auto b = parseShardDone(renderShardDone(a));
-        ASSERT_TRUE(b.has_value());
-        EXPECT_EQ(b->failed, a.failed);
-        EXPECT_EQ(b->total, a.total);
+        ASSERT_EQ(b->result.has_value(), a.result.has_value());
+        if (a.result) {
+            EXPECT_EQ(runner::resultToJson(*b->result),
+                      runner::resultToJson(*a.result));
+        }
     };
     auto batchReparses = [](const WorkerBatch &a) {
         const auto b = parseWorkerBatch(renderWorkerBatch(a));
@@ -424,18 +493,16 @@ TEST(ServeProtocol, MutatedChannelLinesRoundTripOrAreRejected)
 
         std::string traceId;
         const auto asSpan = obs::parseSpanEvent(line, &traceId);
-        const auto asEvent = parseJobEvent(line);
-        const auto asDone = parseShardDone(line);
+        const auto asEvent = parseJobEvent(line, true);
+        const bool asDone = parseShardDone(line);
         const auto asBatch = parseWorkerBatch(line);
         const int kinds = asSpan.has_value() + asEvent.has_value() +
-                          asDone.has_value() + asBatch.has_value();
+                          asDone + asBatch.has_value();
         EXPECT_LE(kinds, 1);
         if (asSpan)
             spanReparses(*asSpan, traceId);
         if (asEvent)
             eventReparses(*asEvent);
-        if (asDone)
-            doneReparses(*asDone);
         if (asBatch)
             batchReparses(*asBatch);
         // A truncated line lost its closing brace: never accepted.
@@ -693,11 +760,18 @@ shellWorkers(const std::string &script, std::size_t slots,
     return WorkerSupervisor({"/bin/sh", "-c", script}, slots, maxRestarts);
 }
 
+/** The same line for each slot, on every ask: `lines[k]` for slot k. */
+WorkerSupervisor::LineFn
+fixedLines(std::vector<std::string> lines)
+{
+    return [lines = std::move(lines)](std::size_t k) { return lines[k]; };
+}
+
 /** The shard-done line, as a shell script prints it. */
 std::string
 shardDone()
 {
-    return renderShardDone(ShardDone{0, 1});
+    return renderShardDone();
 }
 
 std::string
@@ -722,7 +796,8 @@ TEST(ServeSupervisor, CrashingWorkerIsRestartedOnceAndFinishes)
     const std::string marker = dir.str() + "/attempted";
     // First life: print a truncated line (no newline) and die by
     // "crash".  Second life: see the marker, echo the batch line it
-    // was sent and finish the batch cleanly.
+    // was sent — a fresh one, asked for after the crash — and finish
+    // the batch cleanly.
     const std::string script =
         "while read -r line; do "
         "if [ -e " + marker + " ]; then echo \"done-line $line\"; " +
@@ -732,7 +807,10 @@ TEST(ServeSupervisor, CrashingWorkerIsRestartedOnceAndFinishes)
 
     SupervisorLog log;
     auto supervisor = shellWorkers(script, 1, /*maxRestarts=*/2);
-    const auto result = supervisor.runBatch({"batch-1"}, log.hooks());
+    unsigned asked = 0;
+    const auto result = supervisor.runBatch(
+        [&](std::size_t) { return "batch-" + std::to_string(++asked); },
+        log.hooks());
 
     EXPECT_TRUE(result.allOk);
     EXPECT_EQ(result.restarts, 1u);
@@ -740,9 +818,11 @@ TEST(ServeSupervisor, CrashingWorkerIsRestartedOnceAndFinishes)
     EXPECT_TRUE(result.workerOk[0]);
     EXPECT_EQ(log.crashes, 1u);
     EXPECT_EQ(log.spawns.size(), 2u);
-    // The respawned worker got the same batch line, and the pre-crash
-    // truncated tail was dropped, not glued onto its output.
-    const std::vector<std::string> expected = {"done-line batch-1",
+    // The respawn asked for the slot's line again and the second life
+    // got the fresh one; the pre-crash truncated tail was dropped, not
+    // glued onto its output.
+    EXPECT_EQ(asked, 2u);
+    const std::vector<std::string> expected = {"done-line batch-2",
                                                shardDone()};
     EXPECT_EQ(log.lines, expected);
 }
@@ -756,7 +836,8 @@ TEST(ServeSupervisor, ExhaustedRestartBudgetDegradesNotWedges)
         "while read -r line; do [ \"$line\" = fail ] && exit 3; "
         "echo healthy; " + echoShardDone() + "; done",
         2, /*maxRestarts=*/1);
-    const auto result = supervisor.runBatch({"fail", "ok"}, log.hooks());
+    const auto result =
+        supervisor.runBatch(fixedLines({"fail", "ok"}), log.hooks());
 
     EXPECT_FALSE(result.allOk);
     EXPECT_EQ(result.restarts, 1u); // the whole budget, no more
@@ -773,7 +854,8 @@ TEST(ServeSupervisor, SignalDeathCountsAsACrash)
     SupervisorLog log;
     auto supervisor =
         shellWorkers("read -r line; kill -9 $$", 1, /*maxRestarts=*/0);
-    const auto result = supervisor.runBatch({"batch"}, log.hooks());
+    const auto result =
+        supervisor.runBatch(fixedLines({"batch"}), log.hooks());
     EXPECT_FALSE(result.allOk);
     EXPECT_EQ(result.restarts, 0u);
     EXPECT_EQ(log.crashes, 1u);
@@ -788,14 +870,16 @@ TEST(ServeSupervisor, WorkersOutliveBatchesAndIdleDeathCostsOneRespawn)
         auto supervisor = shellWorkers(script, 2, /*maxRestarts=*/1);
         SupervisorLog first, second, third;
         // Slot 1 sits the first batch out: nothing is spawned for it.
-        ASSERT_TRUE(supervisor.runBatch({"a", ""}, first.hooks()).allOk);
+        ASSERT_TRUE(
+            supervisor.runBatch(fixedLines({"a", ""}), first.hooks()).allOk);
         ASSERT_EQ(first.spawns.size(), 1u);
         EXPECT_EQ(supervisor.pids()[1], -1);
         const pid_t worker = supervisor.pids()[0];
         EXPECT_EQ(first.lines[0], std::to_string(worker) + " a");
 
         // The same process answers the next batch.
-        auto result = supervisor.runBatch({"b", "c"}, second.hooks());
+        auto result =
+            supervisor.runBatch(fixedLines({"b", "c"}), second.hooks());
         ASSERT_TRUE(result.allOk);
         EXPECT_EQ(result.restarts, 0u);
         EXPECT_EQ(supervisor.pids()[0], worker);
@@ -805,7 +889,8 @@ TEST(ServeSupervisor, WorkersOutliveBatchesAndIdleDeathCostsOneRespawn)
         // Killed while idle: the next batch finds out, respawns it once
         // and still finishes.
         ASSERT_EQ(::kill(worker, SIGKILL), 0);
-        result = supervisor.runBatch({"d", ""}, third.hooks());
+        result =
+            supervisor.runBatch(fixedLines({"d", ""}), third.hooks());
         EXPECT_TRUE(result.allOk);
         EXPECT_EQ(result.restarts, 1u);
         EXPECT_EQ(third.crashes, 1u);
@@ -835,7 +920,8 @@ TEST(ServeSupervisor, OverlongStdoutLineIsACrash)
         "echo; read -r never; fi; done";
     SupervisorLog log;
     auto supervisor = shellWorkers(script, 1, /*maxRestarts=*/1);
-    const auto result = supervisor.runBatch({"batch"}, log.hooks());
+    const auto result =
+        supervisor.runBatch(fixedLines({"batch"}), log.hooks());
     EXPECT_TRUE(result.allOk);
     EXPECT_EQ(result.restarts, 1u);
     EXPECT_EQ(log.crashes, 1u);
