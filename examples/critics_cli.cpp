@@ -12,8 +12,8 @@
  *   critics_cli report [manifest.json ...]
  *       Summarize run manifests (default: every manifest in the cache
  *       directory); exits non-zero if any batch recorded a failed job.
- *   critics_cli cache [stats|path|clear], cache merge|compact|gc
- *       Inspect, merge, compact or bound the persistent result cache.
+ *   critics_cli cache [stats|path|clear], cache compact|gc
+ *       Inspect, compact or bound the persistent result cache.
  *   critics_cli diff <before> <after>
  *       Regression harness: compare two runs metric-by-metric.  Each
  *       side is a run manifest (results resolved from the result
@@ -66,6 +66,7 @@
 
 #include "runner/cache_admin.hh"
 #include "runner/orchestrator.hh"
+#include "runner/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -453,23 +454,8 @@ cmdRun(CommandLine &cmd)
          Flag::toggle("--refresh",
                       "ignore cached records, re-simulate",
                       options.refresh),
-         {"--shard", "K/N",
-          "run only slice K of an N-way hash partition of the "
-          "batch; results land in a per-shard store (merge with "
-          "`cache merge`), the manifest is named "
-          "<batch>.shard-K-of-N",
-          [&options](const std::string &flag, const std::string &value) {
-              const auto parsed = runner::ShardSpec::parse(value);
-              if (!parsed) {
-                  critics_fatal(flag, " wants K/N with 1 <= K <= N, "
-                                "got '", value, "'");
-              }
-              options.shard = *parsed;
-          }},
          Flag::text("--cache-file", "<f>",
-                    "result store path (default: the shared cache; "
-                    "sharded runs default to "
-                    "results.shard-K-of-N.jsonl)",
+                    "result store path (default: the shared cache)",
                     options.cachePath),
          Flag::toggle("--json", "print each job's stats as JSON", json),
          Flag::integer("--stats-interval", "<n>",
@@ -496,13 +482,6 @@ cmdRun(CommandLine &cmd)
     // `all` expands to every variant, as in lint — the drift gates
     // sweep the complete matrix.
     const auto variants = sim::parseVariants(variantsArg);
-
-    // Each shard appends to its own disjoint store; `cache merge`
-    // folds them back into the shared one.
-    if (options.shard.enabled() && options.cachePath.empty()) {
-        options.cachePath =
-            runner::shardStorePath(runner::cacheDir(), options.shard);
-    }
 
     sim::ExperimentOptions expOptions;
     expOptions.traceInsts = insts;
@@ -580,21 +559,6 @@ cmdRun(CommandLine &cmd)
                                             batch.jobs[i].variant.label)
                                 .c_str());
             }
-        }
-    } else if (options.shard.enabled()) {
-        // A shard holds an arbitrary slice of the grid, so the
-        // apps × variants speedup table cannot be filled in; list
-        // the owned jobs instead and leave comparisons to a
-        // post-merge `critics_cli diff`/report.
-        for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
-            const auto &job = batch.jobs[i];
-            const auto &outcome = batch.outcomes[i];
-            std::printf("%-12s %-16s %s\n", job.profile.name.c_str(),
-                        job.variant.label.c_str(),
-                        outcome.ok
-                            ? (fmt(double(outcome.result.cpu.cycles),
-                                   0) + " cyc").c_str()
-                            : "FAILED");
         }
     } else {
         std::vector<std::string> header{"app"};
@@ -741,29 +705,6 @@ cmdCache(CommandLine &cmd)
         return 0;
     }
     return usage("unknown cache action '" + action + "'");
-}
-
-int
-cmdCacheMerge(CommandLine &cmd)
-{
-    if (!cmd.parse({"critics_cli cache merge <out> <in...>",
-                    "concatenate result stores into <out> (later record wins "
-                    "per content hash; old-schema/malformed lines dropped; "
-                    "surviving lines copied byte-exactly)",
-                    {},
-                    2, FlagTable::kUnbounded}))
-        return cmd.status;
-    std::vector<std::string> paths = cmd.args;
-    const std::string out = paths.front();
-    paths.erase(paths.begin());
-    const auto stats = runner::mergeStores(out, paths);
-    if (!stats) {
-        std::fprintf(stderr, "cache merge failed\n");
-        return 1;
-    }
-    std::printf("merged %zu store(s) -> %s\n  %s\n", stats->filesRead,
-                out.c_str(), stats->summary().c_str());
-    return 0;
 }
 
 int
@@ -1311,7 +1252,6 @@ struct Subcommand
 const Subcommand kSubcommands[] = {
     {"run", cmdRun},
     {"report", cmdReport},
-    {"cache merge", cmdCacheMerge},
     {"cache compact", cmdCacheCompact},
     {"cache gc", cmdCacheGc},
     {"cache", cmdCache},
@@ -1353,8 +1293,10 @@ int
 run(int argc, char **argv)
 {
     setQuiet(true);
-    // Read once here, so a bad CRITICS_VERIFY exits 2 before any work.
+    // Read once here, so a bad CRITICS_VERIFY or CRITICS_THREADS exits
+    // 2 before any work.
     verify::levelFromEnv();
+    runner::threadsFromEnv();
     const std::string first = argc > 1 ? argv[1] : "";
     const std::string firstTwo = argc > 2 ? first + " " + argv[2] : "";
     if (first == "--help" || first == "-h" || first == "help") {

@@ -4,9 +4,9 @@
 #
 #   cache-drift          a fully-cached rerun diffs clean against a
 #                        fresh run (zero tolerance)
-#   sharded-smoke        a 2-shard run, with jobs in both shards,
-#                        merges to the unsharded store; cache compact
-#                        + gc leave the diff clean
+#   concurrent-writers   two runs started at once write one store;
+#                        after cache compact + gc it diffs clean
+#                        against a one-process run (zero tolerance)
 #   trace-conformance    lint --trace is clean over the 416-job matrix
 #   verify-global-drift  CRITICS_VERIFY=global changes no result over
 #                        the 416-job matrix (zero tolerance)
@@ -48,27 +48,34 @@ cache_drift() (
         "$RUNNER_TEMP/critics-fresh/results.jsonl"
 )
 
-sharded_smoke() (
-    # A tiny batch as 2 shards, merged and diffed against an unsharded
-    # run; then cache compact + gc must leave that diff clean.  The
-    # grid's 8 jobs hash into both shards, and a shard store the merge
-    # read that is missing or empty fails the gate: a grid that lands
-    # wholly in one shard would prove nothing about the merge.
-    export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-shard-ci"
-    scripts/run_sharded.sh -n 2 --check -- \
-        --apps Acrobat,Office --variants baseline,critic,opp16,allhw
-    for k in 1 2; do
-        store="$CRITICS_CACHE_DIR/results.shard-$k-of-2.jsonl"
-        [ -s "$store" ] || {
-            echo "shard $k of 2 left no records in $store"
-            exit 1
-        }
-        echo "shard $k of 2: $(wc -l < "$store") record(s)"
-    done
+concurrent_writers() (
+    # Two processes write one shared store at once, over disjoint apps
+    # and the same variants: each append is one write(2) under the
+    # store's flock, so the store must end up with all 8 records, none
+    # torn.  Then cache compact + gc must leave it bit-identical to a
+    # one-process run of the same 8 jobs in another cache dir.
     CLI=build/examples/critics_cli
+    VARIANTS=baseline,critic,opp16,allhw
+    export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-shared"
+    "$CLI" run --apps Acrobat --variants "$VARIANTS" --batch acrobat &
+    acrobat=$!
+    "$CLI" run --apps Office --variants "$VARIANTS" --batch office &
+    office=$!
+    status=0
+    wait "$acrobat" || status=$?
+    wait "$office" || status=$?
+    [ "$status" -eq 0 ] || { echo "a writer failed (exit $status)"; exit 1; }
+    records=$(wc -l < "$CRITICS_CACHE_DIR/results.jsonl")
+    [ "$records" -eq 8 ] || {
+        echo "the shared store holds $records record(s), not 8"
+        exit 1
+    }
     "$CLI" cache compact
     "$CLI" cache gc --max-bytes 512M
-    "$CLI" diff "$CRITICS_CACHE_DIR/results.unsharded-check.jsonl" \
+    CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-single" "$CLI" run \
+        --apps Acrobat,Office --variants "$VARIANTS" --batch single
+    "$CLI" diff --rel 0 --abs 0 \
+        "$RUNNER_TEMP/critics-single/results.jsonl" \
         "$CRITICS_CACHE_DIR/results.jsonl"
 )
 
@@ -108,13 +115,13 @@ verify_global_drift() (
         "$RUNNER_TEMP/critics-global/results.jsonl"
 )
 
-GATES="cache-drift sharded-smoke trace-conformance verify-global-drift"
+GATES="cache-drift concurrent-writers trace-conformance verify-global-drift"
 
 run_gate() {
     echo "=== gate: $1"
     case "$1" in
         cache-drift) cache_drift ;;
-        sharded-smoke) sharded_smoke ;;
+        concurrent-writers) concurrent_writers ;;
         trace-conformance) trace_conformance ;;
         verify-global-drift) verify_global_drift ;;
         *) echo "unknown gate '$1'; one of: all" $GATES; exit 2 ;;

@@ -16,18 +16,6 @@ cmake -B build
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt
 
-# Opt-in sharded pre-warm: CRITICS_SHARDS=N runs the headline
-# (apps x variants) grid as N cooperating processes and merges their
-# shard stores into the canonical cache, so the bench pass below is
-# mostly cache hits.  The merge is digit-exact (hexfloat round-trip),
-# so the figures are identical either way.
-if [ "${CRITICS_SHARDS:-0}" -gt 1 ]; then
-    scripts/run_sharded.sh -n "$CRITICS_SHARDS" -- \
-        --apps Acrobat,Office,Maps,Email \
-        --variants baseline,hoist,critic,critic-ideal \
-        2>&1 | tee shard_output.txt
-fi
-
 {
     for b in build/bench/*; do
         [ -f "$b" ] && [ -x "$b" ] || continue

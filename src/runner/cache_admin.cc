@@ -37,18 +37,16 @@ fileBytes(const std::string &path)
 /**
  * Fold the Good lines of `path` into `kept` with later-record-wins
  * dedup at the first-seen position (the store's load semantics),
- * counting everything dropped.  Rewrites run under the StoreLock and
- * fold only finished stores, so an unterminated tail is torn and
- * counts as malformed.  `dropOrphans` (stored hash != hash of stored
- * spec) distinguishes compact/gc (drop + count) from merge (keep +
- * count).
+ * dropping orphans (stored hash != hash of stored spec) and counting
+ * everything dropped.  Rewrites run under the StoreLock and fold only
+ * finished stores, so an unterminated tail is torn and counts as
+ * malformed.
  */
 void
-foldStore(const std::string &path, bool dropOrphans,
-          std::vector<KeptLine> &kept,
-          std::unordered_map<std::string, std::size_t> &byHash,
+foldStore(const std::string &path, std::vector<KeptLine> &kept,
           CacheAdminStats &stats)
 {
+    std::unordered_map<std::string, std::size_t> byHash;
     const auto consumed = scanStore(path, [&](StoreLine &line) {
         switch (line.kind) {
           case StoreLine::Kind::Malformed:
@@ -63,8 +61,7 @@ foldStore(const std::string &path, bool dropOrphans,
         const ResultRecord &record = line.record;
         if (hashHexOf(hashSpecString(record.spec)) != record.hash) {
             ++stats.orphans;
-            if (dropOrphans)
-                return;
+            return;
         }
         KeptLine keep{std::move(line.bytes), record.hash,
                       record.writtenUnix};
@@ -141,28 +138,6 @@ CacheAdminStats::summary() const
 }
 
 std::optional<CacheAdminStats>
-mergeStores(const std::string &outPath,
-            const std::vector<std::string> &inputs)
-{
-    CacheAdminStats stats;
-    std::vector<KeptLine> kept;
-    std::unordered_map<std::string, std::size_t> byHash;
-    // The output store may have live appenders and may itself be one
-    // of the inputs: hold its lock across the whole fold + rewrite.
-    StoreLock lock(outPath);
-    for (const auto &input : inputs)
-        foldStore(input, /*dropOrphans=*/false, kept, byHash, stats);
-    if (stats.filesRead == 0) {
-        critics_warn("cache merge: none of the ", inputs.size(),
-                     " input store(s) could be read");
-        return std::nullopt;
-    }
-    if (!writeStore(outPath, kept, stats))
-        return std::nullopt;
-    return stats;
-}
-
-std::optional<CacheAdminStats>
 compactStore(const std::string &path)
 {
     return gcStore(path, GcOptions{}); // gc without bounds
@@ -175,9 +150,8 @@ gcStore(const std::string &path, const GcOptions &opt)
     if (!std::filesystem::exists(path))
         return stats; // nothing on disk: an empty store is compact
     std::vector<KeptLine> kept;
-    std::unordered_map<std::string, std::size_t> byHash;
     StoreLock lock(path);
-    foldStore(path, /*dropOrphans=*/true, kept, byHash, stats);
+    foldStore(path, kept, stats);
     if (stats.filesRead == 0)
         return stats;
 

@@ -1,20 +1,19 @@
 /**
  * @file
- * Lifecycle management for the persistent result store: merge the
- * per-shard stores of a sharded run back into one file, compact a
+ * Lifecycle management for the persistent result store: compact a
  * store that has accumulated superseded / old-schema / collision
  * records, and garbage-collect by age or size so an append-only cache
  * does not grow without bound.
  *
- * All three operations preserve surviving records *byte-for-byte*
- * (lines are copied, never re-serialized), so a merged or compacted
- * store reproduces the original run's report digit for digit — the
- * same hexfloat round-trip guarantee the store itself makes.  They
- * read through the store's one scanner (scanStore) and rewrite through
- * a temp file in the destination directory followed by a rename, so a
- * crash mid-operation never corrupts the original.  The destination's
- * StoreLock is held across the whole fold + rename, which excludes
- * appenders and other rewriters (see result_store.hh).
+ * Both operations preserve surviving records *byte-for-byte* (lines
+ * are copied, never re-serialized), so a compacted store reproduces
+ * the original run's report digit for digit — the same hexfloat
+ * round-trip guarantee the store itself makes.  They read through the
+ * store's one scanner (scanStore) and rewrite through a temp file in
+ * the store's directory followed by a rename, so a crash mid-operation
+ * never corrupts the original.  The store's StoreLock is held across
+ * the whole fold + rename, which excludes appenders and other
+ * rewriters (see result_store.hh).
  */
 
 #ifndef CRITICS_RUNNER_CACHE_ADMIN_HH
@@ -23,12 +22,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace critics::runner
 {
 
-/** What one merge/compact/gc pass read, kept and dropped. */
+/** What one compact/gc pass read, kept and dropped. */
 struct CacheAdminStats
 {
     std::size_t filesRead = 0;
@@ -52,19 +50,6 @@ struct CacheAdminStats
     /** One-line human summary for the CLI. */
     std::string summary() const;
 };
-
-/**
- * Concatenate `inputs` (in argument order) into `outPath` with
- * later-record-wins dedup by content hash and current-schema
- * filtering.  Surviving lines are copied verbatim.  `outPath` may be
- * one of the inputs (shard-into-main merge): every input is fully read
- * before the output is replaced.  nullopt if no input could be read or
- * the output could not be written; inputs that do not exist are
- * skipped (a shard that had no jobs writes no store).
- */
-std::optional<CacheAdminStats>
-mergeStores(const std::string &outPath,
-            const std::vector<std::string> &inputs);
 
 /**
  * Rewrite `path` in place dropping superseded, old-schema, malformed

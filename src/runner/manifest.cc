@@ -74,13 +74,6 @@ writeHead(json::JsonWriter &w, const RunManifest &m, bool final)
     w.field("interrupted", !final || m.interrupted);
     if (!m.traceId.empty())
         w.field("traceId", m.traceId);
-    if (m.shardCount > 0) {
-        w.beginObject("shard")
-            .field("index", static_cast<std::uint64_t>(m.shardIndex))
-            .field("count", static_cast<std::uint64_t>(m.shardCount))
-            .field("totalJobs", m.shardTotalJobs)
-            .endObject();
-    }
 }
 
 } // namespace
@@ -211,17 +204,6 @@ RunManifest::read(const std::string &path, RunManifest &out)
         out.runnerStats.verifyErrors = uint("verifyErrors");
         out.runnerStats.verifyAdvisories = uint("verifyAdvisories");
     }
-    // Optional (absent in unsharded manifests).
-    if (const json::JsonValue *sh = doc->find("shard");
-        sh && sh->isObject()) {
-        auto uint = [&](const char *key) {
-            const json::JsonValue *v = sh->find(key);
-            return v ? v->asUint().value_or(0) : 0;
-        };
-        out.shardIndex = static_cast<unsigned>(uint("index"));
-        out.shardCount = static_cast<unsigned>(uint("count"));
-        out.shardTotalJobs = uint("totalJobs");
-    }
     // Required: every job names its app, variant, hash and verdict; a
     // manifest that does not is rejected.
     const json::JsonValue *jobs = doc->find("jobs");
@@ -266,21 +248,14 @@ RunManifest::read(const std::string &path, RunManifest &out)
 std::string
 RunManifest::summaryLine() const
 {
-    char shard[48] = {0};
-    if (shardCount > 0) {
-        std::snprintf(shard, sizeof(shard),
-                      " | shard %u/%u of %llu jobs", shardIndex,
-                      shardCount,
-                      static_cast<unsigned long long>(shardTotalJobs));
-    }
     char buf[320];
     std::snprintf(
         buf, sizeof(buf),
         "[%s] %zu jobs: %zu simulated, %zu cached, %zu failed | "
-        "%.2fs wall | %.2fM sim-insts/s | git %s%s",
+        "%.2fs wall | %.2fM sim-insts/s | git %s",
         batch.c_str(), jobs.size(), simulatedCount(), cachedCount(),
         failedCount(), wallSeconds, throughput() / 1e6,
-        gitDescribe.c_str(), shard);
+        gitDescribe.c_str());
     return buf;
 }
 

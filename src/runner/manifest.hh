@@ -64,12 +64,6 @@ struct RunManifest
     std::uint64_t startedUnix = 0;
     double wallSeconds = 0.0;
     bool interrupted = false;
-    /** 1-based slice of an N-way sharded run; 0/0 = unsharded.  The
-     *  batch's full job count (before shard filtering) is
-     *  shardTotalJobs, so merge tooling can check coverage. */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 0;
-    std::uint64_t shardTotalJobs = 0;
     /** Distributed-trace id for batches that ran through serve
      *  ("" for direct runs): the key tying this manifest to the spans
      *  in the daemon's merged Chrome trace. */

@@ -195,23 +195,9 @@ Runner::run(const std::string &batchName,
             const std::vector<JobSpec> &jobs)
 {
     BatchResult batch;
-    std::string manifestName = batchName;
-    if (options_.shard.enabled()) {
-        // This slice owns a deterministic, hash-partitioned subset;
-        // sibling processes cover the rest with no coordination.
-        batch.jobs = filterShard(jobs, options_.shard);
-        manifestName += ".shard-" +
-                        std::to_string(options_.shard.index) + "-of-" +
-                        std::to_string(options_.shard.count);
-        batch.manifest.shardIndex = options_.shard.index;
-        batch.manifest.shardCount = options_.shard.count;
-        batch.manifest.shardTotalJobs = jobs.size();
-    } else {
-        batch.jobs = jobs;
-    }
-    const std::vector<JobSpec> &owned = batch.jobs;
-    batch.outcomes.resize(owned.size());
-    batch.manifest.batch = manifestName;
+    batch.jobs = jobs;
+    batch.outcomes.resize(jobs.size());
+    batch.manifest.batch = batchName;
     batch.manifest.schema = kResultSchemaVersion;
     if (options_.writeManifest) // a popen; only manifests record it
         batch.manifest.gitDescribe = runner::gitDescribe();
@@ -224,19 +210,19 @@ Runner::run(const std::string &batchName,
 
     // Render and hash every job's ~2 KB canonical spec exactly once:
     // the cache lookup and the insert both need them.
-    std::vector<std::string> specs(owned.size());
-    std::vector<std::string> hashes(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-        specs[i] = owned[i].specString();
+    std::vector<std::string> specs(jobs.size());
+    std::vector<std::string> hashes(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        specs[i] = jobs[i].specString();
         hashes[i] = hashHexOf(hashSpecString(specs[i]));
     }
 
     auto recordOf = [&](std::size_t i, const JobOutcome &outcome) {
         const bool simulated = outcome.ok && !outcome.fromCache;
-        return JobRecord{owned[i].profile.name, owned[i].variant.label,
+        return JobRecord{jobs[i].profile.name, jobs[i].variant.label,
                          hashes[i], outcome.ok, outcome.fromCache,
                          outcome.attempts, outcome.wallSeconds,
-                         simulated ? owned[i].options.traceInsts : 0,
+                         simulated ? jobs[i].options.traceInsts : 0,
                          outcome.error};
     };
 
@@ -252,11 +238,11 @@ Runner::run(const std::string &batchName,
         std::filesystem::create_directories(manifestDir, ec);
         JobOutcome unfinished;
         unfinished.error = "interrupted before completion";
-        std::vector<std::string> pending(owned.size());
-        for (std::size_t i = 0; i < owned.size(); ++i)
+        std::vector<std::string> pending(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
             pending[i] = recordOf(i, unfinished).toJson();
         emergency = std::make_unique<EmergencyManifest>(
-            manifestDir + "/" + manifestName + ".interrupted.json",
+            manifestDir + "/" + batchName + ".interrupted.json",
             batch.manifest.interruptedHead(), std::move(pending),
             RunManifest::kInterruptedTail);
     }
@@ -269,7 +255,7 @@ Runner::run(const std::string &batchName,
     // ---- Phase 1: serve cache hits --------------------------------------
     phase.emplace(obs::Stage::None, "cache-lookup", "phase");
     std::vector<std::size_t> misses;
-    for (std::size_t i = 0; i < owned.size(); ++i) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (store_ && !options_.refresh) {
             if (auto cached = store_->lookup(hashes[i], specs[i])) {
                 auto &outcome = batch.outcomes[i];
@@ -312,7 +298,7 @@ Runner::run(const std::string &batchName,
         std::lock_guard<std::mutex> guard(expLock_);
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const auto [it, fresh] =
-                byKey.emplace(owned[groups[g][0]].appKey(), apps.size());
+                byKey.emplace(jobs[groups[g][0]].appKey(), apps.size());
             if (fresh) {
                 const auto pinned = experiments_.find(it->first);
                 apps.push_back({pinned != experiments_.end()
@@ -327,8 +313,8 @@ Runner::run(const std::string &batchName,
 
     const bool progressEnabled = options_.progress.value_or(
         ::isatty(::fileno(stderr)) != 0);
-    Progress progress(progressEnabled, manifestName, owned.size());
-    std::atomic<std::size_t> doneCount{owned.size() - misses.size()};
+    Progress progress(progressEnabled, batchName, jobs.size());
+    std::atomic<std::size_t> doneCount{jobs.size() - misses.size()};
     std::atomic<std::size_t> simulatedCount{0};
     progress.update(doneCount.load(), 0);
 
@@ -336,7 +322,7 @@ Runner::run(const std::string &batchName,
     phase.emplace(obs::Stage::None, "simulate", "phase");
     ThreadPool::shared().forEach(groups.size(), [&](std::size_t g) {
         const std::vector<std::size_t> &group = groups[g];
-        const JobSpec &spec = owned[group[0]];
+        const JobSpec &spec = jobs[group[0]];
         BatchApp &app = apps[appOf[g]];
         JobOutcome outcome;
         const auto jobStart = Clock::now();
@@ -433,8 +419,8 @@ Runner::run(const std::string &batchName,
         batch.manifest.runnerStats.verifyAdvisories =
             relaxed(vc.warnings) + relaxed(vc.advisories);
     }
-    batch.manifest.jobs.reserve(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i)
+    batch.manifest.jobs.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
         batch.manifest.jobs.push_back(recordOf(i, batch.outcomes[i]));
     if (options_.writeManifest) {
         batch.manifestPath = batch.manifest.write(manifestDir);
@@ -443,7 +429,7 @@ Runner::run(const std::string &batchName,
             // double Ctrl-C left behind on an earlier attempt.
             std::error_code ec;
             std::filesystem::remove(
-                manifestDir + "/" + manifestName +
+                manifestDir + "/" + batchName +
                     ".interrupted.json", ec);
         }
     }
@@ -465,9 +451,9 @@ Runner::run(const std::string &batchName,
         std::fprintf(stderr,
                      "[%s] interrupted: %zu/%zu jobs done, results "
                      "flushed to %s\n",
-                     manifestName.c_str(),
-                     owned.size() - batch.manifest.failedCount(),
-                     owned.size(),
+                     batchName.c_str(),
+                     jobs.size() - batch.manifest.failedCount(),
+                     jobs.size(),
                      store_ ? store_->path().c_str() : "no store");
         std::exit(130);
     }

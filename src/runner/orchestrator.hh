@@ -40,7 +40,6 @@
 #include "runner/job.hh"
 #include "runner/manifest.hh"
 #include "runner/result_store.hh"
-#include "runner/shard.hh"
 #include "support/histogram.hh"
 
 namespace critics::stats
@@ -74,15 +73,6 @@ struct RunnerOptions
     std::function<sim::RunResult(const JobSpec &,
                                  sim::AppExperiment &)>
         executor;
-    /**
-     * When enabled, run() keeps only the jobs this slice owns (a
-     * deterministic partition by content hash — see shard.hh), names
-     * the manifest `<batch>.shard-K-of-N` and stamps it with the
-     * shard and the batch's pre-filter job count.  BatchResult then
-     * holds just the owned subset, so cross-variant helpers like
-     * speedup() only make sense on unsharded runs.
-     */
-    ShardSpec shard;
 };
 
 /** What happened to one JobSpec of a batch. */

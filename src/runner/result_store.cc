@@ -561,10 +561,11 @@ void
 ResultStore::appendLocked(const std::string &lines)
 {
     // One append = one write(2) to an O_APPEND descriptor under the
-    // StoreLock: concurrent writer processes (shards, parallel sweeps)
-    // serialize whole lines, and no rewriter can rename the file away
-    // until the write is done.  A crash mid-write leaves at most one
-    // unterminated tail, which the scanner never hands over.
+    // StoreLock: concurrent writer processes (parallel `run`s, the
+    // serve daemon) serialize whole lines, and no rewriter can rename
+    // the file away until the write is done.  A crash mid-write leaves
+    // at most one unterminated tail, which the scanner never hands
+    // over.
     StoreLock storeLock(path_);
     struct stat viaFd{}, viaPath{};
     if (fd_ >= 0 &&

@@ -202,7 +202,7 @@ class ResultStore
      * lines appended since the last refresh, or re-read the whole file
      * if it was replaced, truncated or removed (see the file comment).
      * How a long-running daemon picks up records appended by other
-     * processes or a completed `cache merge`.
+     * processes or a completed `cache compact` or `gc`.
      */
     void refresh();
 

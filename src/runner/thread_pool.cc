@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "stats/registry.hh"
+#include "support/number.hh"
 
 namespace critics::runner
 {
@@ -15,19 +16,32 @@ namespace
 
 thread_local bool tlsInsideWorker = false;
 
-std::size_t
-defaultThreads()
+} // namespace
+
+std::optional<std::size_t>
+parseThreads(const std::string &text)
 {
-    if (const char *env = std::getenv("CRITICS_THREADS"); env && *env) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 4;
+    const auto threads = parseUint(text, kMaxThreads);
+    if (!threads || *threads == 0)
+        return std::nullopt;
+    return static_cast<std::size_t>(*threads);
 }
 
-} // namespace
+std::size_t
+threadsFromEnv()
+{
+    const char *env = std::getenv("CRITICS_THREADS");
+    if (env == nullptr || *env == '\0') {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw ? hw : 4;
+    }
+    const auto threads = parseThreads(env);
+    if (!threads) {
+        critics_fatal("CRITICS_THREADS='", env, "' is not a thread count "
+                      "in 1..", kMaxThreads);
+    }
+    return *threads;
+}
 
 ThreadPool &
 ThreadPool::shared()
@@ -39,7 +53,7 @@ ThreadPool::shared()
 ThreadPool::ThreadPool(std::size_t threads)
 {
     if (threads == 0)
-        threads = defaultThreads();
+        threads = threadsFromEnv();
     threads_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
         threads_.emplace_back([this] { workerLoop(); });

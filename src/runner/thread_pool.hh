@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,17 @@ class StatRegistry;
 namespace critics::runner
 {
 
+/** Most helper threads $CRITICS_THREADS may ask for. */
+constexpr std::size_t kMaxThreads = 1024;
+
+/** A $CRITICS_THREADS value: decimal digits naming 1..kMaxThreads;
+ *  nullopt for anything else. */
+std::optional<std::size_t> parseThreads(const std::string &text);
+
+/** The shared pool's size: $CRITICS_THREADS, or the hardware thread
+ *  count when it is unset or empty; fatal when it is malformed. */
+std::size_t threadsFromEnv();
+
 class ThreadPool
 {
   public:
@@ -39,7 +51,7 @@ class ThreadPool
      */
     static ThreadPool &shared();
 
-    /** @param threads 0 means hardware_concurrency. */
+    /** @param threads 0 means threadsFromEnv(). */
     explicit ThreadPool(std::size_t threads = 0);
     ~ThreadPool();
 

@@ -19,7 +19,6 @@
 #include "obs/obs.hh"
 #include "obs/span.hh"
 #include "runner/job.hh"
-#include "runner/shard.hh"
 #include "serve/supervisor.hh"
 #include "sim/variants.hh"
 #include "stats/registry.hh"
@@ -732,20 +731,31 @@ Server::writeBatchManifest(const std::shared_ptr<Batch> &batch,
     }
 }
 
+unsigned
+shardOf(const runner::JobSpec &spec, unsigned workers)
+{
+    if (workers == 0)
+        return 1;
+    // Upper bits: the FNV low bits also key the cache's hash table,
+    // and reusing them would correlate slot choice with bucket
+    // placement for adversarial spec sets.
+    return static_cast<unsigned>((spec.hash() >> 32) % workers) + 1;
+}
+
 void
 Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
 {
     const unsigned workers = options_.workers;
 
-    // The same pure hash partition as `run --shard K/N`.  `pending`
-    // holds each cold job without an event yet; only this thread
-    // touches it (runBatch makes every callback here).
+    // Split by shardOf.  `pending` holds each cold job without an
+    // event yet; only this thread touches it (runBatch makes every
+    // callback here).
     std::unordered_map<std::string, const runner::JobSpec *> pending;
     std::vector<std::vector<std::string>> shards(workers);
     for (const auto &spec : batch->coldSpecs) {
         std::string hash = spec.hashHex();
         if (pending.emplace(hash, &spec).second)
-            shards[runner::shardOf(spec, workers) - 1].push_back(hash);
+            shards[shardOf(spec, workers) - 1].push_back(hash);
     }
 
     // Slot k's batch line: its shard's pending jobs, each app, variant
@@ -856,8 +866,8 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
     };
     workers_->runBatch(lineFor, hooks);
 
-    // Index what other processes appended and what `cache merge`,
-    // `compact` or `gc` rewrote while the batch ran.
+    // Index what other processes appended and what `cache compact`
+    // or `gc` rewrote while the batch ran.
     store_.refresh();
 
     // A job still pending belongs to a worker that burned through its

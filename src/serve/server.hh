@@ -5,8 +5,8 @@
  * submitted batch is answered in two halves — jobs whose content hash
  * is already in the result store are "warm" and answered immediately
  * without simulating anything, and the cold remainder is partitioned
- * with the same deterministic hash sharding as `run --shard` and
- * fanned out, one batch line per shard, to a pool of long-lived
+ * over the worker slots by content hash (shardOf) and fanned out,
+ * one batch line per shard, to a pool of long-lived
  * serve-worker processes (serve/supervisor.hh, serve/worker.hh) whose
  * progress events stream back to every waiting client.  A simulated
  * job's event brings its result, which the daemon, the store's only
@@ -56,6 +56,7 @@
 
 #include <sys/types.h>
 
+#include "runner/job.hh"
 #include "runner/manifest.hh"
 #include "runner/result_store.hh"
 #include "serve/protocol.hh"
@@ -75,6 +76,15 @@ class WorkerSupervisor;
 /** Client connections served at once; past it, a new connection gets
  *  one error line and is closed. */
 constexpr unsigned kMaxClients = 64;
+
+/**
+ * The worker slot (1-based) that runs cold job `spec` when a batch is
+ * split over `workers` slots: a pure function of the job's content
+ * hash, so a job goes to the same slot in every batch, whatever else
+ * the batch holds.  Uses the upper hash bits so the choice is
+ * independent of the cache key's low-bit distribution.
+ */
+unsigned shardOf(const runner::JobSpec &spec, unsigned workers);
 
 struct ServerOptions
 {

@@ -12,7 +12,7 @@
  *
  * Per slot, per batch:
  *
- *     idle --line--> busy --shard-done--> idle
+ *     idle --line--> busy --"shard-done"--> idle
  *                     |
  *                     +--crash--> respawn, send a fresh line --> busy
  *                     +--crash, nothing left--> idle

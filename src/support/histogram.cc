@@ -2,59 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace critics
 {
-
-void
-Summary::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-Summary::merge(const Summary &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double nab = na + nb;
-    mean_ += delta * nb / nab;
-    m2_ += other.m2_ + delta * delta * na * nb / nab;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    sum_ += other.sum_;
-    n_ += other.n_;
-}
-
-double
-Summary::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 void
 Histogram::add(std::int64_t bucket, double weight)
@@ -84,37 +34,6 @@ Histogram::fraction(std::int64_t bucket) const
     return total_ > 0.0 ? at(bucket) / total_ : 0.0;
 }
 
-double
-Histogram::cumulativeFraction(std::int64_t bucket) const
-{
-    if (total_ <= 0.0)
-        return 0.0;
-    double acc = 0.0;
-    for (const auto &[b, w] : buckets_) {
-        if (b > bucket)
-            break;
-        acc += w;
-    }
-    return acc / total_;
-}
-
-double
-Histogram::mean() const
-{
-    if (total_ <= 0.0)
-        return 0.0;
-    double acc = 0.0;
-    for (const auto &[b, w] : buckets_)
-        acc += static_cast<double>(b) * w;
-    return acc / total_;
-}
-
-std::int64_t
-Histogram::minBucket() const
-{
-    return buckets_.empty() ? 0 : buckets_.begin()->first;
-}
-
 std::int64_t
 Histogram::maxBucket() const
 {
@@ -134,26 +53,6 @@ Histogram::percentile(double q) const
             return b;
     }
     return maxBucket();
-}
-
-std::string
-Histogram::format(std::int64_t clampAt) const
-{
-    std::ostringstream os;
-    double overflow = 0.0;
-    for (const auto &[b, w] : buckets_) {
-        if (b >= clampAt) {
-            overflow += w;
-            continue;
-        }
-        os << "  " << b << ": "
-           << (total_ > 0.0 ? w / total_ : 0.0) << "\n";
-    }
-    if (overflow > 0.0) {
-        os << "  " << clampAt << "+: "
-           << (total_ > 0.0 ? overflow / total_ : 0.0) << "\n";
-    }
-    return os.str();
 }
 
 std::size_t
@@ -200,45 +99,9 @@ LatencyHistogram::add(double micros)
         micros = 0.0;
     std::lock_guard<std::mutex> hold(mutex_);
     ++counts_[bucketOf(micros)];
-    if (count_ == 0) {
-        min_ = max_ = micros;
-    } else {
-        min_ = std::min(min_, micros);
-        max_ = std::max(max_, micros);
-    }
+    max_ = count_ == 0 ? micros : std::max(max_, micros);
     ++count_;
     sum_ += micros;
-}
-
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    // Copy under the source lock, fold in under ours (never both).
-    std::array<std::uint64_t, kBuckets> counts{};
-    std::uint64_t count = 0;
-    double sum = 0.0, lo = 0.0, hi = 0.0;
-    {
-        std::lock_guard<std::mutex> hold(other.mutex_);
-        counts = other.counts_;
-        count = other.count_;
-        sum = other.sum_;
-        lo = other.min_;
-        hi = other.max_;
-    }
-    if (count == 0)
-        return;
-    std::lock_guard<std::mutex> hold(mutex_);
-    for (std::size_t i = 0; i < kBuckets; ++i)
-        counts_[i] += counts[i];
-    if (count_ == 0) {
-        min_ = lo;
-        max_ = hi;
-    } else {
-        min_ = std::min(min_, lo);
-        max_ = std::max(max_, hi);
-    }
-    count_ += count;
-    sum_ += sum;
 }
 
 std::uint64_t
@@ -253,13 +116,6 @@ LatencyHistogram::mean() const
 {
     std::lock_guard<std::mutex> hold(mutex_);
     return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-LatencyHistogram::min() const
-{
-    std::lock_guard<std::mutex> hold(mutex_);
-    return min_;
 }
 
 double
@@ -284,42 +140,6 @@ LatencyHistogram::percentile(double q) const
             return bucketUpperBound(i);
     }
     return bucketUpperBound(kBuckets - 1);
-}
-
-std::vector<CdfPoint>
-buildCdf(std::vector<std::pair<double, double>> values,
-         std::size_t maxPoints)
-{
-    std::vector<CdfPoint> cdf;
-    if (values.empty())
-        return cdf;
-    std::sort(values.begin(), values.end());
-    double total = 0.0;
-    for (const auto &[x, w] : values)
-        total += w;
-    if (total <= 0.0)
-        return cdf;
-
-    // Collapse duplicate x, accumulate, then decimate evenly.
-    std::vector<CdfPoint> full;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        acc += values[i].second;
-        if (i + 1 < values.size() && values[i + 1].first == values[i].first)
-            continue;
-        full.push_back({values[i].first, acc / total});
-    }
-    if (full.size() <= maxPoints)
-        return full;
-    const double stride =
-        static_cast<double>(full.size() - 1) /
-        static_cast<double>(maxPoints - 1);
-    for (std::size_t i = 0; i < maxPoints; ++i) {
-        const auto idx = static_cast<std::size_t>(
-            std::llround(static_cast<double>(i) * stride));
-        cdf.push_back(full[std::min(idx, full.size() - 1)]);
-    }
-    return cdf;
 }
 
 } // namespace critics

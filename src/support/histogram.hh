@@ -1,8 +1,9 @@
 /**
  * @file
- * Small statistics containers used throughout the profiler, the pipeline
- * model and the benchmark harness: streaming summary stats, integer
- * histograms and empirical CDFs.
+ * Small statistics containers: the sparse integer histograms behind the
+ * chain-geometry figures, the log-bucketed latency histograms behind
+ * the runner's and the daemon's percentile stats, and the CDF point
+ * the miner's coverage curves are made of.
  */
 
 #ifndef CRITICS_SUPPORT_HISTOGRAM_HH
@@ -12,35 +13,9 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
-#include <vector>
 
 namespace critics
 {
-
-/** Streaming mean/min/max/variance accumulator (Welford). */
-class Summary
-{
-  public:
-    void add(double x);
-    void merge(const Summary &other);
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double total() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 /**
  * Sparse integer histogram with weighted samples.  Used for fanout
@@ -52,28 +27,12 @@ class Histogram
     void add(std::int64_t bucket, double weight = 1.0);
     void merge(const Histogram &other);
 
-    double total() const { return total_; }
     double at(std::int64_t bucket) const;
     /** Fraction of total weight in this exact bucket (0 if empty). */
     double fraction(std::int64_t bucket) const;
-    /** Fraction of total weight at buckets <= the given one. */
-    double cumulativeFraction(std::int64_t bucket) const;
-    /** Weighted mean bucket value. */
-    double mean() const;
-    std::int64_t minBucket() const;
     std::int64_t maxBucket() const;
-    /** Smallest bucket b such that cumulativeFraction(b) >= q. */
+    /** Smallest bucket b whose cumulative weight fraction is >= q. */
     std::int64_t percentile(double q) const;
-    bool empty() const { return buckets_.empty(); }
-
-    const std::map<std::int64_t, double> &buckets() const
-    {
-        return buckets_;
-    }
-
-    /** Render "bucket: fraction" lines, collapsing everything above
-     *  `clampAt` into a single "+"-suffixed bucket. */
-    std::string format(std::int64_t clampAt = 64) const;
 
   private:
     std::map<std::int64_t, double> buckets_;
@@ -109,11 +68,9 @@ class LatencyHistogram
 
     /** Record one latency (microseconds; negatives clamp to 0). */
     void add(double micros);
-    void merge(const LatencyHistogram &other);
 
     std::uint64_t count() const;
     double mean() const;
-    double min() const; ///< exact smallest recorded value (0 if empty)
     double max() const; ///< exact largest recorded value (0 if empty)
     /** Upper bound of the bucket where cumulative count reaches q
      *  (q clamped to [0,1]); 0 when empty. */
@@ -130,7 +87,6 @@ class LatencyHistogram
     std::array<std::uint64_t, kBuckets> counts_{};
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double min_ = 0.0;
     double max_ = 0.0;
 };
 
@@ -140,11 +96,6 @@ struct CdfPoint
     double x;
     double fraction;
 };
-
-/** Build an empirical CDF from weighted values, decimated to at most
- *  `maxPoints` steps. */
-std::vector<CdfPoint> buildCdf(std::vector<std::pair<double, double>> values,
-                               std::size_t maxPoints = 64);
 
 } // namespace critics
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * The sharded runner and the cache lifecycle: deterministic shard
- * partitioning, multi-process append safety (fork N writers, no torn
- * lines), merge/compact/gc semantics including truncated-tail,
- * old-schema and collision/orphan records, the store scanner under
- * seeded line mutations, sharded-vs-unsharded bit-identity, and the
- * double-SIGINT emergency manifest flush.
+ * The cache lifecycle: multi-process append safety (fork N writers,
+ * no torn lines), compact/gc semantics including truncated-tail,
+ * old-schema and collision/orphan records, the incremental index
+ * against a fresh load, the store scanner under seeded line
+ * mutations, and the double-SIGINT emergency manifest flush.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
-#include "runner/shard.hh"
 #include "runner/sigint.hh"
 #include "runner/thread_pool.hh"
 #include "stats/registry.hh"
@@ -144,59 +142,6 @@ wellFormedLineCount(const std::string &path)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Shard partitioning
-
-TEST(Shard, ParseAcceptsKOverN)
-{
-    const auto ok = ShardSpec::parse("2/4");
-    ASSERT_TRUE(ok.has_value());
-    EXPECT_EQ(ok->index, 2u);
-    EXPECT_EQ(ok->count, 4u);
-    EXPECT_EQ(ok->str(), "2/4");
-    EXPECT_TRUE(ok->enabled());
-
-    EXPECT_FALSE(ShardSpec::parse("0/4").has_value());
-    EXPECT_FALSE(ShardSpec::parse("5/4").has_value());
-    EXPECT_FALSE(ShardSpec::parse("1/0").has_value());
-    EXPECT_FALSE(ShardSpec::parse("1").has_value());
-    EXPECT_FALSE(ShardSpec::parse("a/b").has_value());
-    EXPECT_FALSE(ShardSpec::parse("1/2x").has_value());
-    EXPECT_FALSE(ShardSpec{}.enabled());
-}
-
-TEST(Shard, PartitionIsDisjointAndCovering)
-{
-    std::vector<JobSpec> jobs;
-    for (std::uint64_t s = 0; s < 12; ++s) {
-        jobs.push_back(tinySpec(s));
-        jobs.push_back(tinySpec(s, sim::Transform::CritIc));
-    }
-    const unsigned N = 3;
-    std::set<std::size_t> seen;
-    for (unsigned k = 1; k <= N; ++k) {
-        for (const std::size_t i : shardIndices(jobs, ShardSpec{k, N})) {
-            EXPECT_TRUE(seen.insert(i).second)
-                << "job " << i << " owned by two shards";
-        }
-    }
-    EXPECT_EQ(seen.size(), jobs.size());
-    // Deterministic: a re-partition is identical.
-    EXPECT_EQ(shardIndices(jobs, ShardSpec{2, N}),
-              shardIndices(jobs, ShardSpec{2, N}));
-    // Disabled shard owns everything.
-    EXPECT_EQ(shardIndices(jobs, ShardSpec{}).size(), jobs.size());
-}
-
-TEST(Shard, AssignmentIgnoresPresentationLabel)
-{
-    JobSpec a = tinySpec(7);
-    JobSpec b = a;
-    b.variant.label = "renamed";
-    for (unsigned n = 1; n <= 5; ++n)
-        EXPECT_EQ(shardOf(a, n), shardOf(b, n));
-}
 
 // ---------------------------------------------------------------------------
 // Multi-process append safety
@@ -414,7 +359,7 @@ TEST(ResultStore, RefreshMatchesFreshLoad)
     // A long-lived store refreshed after every step of a seeded mix of
     // appends, malformed lines, torn tails, rewrites (inode swaps) and
     // removals must index exactly what a fresh load of the file does.
-    TempPath file("critics-refresh-prop"), shard("critics-refresh-shard");
+    TempPath file("critics-refresh-prop");
     constexpr std::uint64_t kSpecs = 10;
     std::vector<JobSpec> specs;
     for (std::uint64_t i = 0; i < kSpecs; ++i)
@@ -467,12 +412,12 @@ TEST(ResultStore, RefreshMatchesFreshLoad)
             tailPending = false;
             break;
           }
-          case 6: {
-            std::filesystem::remove(shard.str());
-            appendBytes(shard.str(), randomLine());
-            ASSERT_TRUE(
-                mergeStores(file.str(), {file.str(), shard.str()})
-                    .has_value());
+          case 6: { // a temp-file + rename rewrite that adds a record
+            const std::string temp = file.str() + ".tmp";
+            std::ofstream(temp, std::ios::binary)
+                << fileBytes(file.str()) << (tailPending ? "\n" : "")
+                << randomLine();
+            std::filesystem::rename(temp, file.str());
             tailPending = false;
             break;
           }
@@ -633,90 +578,6 @@ TEST(StoreScanner, RepeatedKeyIsMalformed)
 }
 
 // ---------------------------------------------------------------------------
-// Merge
-
-TEST(CacheMerge, LaterRecordWinsAcrossStores)
-{
-    TempPath a("critics-merge-a"), b("critics-merge-b"),
-        out("critics-merge-out");
-    const JobSpec shared = tinySpec(1);
-    {
-        std::ofstream fa(a.str());
-        fa << makeLine(shared, sampleResult(1.0), 100);
-        fa << makeLine(tinySpec(2), sampleResult(2.0), 100);
-        std::ofstream fb(b.str());
-        fb << makeLine(shared, sampleResult(3.0), 200);
-    }
-    const auto stats = mergeStores(out.str(), {a.str(), b.str()});
-    ASSERT_TRUE(stats.has_value());
-    EXPECT_EQ(stats->filesRead, 2u);
-    EXPECT_EQ(stats->recordsKept, 2u);
-    EXPECT_EQ(stats->superseded, 1u);
-
-    const auto records = readResultRecords(out.str());
-    ASSERT_EQ(records.size(), 2u);
-    bool found = false;
-    for (const auto &record : records) {
-        if (record.hash == shared.hashHex()) {
-            found = true;
-            EXPECT_EQ(resultToJson(record.result),
-                      resultToJson(sampleResult(3.0)));
-        }
-    }
-    EXPECT_TRUE(found);
-}
-
-TEST(CacheMerge, FiltersOldSchemaAndTruncatedTail)
-{
-    TempPath a("critics-merge-schema"), out("critics-merge-out2");
-    {
-        std::ofstream fa(a.str());
-        fa << makeLine(tinySpec(1), sampleResult(), 100);
-        fa << makeLine(tinySpec(2), sampleResult(), 100, "",
-                       kResultSchemaVersion + 1);
-        fa << "{\"schema\":1,\"hash\":\"trunc"; // no newline: torn tail
-    }
-    const auto stats = mergeStores(out.str(), {a.str()});
-    ASSERT_TRUE(stats.has_value());
-    EXPECT_EQ(stats->recordsKept, 1u);
-    EXPECT_EQ(stats->oldSchema, 1u);
-    EXPECT_EQ(stats->malformed, 1u);
-    EXPECT_EQ(readResultRecords(out.str()).size(), 1u);
-
-    // A complete record whose newline never landed is not (yet) a
-    // record: merge keeps only the terminated line, verbatim.
-    TempPath shard("critics-merge-shard"), merged("critics-merge-out3");
-    const std::string good = makeLine(tinySpec(3), sampleResult(), 100);
-    std::string unterminated = makeLine(tinySpec(4), sampleResult(), 100);
-    unterminated.pop_back();
-    appendBytes(shard.str(), good + unterminated);
-    const auto shardStats = mergeStores(merged.str(), {shard.str()});
-    ASSERT_TRUE(shardStats.has_value());
-    EXPECT_EQ(shardStats->recordsKept, 1u);
-    EXPECT_EQ(shardStats->malformed, 1u);
-    EXPECT_EQ(fileBytes(merged.str()), good);
-    EXPECT_EQ(readResultRecords(shard.str()).size(), 1u);
-}
-
-TEST(CacheMerge, SkipsMissingInputsAndMergesIntoAnInput)
-{
-    TempPath a("critics-merge-into");
-    {
-        std::ofstream fa(a.str());
-        fa << makeLine(tinySpec(1), sampleResult(), 100);
-    }
-    // Missing shard stores (a shard with no jobs) are skipped…
-    const auto stats =
-        mergeStores(a.str(), {a.str(), a.str() + ".does-not-exist"});
-    ASSERT_TRUE(stats.has_value());
-    EXPECT_EQ(stats->filesRead, 1u);
-    EXPECT_EQ(stats->recordsKept, 1u);
-    // …but zero readable inputs is an error.
-    EXPECT_FALSE(
-        mergeStores(a.str(), {a.str() + ".also-missing"}).has_value());
-}
-
-// ---------------------------------------------------------------------------
 // Compact
 
 TEST(CacheCompact, DropsSupersededOldSchemaOrphansAndTornTail)
@@ -753,6 +614,23 @@ TEST(CacheCompact, DropsSupersededOldSchemaOrphansAndTornTail)
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].hash, live.hashHex());
     EXPECT_EQ(resultToJson(records[0].result), resultToJson(final));
+}
+
+TEST(CacheCompact, UnterminatedRecordIsATornTail)
+{
+    // A complete record whose newline never landed is not (yet) a
+    // record: under the lock it is torn, and compact keeps only the
+    // terminated line, verbatim.
+    TempPath file("critics-compact-unterminated");
+    const std::string good = makeLine(tinySpec(3), sampleResult(), 100);
+    std::string unterminated = makeLine(tinySpec(4), sampleResult(), 100);
+    unterminated.pop_back();
+    appendBytes(file.str(), good + unterminated);
+    const auto stats = compactStore(file.str());
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->recordsKept, 1u);
+    EXPECT_EQ(stats->malformed, 1u);
+    EXPECT_EQ(fileBytes(file.str()), good);
 }
 
 TEST(CacheCompact, MissingFileIsAnEmptyNoOp)
@@ -834,148 +712,6 @@ TEST(ResultStore, CollisionLookupIsAMissAndCounted)
     EXPECT_FALSE(store.lookup(spec).has_value());
     EXPECT_EQ(store.collisions(), 1u);
     EXPECT_EQ(store.misses(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded run == unsharded run, digit for digit
-
-TEST(ShardedRunner, MergedShardsReproduceUnshardedBitExactly)
-{
-    setQuiet(true);
-    TempPath dir("critics-sharded-run");
-    std::filesystem::create_directories(dir.str());
-    const std::string unsharded = dir.str() + "/unsharded.jsonl";
-    const std::string merged = dir.str() + "/merged.jsonl";
-
-    std::vector<JobSpec> jobs;
-    for (std::uint64_t s = 0; s < 3; ++s) {
-        jobs.push_back(tinySpec(s));
-        jobs.push_back(tinySpec(s, sim::Transform::CritIc));
-    }
-
-    auto makeOptions = [&](const std::string &cachePath) {
-        RunnerOptions options;
-        options.cachePath = cachePath;
-        options.writeManifest = false;
-        options.progress = false;
-        return options;
-    };
-
-    {
-        Runner runner(makeOptions(unsharded));
-        ASSERT_TRUE(runner.run("full", jobs).allOk());
-    }
-    const unsigned N = 2;
-    std::vector<std::string> shardPaths;
-    std::size_t ownedTotal = 0;
-    for (unsigned k = 1; k <= N; ++k) {
-        RunnerOptions options = makeOptions(
-            dir.str() + "/shard-" + std::to_string(k) + ".jsonl");
-        options.shard = ShardSpec{k, N};
-        Runner runner(options);
-        const auto batch = runner.run("full", jobs);
-        ASSERT_TRUE(batch.allOk());
-        EXPECT_EQ(batch.manifest.shardIndex, k);
-        EXPECT_EQ(batch.manifest.shardCount, N);
-        EXPECT_EQ(batch.manifest.shardTotalJobs, jobs.size());
-        ownedTotal += batch.jobs.size();
-        shardPaths.push_back(options.cachePath);
-    }
-    EXPECT_EQ(ownedTotal, jobs.size());
-
-    ASSERT_TRUE(mergeStores(merged, shardPaths).has_value());
-    const auto expect = readResultRecords(unsharded);
-    const auto got = readResultRecords(merged);
-    ASSERT_EQ(expect.size(), got.size());
-    std::map<std::string, std::string> gotByHash;
-    for (const auto &record : got)
-        gotByHash[record.hash] = resultToJson(record.result);
-    for (const auto &record : expect) {
-        const auto it = gotByHash.find(record.hash);
-        ASSERT_NE(it, gotByHash.end()) << record.hash;
-        EXPECT_EQ(it->second, resultToJson(record.result));
-    }
-}
-
-TEST(Shard, SingleShardPartitionIsIdentity)
-{
-    // `--shard 1/1` is sharding in name only: the one shard owns every
-    // job, in batch order, exactly as an unsharded run would.
-    std::vector<JobSpec> jobs;
-    for (std::uint64_t s = 0; s < 5; ++s)
-        jobs.push_back(tinySpec(s));
-    const auto indices = shardIndices(jobs, ShardSpec{1, 1});
-    ASSERT_EQ(indices.size(), jobs.size());
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        EXPECT_EQ(indices[i], i);
-    EXPECT_EQ(filterShard(jobs, ShardSpec{1, 1}).size(), jobs.size());
-}
-
-TEST(Shard, RetrySubsetKeepsItsShardAssignment)
-{
-    // Re-partitioning a subset (say, the failed jobs of an earlier
-    // run, resubmitted alone) must send every job back to the shard
-    // that owned it in the full batch — otherwise retry shard stores
-    // would overlap the original partition's disjoint ownership.
-    std::vector<JobSpec> jobs;
-    for (std::uint64_t s = 0; s < 16; ++s) {
-        jobs.push_back(tinySpec(s));
-        jobs.push_back(tinySpec(s, sim::Transform::CritIc));
-    }
-    std::vector<JobSpec> retry;
-    for (std::size_t i = 0; i < jobs.size(); i += 3)
-        retry.push_back(jobs[i]);
-
-    const unsigned N = 4;
-    for (unsigned k = 1; k <= N; ++k) {
-        std::set<std::string> fullOwned;
-        for (const auto &spec : filterShard(jobs, ShardSpec{k, N}))
-            fullOwned.insert(spec.hashHex());
-        for (const auto &spec : filterShard(retry, ShardSpec{k, N})) {
-            EXPECT_EQ(fullOwned.count(spec.hashHex()), 1u)
-                << "retried job moved to shard " << k;
-        }
-    }
-}
-
-TEST(ShardedRunner, MoreShardsThanJobsWritesTruthfulEmptyManifests)
-{
-    // Over-sharding (N workers, fewer jobs) leaves some shards with
-    // nothing to do.  An empty shard is not an error: it completes,
-    // writes a parseable manifest carrying its slice identity and the
-    // pre-filter batch size, and the owned counts still sum to the
-    // whole batch so merge tooling can prove coverage.
-    setQuiet(true);
-    TempPath dir("critics-empty-shard");
-    std::filesystem::create_directories(dir.str());
-    const std::vector<JobSpec> jobs = {tinySpec(0), tinySpec(1)};
-    const unsigned N = 5;
-    std::size_t ownedTotal = 0;
-    unsigned emptyShards = 0;
-    for (unsigned k = 1; k <= N; ++k) {
-        RunnerOptions options;
-        options.cachePath =
-            dir.str() + "/shard-" + std::to_string(k) + ".jsonl";
-        options.progress = false;
-        options.manifestDir = dir.str() + "/manifests";
-        options.shard = ShardSpec{k, N};
-        Runner runner(options);
-        const auto batch = runner.run("tiny", jobs);
-        ASSERT_TRUE(batch.allOk());
-        ownedTotal += batch.jobs.size();
-        emptyShards += batch.jobs.empty() ? 1 : 0;
-
-        ASSERT_FALSE(batch.manifestPath.empty());
-        RunManifest manifest;
-        ASSERT_TRUE(RunManifest::read(batch.manifestPath, manifest));
-        EXPECT_EQ(manifest.shardIndex, k);
-        EXPECT_EQ(manifest.shardCount, N);
-        EXPECT_EQ(manifest.shardTotalJobs, jobs.size());
-        EXPECT_EQ(manifest.jobs.size(), batch.jobs.size());
-        EXPECT_FALSE(manifest.interrupted);
-    }
-    EXPECT_EQ(ownedTotal, jobs.size());
-    EXPECT_GE(emptyShards, N - static_cast<unsigned>(jobs.size()));
 }
 
 // ---------------------------------------------------------------------------

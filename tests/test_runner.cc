@@ -676,9 +676,6 @@ TEST(Manifest, InterruptedHeadAndRecordsFormAManifest)
     std::filesystem::create_directories(dir.str());
     RunManifest manifest;
     manifest.batch = "partial";
-    manifest.shardIndex = 2;
-    manifest.shardCount = 3;
-    manifest.shardTotalJobs = 7;
     JobRecord done;
     done.app = "Acrobat";
     done.variant = "critic";
@@ -697,7 +694,6 @@ TEST(Manifest, InterruptedHeadAndRecordsFormAManifest)
     ASSERT_TRUE(RunManifest::read(path, restored));
     EXPECT_TRUE(restored.interrupted);
     EXPECT_EQ(restored.batch, "partial");
-    EXPECT_EQ(restored.shardCount, 3u);
     ASSERT_EQ(restored.jobs.size(), 2u);
     EXPECT_TRUE(restored.jobs[0].ok);
     EXPECT_EQ(restored.jobs[1].error, pending.error);
@@ -719,10 +715,13 @@ TEST(Manifest, StrictReaderRejectsMalformedJobs)
         RunManifest manifest;
         return RunManifest::read(path, manifest);
     };
-    // Accepted: runnerStats and shard are optional, as are the job's
-    // other fields.
+    // Accepted: runnerStats is optional, as are the job's other
+    // fields, and an unknown key is ignored (manifests written by the
+    // retired process sharding carry a "shard" object).
     EXPECT_TRUE(readsAs(R"({"batch":"b","jobs":[)" "{" + job + "}]}"));
     EXPECT_TRUE(readsAs(R"({"batch":"b","jobs":[]})"));
+    EXPECT_TRUE(readsAs(R"({"batch":"b","shard":{"index":2,"count":3,)"
+                        R"("totalJobs":7},"jobs":[)" "{" + job + "}]}"));
     // jobs missing or not an array.
     EXPECT_FALSE(readsAs(R"({"batch":"b"})"));
     EXPECT_FALSE(readsAs(R"({"batch":"b","jobs":{}})"));
@@ -749,6 +748,20 @@ TEST(Manifest, StrictReaderRejectsMalformedJobs)
         R"({"jobs":[{"app":"A","variant":"v","hash":"h","ok":"yes"}]})"));
     EXPECT_FALSE(readsAs(
         R"({"jobs":[{"app":7,"variant":"v","hash":"h","ok":true}]})"));
+}
+
+TEST(ThreadPool, ThreadsEnvIsParsedStrictlyAndBounded)
+{
+    // Only the parser: a pool is never built from these values.
+    EXPECT_EQ(parseThreads("1"), std::optional<std::size_t>(1));
+    EXPECT_EQ(parseThreads(std::to_string(kMaxThreads)),
+              std::optional<std::size_t>(kMaxThreads));
+    const std::vector<std::string> bad = {
+        "", "abc", "2x", " 2", "0", "-1", "+2",
+        std::to_string(kMaxThreads + 1), "99999999999999999999"};
+    for (const std::string &text : bad) {
+        EXPECT_FALSE(parseThreads(text).has_value()) << "'" << text << "'";
+    }
 }
 
 TEST(ThreadPool, VisitsEveryIndexOnce)

@@ -1,18 +1,19 @@
 /**
  * @file
- * The serve subsystem without a terminal in the loop: wire-format
- * round-trips and rejection of malformed input, LineReader framing
- * under adversarial byte arrival and at its line cap, the worker
- * supervisor's bounded restart state machine (driven by /bin/sh
- * stand-in workers that read batch lines on stdin, no simulator
- * needed), seeded mutations of request lines and of the worker
- * channels' lines, and end-to-end daemon exercises over a real TCP
- * socket with real serve-worker children — cold submit streamed to
- * completion, warm resubmit answered entirely from the store, event-log
- * replay after a client disconnect, warm round trips free of
- * delayed-ACK stalls, workers and their experiments kept across
- * batches, an idle worker's death, the drain reaping every worker, the
- * connection and line caps, and a protocol-initiated shutdown drain.
+ * The serve subsystem without a terminal in the loop: the content-hash
+ * split of cold jobs over worker slots, wire-format round-trips and
+ * rejection of malformed input, LineReader framing under adversarial
+ * byte arrival and at its line cap, the worker supervisor's bounded
+ * restart state machine (driven by /bin/sh stand-in workers that read
+ * batch lines on stdin, no simulator needed), seeded mutations of
+ * request lines and of the worker channels' lines, and end-to-end
+ * daemon exercises over a real TCP socket with real serve-worker
+ * children — cold submit streamed to completion, warm resubmit
+ * answered entirely from the store, event-log replay after a client
+ * disconnect, warm round trips free of delayed-ACK stalls, workers and
+ * their experiments kept across batches, an idle worker's death, the
+ * drain reaping every worker, the connection and line caps, and a
+ * protocol-initiated shutdown drain.
  */
 
 #include <gtest/gtest.h>
@@ -110,7 +111,57 @@ stringField(const json::JsonValue &doc, const char *key)
     return f ? f->asString().value_or("") : "";
 }
 
+runner::JobSpec
+partitionSpec(std::uint64_t seed,
+              sim::Transform transform = sim::Transform::None)
+{
+    runner::JobSpec spec;
+    spec.profile = workload::findApp("Acrobat");
+    spec.profile.seed += seed;
+    spec.options.traceInsts = 20000;
+    spec.variant.label = "test";
+    spec.variant.transform = transform;
+    return spec;
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------------
+// Worker partition
+
+TEST(Shard, PartitionIsDisjointAndCovering)
+{
+    // Each cold job goes to exactly one of the N worker slots, the same
+    // one every time, and the jobs spread over every slot.
+    std::vector<runner::JobSpec> jobs;
+    for (std::uint64_t s = 0; s < 12; ++s) {
+        jobs.push_back(partitionSpec(s));
+        jobs.push_back(partitionSpec(s, sim::Transform::CritIc));
+    }
+    const unsigned N = 3;
+    std::vector<std::size_t> owned(N + 1, 0);
+    for (const auto &spec : jobs) {
+        const unsigned slot = shardOf(spec, N);
+        ASSERT_GE(slot, 1u);
+        ASSERT_LE(slot, N);
+        EXPECT_EQ(shardOf(spec, N), slot);
+        ++owned[slot];
+    }
+    for (unsigned k = 1; k <= N; ++k)
+        EXPECT_GT(owned[k], 0u) << "slot " << k << " owns no job";
+    // One slot owns everything.
+    for (const auto &spec : jobs)
+        EXPECT_EQ(shardOf(spec, 1), 1u);
+}
+
+TEST(Shard, AssignmentIgnoresPresentationLabel)
+{
+    runner::JobSpec a = partitionSpec(7);
+    runner::JobSpec b = a;
+    b.variant.label = "renamed";
+    for (unsigned n = 1; n <= 5; ++n)
+        EXPECT_EQ(shardOf(a, n), shardOf(b, n));
+}
 
 // ---------------------------------------------------------------------------
 // Wire format
