@@ -13,8 +13,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "sim/experiment.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
+#include "verify/verify.hh"
 
 namespace critics::bench
 {
@@ -36,10 +39,20 @@ benchOptions()
     return opt;
 }
 
-/** Print the standard bench header with Table I. */
+/**
+ * Print the standard bench header with Table I.  Every bench calls it
+ * first, so it reads CRITICS_VERIFY and CRITICS_THREADS once here: a
+ * malformed value exits 2 with its message before any work.
+ */
 inline void
 header(const char *figure, const char *what)
 {
+    try {
+        verify::levelFromEnv();
+        runner::threadsFromEnv();
+    } catch (const std::runtime_error &) {
+        std::exit(2); // the fatal message is already on stderr
+    }
     std::printf("==============================================="
                 "=============================\n");
     std::printf("CritICs reproduction — %s: %s\n", figure, what);

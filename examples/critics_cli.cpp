@@ -499,7 +499,7 @@ cmdRun(CommandLine &cmd)
             trace.complete(s.name, s.category,
                            s.startUs > epochUs ? s.startUs - epochUs
                                                : 0,
-                           s.durUs, 1, trace.tidForCurrentThread());
+                           s.durUs, 1, s.tid);
         });
     }
     // One job's pipeline, instruction by instruction, goes on process

@@ -3,7 +3,8 @@
 # any drift between two ways of computing the same results.
 #
 #   cache-drift          a fully-cached rerun diffs clean against a
-#                        fresh run (zero tolerance)
+#                        fresh run (zero tolerance), and its --json
+#                        stats equal a --no-cache run's byte for byte
 #   concurrent-writers   two runs started at once write one store;
 #                        after cache compact + gc it diffs clean
 #                        against a one-process run (zero tolerance)
@@ -31,21 +32,29 @@ cache_drift() (
     # served from the cache) diffed against an independent fresh
     # computation — catches any drift the cache layer itself could
     # introduce (wrong record matched, round-trip loss, stale schema).
+    # Both sides of that diff are read back through the store's record
+    # codec, so the warm run's `--json` stats are also compared byte for
+    # byte with a --no-cache run's, which never touches the store: %.17g
+    # round-trips every double, so any leaf the codec loses shows.
+    CLI=build/examples/critics_cli
+    RUN=(run --apps Acrobat,Office --variants baseline,critic,opp16,allhw
+         --insts 50000)
     export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-cold"
-    build/examples/critics_cli run \
-        --apps Acrobat,Office --variants baseline,critic,opp16,allhw \
-        --insts 50000 --batch drift
-    build/examples/critics_cli run \
-        --apps Acrobat,Office --variants baseline,critic,opp16,allhw \
-        --insts 50000 --batch drift-cached
+    "$CLI" "${RUN[@]}" --batch drift
+    "$CLI" "${RUN[@]}" --batch drift-cached --json \
+        > "$RUNNER_TEMP/drift-cached.out"
+    cat "$RUNNER_TEMP/drift-cached.out"
     export CRITICS_CACHE_DIR="$RUNNER_TEMP/critics-fresh"
-    build/examples/critics_cli run \
-        --apps Acrobat,Office --variants baseline,critic,opp16,allhw \
-        --insts 50000 --batch drift
-    build/examples/critics_cli diff --rel 0 --abs 0 \
+    "$CLI" "${RUN[@]}" --batch drift
+    "$CLI" diff --rel 0 --abs 0 \
         --store "$RUNNER_TEMP/critics-cold/results.jsonl" \
         "$RUNNER_TEMP/critics-cold/manifests/drift-cached.json" \
         "$RUNNER_TEMP/critics-fresh/results.jsonl"
+    "$CLI" "${RUN[@]}" --no-cache --json > "$RUNNER_TEMP/no-cache.out"
+    grep '^{' "$RUNNER_TEMP/drift-cached.out" > "$RUNNER_TEMP/drift-cached.jsonl"
+    grep '^{' "$RUNNER_TEMP/no-cache.out" > "$RUNNER_TEMP/no-cache.jsonl"
+    cmp "$RUNNER_TEMP/drift-cached.jsonl" "$RUNNER_TEMP/no-cache.jsonl"
+    echo "$(wc -l < "$RUNNER_TEMP/no-cache.jsonl") --json lines identical"
 )
 
 concurrent_writers() (

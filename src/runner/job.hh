@@ -23,10 +23,11 @@ namespace critics::runner
 
 /**
  * Bump when RunResult semantics change (new fields, simulator fixes
- * that alter numbers, spec-string format changes): every cached record
- * from an older schema is ignored.
+ * that alter numbers, spec-string format changes, a new record
+ * layout): every cached record from an older schema is ignored.
+ * Schema 2 stores a result under its stat-registry names.
  */
-constexpr int kResultSchemaVersion = 1;
+constexpr int kResultSchemaVersion = 2;
 
 /** The largest trace budget (ExperimentOptions::traceInsts) a command
  *  line or a serve request may ask for: 25x the largest run the repo's

@@ -8,8 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <type_traits>
 
+#include "sim/report.hh"
 #include "stats/registry.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -17,162 +20,120 @@
 namespace critics::runner
 {
 
+static_assert(std::is_standard_layout_v<sim::RunResult> &&
+                  std::is_trivially_copyable_v<sim::RunResult>,
+              "the record codec addresses RunResult fields by offset");
+
 namespace
 {
 
-void
-writeStage(json::JsonWriter &w, const char *key,
-           const cpu::StageBreakdown &s)
+/** How the record's nested JSON reaches a leaf from the one before. */
+struct LeafStep
 {
-    w.beginObject(key)
-        .field("fetch", s.fetch)
-        .field("decode", s.decode)
-        .field("issueWait", s.issueWait)
-        .field("execute", s.execute)
-        .field("commitWait", s.commitWait)
-        .field("insts", s.insts)
-        .endObject();
-}
+    std::size_t keep = 0;           ///< groups left open
+    std::vector<std::string> opens; ///< groups opened after those
+    std::string key;                ///< the leaf's own name
+};
 
-void
-writeCache(json::JsonWriter &w, const char *key,
-           const mem::CacheStats &c)
+struct Codec
 {
-    w.beginObject(key)
-        .field("accesses", c.accesses)
-        .field("misses", c.misses)
-        .field("prefetchFills", c.prefetchFills)
-        .field("prefetchHits", c.prefetchHits)
-        .endObject();
-}
+    std::vector<ResultLeaf> leaves;
+    std::vector<LeafStep> steps; ///< one per leaf
+};
 
-template <typename T>
-bool
-readUint(const json::JsonValue &obj, const char *key, T &out)
+/** The leaves sim::bindRunResult registers for a prototype result,
+ *  with their nesting: built once, never per record. */
+const Codec &
+codec()
 {
-    const json::JsonValue *v = obj.find(key);
-    if (!v)
-        return false;
-    const auto parsed = v->asUint();
-    if (!parsed)
-        return false;
-    out = static_cast<T>(*parsed);
-    return true;
-}
-
-bool
-readDouble(const json::JsonValue &obj, const char *key, double &out)
-{
-    const json::JsonValue *v = obj.find(key);
-    if (!v)
-        return false;
-    const auto parsed = v->asDouble();
-    if (!parsed)
-        return false;
-    out = *parsed;
-    return true;
-}
-
-bool
-readStage(const json::JsonValue &parent, const char *key,
-          cpu::StageBreakdown &s)
-{
-    const json::JsonValue *obj = parent.find(key);
-    if (!obj || !obj->isObject())
-        return false;
-    return readDouble(*obj, "fetch", s.fetch) &&
-           readDouble(*obj, "decode", s.decode) &&
-           readDouble(*obj, "issueWait", s.issueWait) &&
-           readDouble(*obj, "execute", s.execute) &&
-           readDouble(*obj, "commitWait", s.commitWait) &&
-           readUint(*obj, "insts", s.insts);
-}
-
-bool
-readCache(const json::JsonValue &parent, const char *key,
-          mem::CacheStats &c)
-{
-    const json::JsonValue *obj = parent.find(key);
-    if (!obj || !obj->isObject())
-        return false;
-    return readUint(*obj, "accesses", c.accesses) &&
-           readUint(*obj, "misses", c.misses) &&
-           readUint(*obj, "prefetchFills", c.prefetchFills) &&
-           readUint(*obj, "prefetchHits", c.prefetchHits);
+    static const Codec instance = [] {
+        const sim::RunResult proto{};
+        stats::StatRegistry reg;
+        sim::bindRunResult(reg, proto);
+        Codec c;
+        const auto add = [&](std::string path, const void *field,
+                             bool counter) {
+            const auto offset = static_cast<std::size_t>(
+                static_cast<const char *>(field) -
+                reinterpret_cast<const char *>(&proto));
+            critics_assert(offset + 8 <= sizeof proto, "stat '", path,
+                           "' is not a RunResult field");
+            c.leaves.push_back({std::move(path), offset, counter});
+        };
+        reg.forEach([&](const stats::StatDef &def) {
+            switch (def.kind) {
+              case stats::StatKind::Counter:
+                add(def.name, def.counter, true);
+                break;
+              case stats::StatKind::Value:
+                add(def.name, def.value, false);
+                break;
+              case stats::StatKind::Vector:
+                for (const auto &elem : def.elems) {
+                    add(def.name + "." + elem.name,
+                        elem.counter
+                            ? static_cast<const void *>(elem.counter)
+                            : elem.value,
+                        elem.counter != nullptr);
+                }
+                break;
+              default: // Formulas are derived: nothing to store
+                break;
+            }
+        });
+        std::vector<std::string> open;
+        for (const ResultLeaf &leaf : c.leaves) {
+            auto parts = stats::splitDots(leaf.path);
+            LeafStep step;
+            step.keep = stats::sharedGroups(open, parts);
+            step.key = std::move(parts.back());
+            parts.pop_back();
+            step.opens.assign(parts.begin() + step.keep, parts.end());
+            open = std::move(parts);
+            c.steps.push_back(std::move(step));
+        }
+        return c;
+    }();
+    return instance;
 }
 
 } // namespace
 
+const std::vector<ResultLeaf> &
+resultLeaves()
+{
+    return codec().leaves;
+}
+
 std::string
 resultToJson(const sim::RunResult &result)
 {
-    const cpu::CpuStats &c = result.cpu;
+    const Codec &c = codec();
+    const auto *base = reinterpret_cast<const char *>(&result);
     json::JsonWriter w;
     w.beginObject();
-
-    w.beginObject("cpu")
-        .field("cycles", c.cycles)
-        .field("committed", c.committed)
-        .field("stallForIIcache", c.stallForIIcache)
-        .field("stallForIRedirect", c.stallForIRedirect)
-        .field("stallForRd", c.stallForRd)
-        .field("decodeCdpBubbles", c.decodeCdpBubbles)
-        .field("fetchedBytes", c.fetchedBytes)
-        .field("condBranches", c.condBranches)
-        .field("mispredicts", c.mispredicts)
-        .field("fetchWindows", c.fetchWindows)
-        .field("efetchAccuracy", c.efetchAccuracy);
-    writeStage(w, "all", c.all);
-    writeStage(w, "crit", c.crit);
-    w.beginObject("mem");
-    writeCache(w, "icache", c.mem.icache);
-    writeCache(w, "dcache", c.mem.dcache);
-    writeCache(w, "l2", c.mem.l2);
-    w.beginObject("dram")
-        .field("reads", c.mem.dram.reads)
-        .field("rowHits", c.mem.dram.rowHits)
-        .field("rowConflicts", c.mem.dram.rowConflicts)
-        .field("activates", c.mem.dram.activates)
-        .field("totalLatency", c.mem.dram.totalLatency)
-        .endObject();
-    w.beginObject("stride")
-        .field("trains", c.mem.stride.trains)
-        .field("issued", c.mem.stride.issued)
-        .endObject();
-    w.field("storeAccesses", c.mem.storeAccesses);
-    w.endObject(); // mem
-    w.endObject(); // cpu
-
-    const energy::EnergyBreakdown &e = result.energy;
-    w.beginObject("energy")
-        .field("cpuCore", e.cpuCore)
-        .field("icache", e.icache)
-        .field("dcache", e.dcache)
-        .field("l2", e.l2)
-        .field("dram", e.dram)
-        .field("socRest", e.socRest)
-        .endObject();
-
-    const compiler::PassStats &p = result.pass;
-    w.beginObject("pass")
-        .field("chainsAttempted", p.chainsAttempted)
-        .field("chainsTransformed", p.chainsTransformed)
-        .field("hoistFailures", p.hoistFailures)
-        .field("localRenames", p.localRenames)
-        .field("blockedRaw", p.blockedRaw)
-        .field("blockedMem", p.blockedMem)
-        .field("blockedCtl", p.blockedCtl)
-        .field("blockedRename", p.blockedRename)
-        .field("instsConverted", p.instsConverted)
-        .field("instsExpanded", p.instsExpanded)
-        .field("cdpsInserted", p.cdpsInserted)
-        .field("switchBranchesInserted", p.switchBranchesInserted)
-        .endObject();
-
-    w.field("selectionCoverage", result.selectionCoverage)
-        .field("staticThumbFraction", result.staticThumbFraction)
-        .field("dynThumbFraction", result.dynThumbFraction)
-        .endObject();
+    std::size_t depth = 0;
+    for (std::size_t i = 0; i < c.leaves.size(); ++i) {
+        const LeafStep &step = c.steps[i];
+        for (; depth > step.keep; --depth)
+            w.endObject();
+        for (const std::string &group : step.opens)
+            w.beginObject(group.c_str());
+        depth += step.opens.size();
+        const char *field = base + c.leaves[i].offset;
+        if (c.leaves[i].counter) {
+            std::uint64_t v;
+            std::memcpy(&v, field, sizeof v);
+            w.field(step.key.c_str(), v);
+        } else {
+            double v;
+            std::memcpy(&v, field, sizeof v);
+            w.field(step.key.c_str(), v);
+        }
+    }
+    for (; depth > 0; --depth)
+        w.endObject();
+    w.endObject();
     return w.str();
 }
 
@@ -181,88 +142,62 @@ resultFromJson(const json::JsonValue &json)
 {
     if (!json.isObject())
         return std::nullopt;
+    // An object being read and the index of its next member: a record
+    // lists exactly resultToJson()'s members, in its order.
+    struct Cursor
+    {
+        const json::JsonValue *object;
+        std::size_t next;
+    };
+    const auto take = [](Cursor &cur,
+                         const std::string &key) -> const json::JsonValue * {
+        const auto &members = cur.object->members;
+        if (cur.next == members.size() || members[cur.next].first != key)
+            return nullptr;
+        return &members[cur.next++].second;
+    };
+    const auto done = [](const Cursor &cur) {
+        return cur.next == cur.object->members.size();
+    };
+
+    const Codec &c = codec();
     sim::RunResult r;
-
-    const json::JsonValue *cpu = json.find("cpu");
-    if (!cpu || !cpu->isObject())
-        return std::nullopt;
-    cpu::CpuStats &c = r.cpu;
-    if (!(readUint(*cpu, "cycles", c.cycles) &&
-          readUint(*cpu, "committed", c.committed) &&
-          readUint(*cpu, "stallForIIcache", c.stallForIIcache) &&
-          readUint(*cpu, "stallForIRedirect", c.stallForIRedirect) &&
-          readUint(*cpu, "stallForRd", c.stallForRd) &&
-          readUint(*cpu, "decodeCdpBubbles", c.decodeCdpBubbles) &&
-          readUint(*cpu, "fetchedBytes", c.fetchedBytes) &&
-          readUint(*cpu, "condBranches", c.condBranches) &&
-          readUint(*cpu, "mispredicts", c.mispredicts) &&
-          readUint(*cpu, "fetchWindows", c.fetchWindows) &&
-          readDouble(*cpu, "efetchAccuracy", c.efetchAccuracy) &&
-          readStage(*cpu, "all", c.all) &&
-          readStage(*cpu, "crit", c.crit))) {
-        return std::nullopt;
+    auto *base = reinterpret_cast<char *>(&r);
+    std::vector<Cursor> open{{&json, 0}};
+    for (std::size_t i = 0; i < c.leaves.size(); ++i) {
+        const LeafStep &step = c.steps[i];
+        for (; open.size() > step.keep + 1; open.pop_back()) {
+            if (!done(open.back()))
+                return std::nullopt;
+        }
+        for (const std::string &group : step.opens) {
+            const json::JsonValue *object = take(open.back(), group);
+            if (!object || !object->isObject())
+                return std::nullopt;
+            open.push_back({object, 0});
+        }
+        const json::JsonValue *v = take(open.back(), step.key);
+        if (!v)
+            return std::nullopt;
+        char *field = base + c.leaves[i].offset;
+        if (c.leaves[i].counter) {
+            const auto parsed = v->asUint();
+            if (!parsed)
+                return std::nullopt;
+            std::memcpy(field, &*parsed, sizeof *parsed);
+        } else {
+            // Doubles are hex-float strings, never bare numbers.
+            const auto parsed = v->kind == json::JsonValue::Kind::String
+                ? v->asDouble()
+                : std::nullopt;
+            if (!parsed)
+                return std::nullopt;
+            std::memcpy(field, &*parsed, sizeof *parsed);
+        }
     }
-    const json::JsonValue *m = cpu->find("mem");
-    if (!m || !m->isObject())
-        return std::nullopt;
-    if (!(readCache(*m, "icache", c.mem.icache) &&
-          readCache(*m, "dcache", c.mem.dcache) &&
-          readCache(*m, "l2", c.mem.l2) &&
-          readUint(*m, "storeAccesses", c.mem.storeAccesses))) {
-        return std::nullopt;
-    }
-    const json::JsonValue *dram = m->find("dram");
-    const json::JsonValue *stride = m->find("stride");
-    if (!dram || !dram->isObject() || !stride || !stride->isObject())
-        return std::nullopt;
-    if (!(readUint(*dram, "reads", c.mem.dram.reads) &&
-          readUint(*dram, "rowHits", c.mem.dram.rowHits) &&
-          readUint(*dram, "rowConflicts", c.mem.dram.rowConflicts) &&
-          readUint(*dram, "activates", c.mem.dram.activates) &&
-          readUint(*dram, "totalLatency", c.mem.dram.totalLatency) &&
-          readUint(*stride, "trains", c.mem.stride.trains) &&
-          readUint(*stride, "issued", c.mem.stride.issued))) {
-        return std::nullopt;
-    }
-
-    const json::JsonValue *energy = json.find("energy");
-    if (!energy || !energy->isObject())
-        return std::nullopt;
-    energy::EnergyBreakdown &e = r.energy;
-    if (!(readDouble(*energy, "cpuCore", e.cpuCore) &&
-          readDouble(*energy, "icache", e.icache) &&
-          readDouble(*energy, "dcache", e.dcache) &&
-          readDouble(*energy, "l2", e.l2) &&
-          readDouble(*energy, "dram", e.dram) &&
-          readDouble(*energy, "socRest", e.socRest))) {
-        return std::nullopt;
-    }
-
-    const json::JsonValue *pass = json.find("pass");
-    if (!pass || !pass->isObject())
-        return std::nullopt;
-    compiler::PassStats &p = r.pass;
-    if (!(readUint(*pass, "chainsAttempted", p.chainsAttempted) &&
-          readUint(*pass, "chainsTransformed", p.chainsTransformed) &&
-          readUint(*pass, "hoistFailures", p.hoistFailures) &&
-          readUint(*pass, "localRenames", p.localRenames) &&
-          readUint(*pass, "blockedRaw", p.blockedRaw) &&
-          readUint(*pass, "blockedMem", p.blockedMem) &&
-          readUint(*pass, "blockedCtl", p.blockedCtl) &&
-          readUint(*pass, "blockedRename", p.blockedRename) &&
-          readUint(*pass, "instsConverted", p.instsConverted) &&
-          readUint(*pass, "instsExpanded", p.instsExpanded) &&
-          readUint(*pass, "cdpsInserted", p.cdpsInserted) &&
-          readUint(*pass, "switchBranchesInserted",
-                   p.switchBranchesInserted))) {
-        return std::nullopt;
-    }
-
-    if (!(readDouble(json, "selectionCoverage", r.selectionCoverage) &&
-          readDouble(json, "staticThumbFraction",
-                     r.staticThumbFraction) &&
-          readDouble(json, "dynThumbFraction", r.dynThumbFraction))) {
-        return std::nullopt;
+    for (; !open.empty(); open.pop_back()) {
+        if (!done(open.back()))
+            return std::nullopt;
     }
     return r;
 }

@@ -2,11 +2,17 @@
  * @file
  * Persistent experiment-result cache: an append-only JSONL file, one
  * record per completed job, keyed by the JobSpec content hash and the
- * result schema version.  Records round-trip every RunResult field
- * bit-exactly (doubles as hex-floats), so a warm run reproduces a cold
- * run's tables digit for digit.  This module owns the store's whole
- * on-disk protocol: its lock, its line reading and its line
+ * result schema version.  This module owns the store's whole on-disk
+ * protocol: its record codec, its lock, its line reading and its line
  * classification.
+ *
+ * The codec is one of the stat registry's exporters (stats/registry.hh):
+ * a record's `result` holds every leaf sim::bindRunResult registers
+ * (each Counter, Value and Vector element; Formulas are derived and
+ * not stored), nested by dotted name as the registry's own JSON is.
+ * Counters are integer tokens and doubles hex-float strings, so a warm
+ * run reproduces a cold run's tables bit for bit, and a field a
+ * component registers is stored with no second field list to keep.
  *
  * The lock: every writer holds StoreLock, an exclusive flock(2) on the
  * sidecar `<store>.lock`.  An appender (insert) holds it around one
@@ -60,10 +66,25 @@ class StatRegistry;
 namespace critics::runner
 {
 
-/** Serialize every RunResult field (bit-exact doubles). */
+/** One stored RunResult field: a leaf sim::bindRunResult registers. */
+struct ResultLeaf
+{
+    std::string path;       ///< dotted registry name, e.g. "cpu.cycles"
+    std::size_t offset = 0; ///< byte offset of the field in RunResult
+    bool counter = false;   ///< a std::uint64_t; else a double
+};
+
+/** Every leaf, in the order resultToJson() writes them; built once from
+ *  a prototype RunResult.  With every field registered, their count
+ *  times 8 is sizeof(RunResult). */
+const std::vector<ResultLeaf> &resultLeaves();
+
+/** Serialize every RunResult leaf (bit-exact doubles). */
 std::string resultToJson(const sim::RunResult &result);
 
-/** Inverse of resultToJson(); nullopt if any field is missing. */
+/** Inverse of resultToJson(); nullopt unless `json` holds exactly its
+ *  leaves, in its order and of its types (a missing, extra or mistyped
+ *  leaf rejects the record). */
 std::optional<sim::RunResult> resultFromJson(const json::JsonValue &json);
 
 /**

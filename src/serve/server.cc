@@ -906,7 +906,7 @@ Server::traceSpan(const char *op, std::uint64_t startUs)
         return;
     const std::uint64_t now = nowMicros();
     options_.trace->complete(op, "serve", startUs, now - startUs, 0,
-                             options_.trace->tidForCurrentThread());
+                             obs::obsThreadId());
 }
 
 void

@@ -233,7 +233,8 @@ writeLeaf(json::JsonWriter &w, const char *key, const StatDef &def)
     }
 }
 
-/** How many already-open groups the next name can stay inside. */
+} // namespace
+
 std::size_t
 sharedGroups(const std::vector<std::string> &open,
              const std::vector<std::string> &parts)
@@ -261,8 +262,6 @@ splitDots(const std::string &name)
         start = dot + 1;
     }
 }
-
-} // namespace
 
 void
 StatRegistry::writeJson(json::JsonWriter &w) const

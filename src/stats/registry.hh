@@ -4,7 +4,8 @@
  * typed stats under dotted names — `cpu.fetch.stallForI.icache`,
  * `mem.l1i.misses`, `runner.cache.hits` — and every exporter (the sim
  * JSON report, the interval time-series sampler, the result-diff
- * harness) walks the one registry instead of hand-rolling field lists.
+ * harness, the result store's record codec) walks the one registry
+ * instead of hand-rolling field lists.
  *
  * Stats are *views*: a registered stat references storage owned by the
  * component (a struct field, a histogram, a closure over both), so the
@@ -135,6 +136,19 @@ class StatRegistry
     mutable std::vector<StatDef> defs_;
     mutable bool sorted_ = true;
 };
+
+/** A dotted name's parts: "cpu.stage.all" -> {cpu, stage, all}. */
+std::vector<std::string> splitDots(const std::string &name);
+
+/**
+ * How many of the `open` groups (outermost first) the name split into
+ * `parts` stays inside; its last part is the leaf and never counts.
+ * Walking names in sorted order, an exporter closes the other groups,
+ * opens parts[shared .. back) and writes the leaf: the nesting
+ * writeJson() emits.
+ */
+std::size_t sharedGroups(const std::vector<std::string> &open,
+                         const std::vector<std::string> &parts);
 
 } // namespace critics::stats
 

@@ -1,8 +1,6 @@
 #include "stats/trace_event.hh"
 
 #include <cstdio>
-#include <functional>
-#include <thread>
 
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -100,21 +98,6 @@ TraceEventWriter::setThreadName(std::uint32_t pid, std::uint32_t tid,
     e.tid = tid;
     e.strArgs.emplace_back("name", name);
     push(std::move(e));
-}
-
-std::uint32_t
-TraceEventWriter::tidForCurrentThread()
-{
-    const std::uint64_t key =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    std::lock_guard<std::mutex> guard(lock_);
-    for (const auto &[hash, tid] : threadIds_) {
-        if (hash == key)
-            return tid;
-    }
-    const auto tid = static_cast<std::uint32_t>(threadIds_.size() + 1);
-    threadIds_.emplace_back(key, tid);
-    return tid;
 }
 
 std::size_t

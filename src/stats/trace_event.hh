@@ -65,9 +65,6 @@ class TraceEventWriter
     void setThreadName(std::uint32_t pid, std::uint32_t tid,
                        const std::string &name);
 
-    /** Small dense id for the calling thread (first call assigns). */
-    std::uint32_t tidForCurrentThread();
-
     std::size_t size() const;
     std::uint64_t dropped() const;
 
@@ -98,7 +95,6 @@ class TraceEventWriter
     std::size_t maxEvents_;
     std::uint64_t dropped_ = 0;
     std::vector<Event> events_;
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> threadIds_;
 };
 
 } // namespace critics::stats

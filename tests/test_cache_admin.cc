@@ -580,6 +580,20 @@ TEST(StoreScanner, RepeatedKeyIsMalformed)
 // ---------------------------------------------------------------------------
 // Compact
 
+namespace
+{
+
+/** A record as the schema-1 store wrote it, verbatim: tinySpec(0)'s
+ *  job, its result fields listed under hand-picked names. */
+std::string
+schema1Line()
+{
+    return fileBytes(std::string(CRITICS_GOLDEN_DIR) +
+                     "/store_schema1.jsonl");
+}
+
+} // namespace
+
 TEST(CacheCompact, DropsSupersededOldSchemaOrphansAndTornTail)
 {
     TempPath file("critics-compact");
@@ -590,7 +604,8 @@ TEST(CacheCompact, DropsSupersededOldSchemaOrphansAndTornTail)
         f << makeLine(live, sampleResult(1.0), 100); // superseded
         f << makeLine(live, final, 200);             // survives
         f << makeLine(tinySpec(2), sampleResult(), 100, "",
-                      kResultSchemaVersion + 1);     // old schema
+                      kResultSchemaVersion + 1);     // other schema
+        f << schema1Line();                          // old schema
         // Orphan: a stored hash that is not hash(spec) — a collision
         // or a hash-function-change leftover.
         f << makeLine(tinySpec(3), sampleResult(), 100,
@@ -602,7 +617,7 @@ TEST(CacheCompact, DropsSupersededOldSchemaOrphansAndTornTail)
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->recordsKept, 1u);
     EXPECT_EQ(stats->superseded, 1u);
-    EXPECT_EQ(stats->oldSchema, 1u);
+    EXPECT_EQ(stats->oldSchema, 2u);
     EXPECT_EQ(stats->orphans, 1u);
     EXPECT_EQ(stats->malformed, 1u);
     EXPECT_EQ(stats->bytesBefore, before);
@@ -614,6 +629,38 @@ TEST(CacheCompact, DropsSupersededOldSchemaOrphansAndTornTail)
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].hash, live.hashHex());
     EXPECT_EQ(resultToJson(records[0].result), resultToJson(final));
+}
+
+TEST(CacheCompact, Schema1RecordIsAMissAndResimulated)
+{
+    // Every store written before the records nested the registry's
+    // names goes cold once: its records load as nothing, and a Runner
+    // simulates their jobs again.
+    TempPath file("critics-schema1");
+    const std::string line = schema1Line();
+    appendBytes(file.str(), line);
+    const JobSpec spec = tinySpec(0);
+    const auto doc = json::parseJson(line.substr(0, line.size() - 1));
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->find("schema")->asInt(), 1);
+    EXPECT_EQ(doc->find("spec")->asString(), spec.specString());
+    EXPECT_EQ(ResultStore(file.str()).size(), 0u);
+
+    std::atomic<int> executed{0};
+    RunnerOptions options;
+    options.cachePath = file.str();
+    options.writeManifest = false;
+    options.progress = false;
+    options.executor = [&](const JobSpec &job,
+                           sim::AppExperiment &experiment) {
+        ++executed;
+        return experiment.run(job.variant);
+    };
+    const auto batch = Runner(options).run("schema1", {spec});
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_FALSE(batch.outcomes[0].fromCache);
+    EXPECT_EQ(executed.load(), 1);
+    EXPECT_EQ(ResultStore(file.str()).size(), 1u);
 }
 
 TEST(CacheCompact, UnterminatedRecordIsATornTail)

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/obs.hh"
@@ -199,6 +200,17 @@ TEST(ObsStage, NestedScopesRestoreThePreviousStage)
         EXPECT_EQ(obs::currentStage(), obs::Stage::Transform);
     }
     EXPECT_EQ(obs::currentStage(), obs::Stage::None);
+}
+
+TEST(ObsStage, AssignsDenseThreadIds)
+{
+    // The one thread id spans carry: stable per thread, new per thread.
+    const std::uint32_t self = obs::obsThreadId();
+    EXPECT_GE(self, 1u);
+    EXPECT_EQ(obs::obsThreadId(), self);
+    std::uint32_t other = self;
+    std::thread([&] { other = obs::obsThreadId(); }).join();
+    EXPECT_NE(other, self);
 }
 
 TEST(ObsStage, SinkReceivesSpansInnermostFirst)

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -71,54 +73,54 @@ tinySpec(const std::string &app = "Acrobat",
     return spec;
 }
 
-/** A filled-in, irregular RunResult for round-trip checks. */
+/** A RunResult with every stored leaf set to a distinct value, through
+ *  the codec's leaf list: large and extreme counters, and doubles that
+ *  are not representable in decimal, subnormal or negative zero. */
 sim::RunResult
 sampleResult()
 {
     sim::RunResult r;
-    r.cpu.cycles = 123456789012345ULL;
-    r.cpu.committed = 400000;
-    r.cpu.stallForIIcache = 1111;
-    r.cpu.stallForIRedirect = 2222;
-    r.cpu.stallForRd = 3333;
-    r.cpu.decodeCdpBubbles = 44;
-    r.cpu.fetchedBytes = 555555;
-    r.cpu.condBranches = 6666;
-    r.cpu.mispredicts = 777;
-    r.cpu.fetchWindows = 8888;
-    r.cpu.efetchAccuracy = 1.0 / 3.0;
-    r.cpu.all.fetch = 0.1 + 0.2; // deliberately not representable
-    r.cpu.all.decode = 1e-300;
-    r.cpu.all.issueWait = 3.14159265358979;
-    r.cpu.all.execute = 2.0;
-    r.cpu.all.commitWait = 0.0;
-    r.cpu.all.insts = 42;
-    r.cpu.crit.fetch = 7.0 / 11.0;
-    r.cpu.crit.insts = 9;
-    r.cpu.mem.icache.accesses = 10;
-    r.cpu.mem.icache.misses = 3;
-    r.cpu.mem.dcache.accesses = 20;
-    r.cpu.mem.dcache.prefetchFills = 4;
-    r.cpu.mem.l2.misses = 5;
-    r.cpu.mem.dram.reads = 6;
-    r.cpu.mem.dram.totalLatency = 700;
-    r.cpu.mem.stride.trains = 8;
-    r.cpu.mem.stride.issued = 9;
-    r.cpu.mem.storeAccesses = 1234;
-    r.energy.cpuCore = 0.12345678901234567;
-    r.energy.icache = 2e-9;
-    r.energy.dcache = 3.5;
-    r.energy.l2 = 4.25;
-    r.energy.dram = 5.125;
-    r.energy.socRest = 6.0625;
-    r.pass.chainsAttempted = 11;
-    r.pass.chainsTransformed = 10;
-    r.pass.instsConverted = 99;
-    r.pass.cdpsInserted = 12;
-    r.selectionCoverage = 1.0 / 7.0;
-    r.staticThumbFraction = 0.25;
-    r.dynThumbFraction = 1e-17;
+    auto *base = reinterpret_cast<char *>(&r);
+    const auto &leaves = resultLeaves();
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        char *field = base + leaves[i].offset;
+        if (leaves[i].counter) {
+            const std::uint64_t v = i == 0
+                ? ~std::uint64_t{0}
+                : 0x0123456789abcdefULL * (i + 1) + i;
+            std::memcpy(field, &v, sizeof v);
+        } else {
+            const double k = static_cast<double>(i);
+            const double v = i % 4 == 0 ? 0.1 * k + 0.2 // inexact
+                : i % 4 == 1 ? std::numeric_limits<double>::denorm_min() *
+                                   (k + 1.0)
+                : i % 4 == 2 ? (i == 2 ? -0.0 : -k / 3.0)
+                             : 1e300 / (k + 7.0);
+            std::memcpy(field, &v, sizeof v);
+        }
+    }
     return r;
+}
+
+/** The object holding the member at dotted `path` of a parsed record,
+ *  and the member's index in it; nullptr when there is none. */
+std::pair<json::JsonValue *, std::size_t>
+memberAt(json::JsonValue &doc, const std::string &path)
+{
+    json::JsonValue *object = &doc;
+    const auto parts = stats::splitDots(path);
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+        auto &members = object->members;
+        const auto it = std::find_if(
+            members.begin(), members.end(),
+            [&](const auto &member) { return member.first == parts[p]; });
+        if (it == members.end())
+            return {nullptr, 0};
+        if (p + 1 == parts.size())
+            return {object, static_cast<std::size_t>(it - members.begin())};
+        object = &it->second;
+    }
+    return {nullptr, 0};
 }
 
 } // namespace
@@ -191,13 +193,55 @@ TEST(ResultStore, JsonRoundTripIsBitExact)
     ASSERT_TRUE(doc.has_value());
     const auto restored = resultFromJson(*doc);
     ASSERT_TRUE(restored.has_value());
-    // Serialized forms equal => every field round-tripped bit-exactly.
+    EXPECT_EQ(std::memcmp(&*restored, &original, sizeof original), 0);
     EXPECT_EQ(resultToJson(*restored), json);
-    EXPECT_EQ(restored->cpu.cycles, original.cpu.cycles);
-    EXPECT_EQ(restored->cpu.all.fetch, original.cpu.all.fetch);
-    EXPECT_EQ(restored->cpu.all.decode, original.cpu.all.decode);
-    EXPECT_EQ(restored->energy.cpuCore, original.energy.cpuCore);
-    EXPECT_EQ(restored->dynThumbFraction, original.dynThumbFraction);
+}
+
+TEST(ResultStore, CodecCoversEveryRunResultField)
+{
+    // Every RunResult field is an 8-byte leaf the registry names once:
+    // a field no component registers leaves the sizes unequal.
+    const auto &leaves = resultLeaves();
+    EXPECT_EQ(leaves.size() * 8, sizeof(sim::RunResult));
+    std::set<std::size_t> offsets;
+    for (const auto &leaf : leaves) {
+        EXPECT_EQ(leaf.offset % 8, 0u) << leaf.path;
+        offsets.insert(leaf.offset);
+    }
+    EXPECT_EQ(offsets.size(), leaves.size());
+}
+
+TEST(ResultStore, RecordMissingOrMistypingALeafIsRejected)
+{
+    const auto doc = json::parseJson(resultToJson(sampleResult()));
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_TRUE(resultFromJson(*doc).has_value());
+    for (const auto &leaf : resultLeaves()) {
+        json::JsonValue dropped = *doc;
+        const auto [object, at] = memberAt(dropped, leaf.path);
+        ASSERT_NE(object, nullptr) << leaf.path;
+        object->members.erase(object->members.begin() +
+                              static_cast<std::ptrdiff_t>(at));
+        EXPECT_FALSE(resultFromJson(dropped).has_value())
+            << "dropped " << leaf.path;
+
+        // A counter as a hex-float string, a double as a bare number.
+        json::JsonValue mistyped = *doc;
+        const auto [parent, index] = memberAt(mistyped, leaf.path);
+        json::JsonValue &value = parent->members[index].second;
+        value.kind = leaf.counter ? json::JsonValue::Kind::String
+                                  : json::JsonValue::Kind::Number;
+        value.text = leaf.counter ? json::hexFloat(1.0) : "1";
+        EXPECT_FALSE(resultFromJson(mistyped).has_value())
+            << "mistyped " << leaf.path;
+    }
+    // A member no leaf names is rejected too.
+    json::JsonValue extra = *doc;
+    json::JsonValue one;
+    one.kind = json::JsonValue::Kind::Number;
+    one.text = "1";
+    extra.members.front().second.members.emplace_back("bogus", one);
+    EXPECT_FALSE(resultFromJson(extra).has_value());
 }
 
 TEST(ResultStore, HitMissAndInvalidation)

@@ -14,7 +14,6 @@
 #include "support/json.hh"
 
 #include <cmath>
-#include <thread>
 
 using namespace critics;
 using namespace critics::stats;
@@ -239,16 +238,6 @@ TEST(TraceEvent, CapsEventsAndCountsDropped)
     trace.setProcessName(0, "p");
     EXPECT_EQ(trace.size(), 5u);
     EXPECT_TRUE(json::parseJson(trace.toJson()).has_value());
-}
-
-TEST(TraceEvent, AssignsDenseThreadIds)
-{
-    TraceEventWriter trace;
-    const std::uint32_t self = trace.tidForCurrentThread();
-    EXPECT_EQ(trace.tidForCurrentThread(), self);
-    std::uint32_t other = self;
-    std::thread([&] { other = trace.tidForCurrentThread(); }).join();
-    EXPECT_NE(other, self);
 }
 
 // ---------------------------------------------------------------------------
