@@ -56,6 +56,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -207,6 +208,13 @@ cmdDiff(CommandLine &cmd)
                                 storePath)},
                     2, 2}))
         return cmd.status;
+    // A negative threshold is never met, so every metric would count
+    // as drift.
+    for (const auto &[flag, value] : {std::pair{"--rel", opt.relThreshold},
+                                      std::pair{"--abs", opt.absThreshold}}) {
+        if (value < 0.0)
+            critics_fatal(flag, " wants a number >= 0, got ", value);
+    }
     const auto &paths = cmd.args;
     if (storePath.empty())
         storePath = runner::cacheDir() + "/results.jsonl";
@@ -679,20 +687,32 @@ cmdCache(CommandLine &cmd)
                     0, 1}))
         return cmd.status;
     const std::string action = cmd.args.empty() ? "stats" : cmd.args[0];
-    runner::ResultStore store;
     if (action == "stats") {
-        std::uintmax_t bytes = 0;
+        // Every line, through the store's one scanner: a store written
+        // under an older schema is not empty, it is waiting for compact.
+        const std::string path = storeOrDefault({});
+        std::size_t good = 0, oldSchema = 0, malformed = 0;
+        runner::scanStore(path, [&](runner::StoreLine &line) {
+            switch (line.kind) {
+              case runner::StoreLine::Kind::Good: ++good; break;
+              case runner::StoreLine::Kind::OldSchema: ++oldSchema; break;
+              case runner::StoreLine::Kind::Malformed: ++malformed; break;
+            }
+        });
         std::error_code ec;
-        bytes = std::filesystem::file_size(store.path(), ec);
+        std::uintmax_t bytes = std::filesystem::file_size(path, ec);
         if (ec)
             bytes = 0;
         std::printf("cache: %s\n  records: %zu (schema v%d)\n"
+                    "  old-schema lines: %zu, malformed lines: %zu "
+                    "(`cache compact` reclaims both)\n"
                     "  size: %.1f KiB\n",
-                    store.path().c_str(), store.size(),
-                    runner::kResultSchemaVersion,
+                    path.c_str(), good, runner::kResultSchemaVersion,
+                    oldSchema, malformed,
                     static_cast<double>(bytes) / 1024.0);
         return 0;
     }
+    runner::ResultStore store;
     if (action == "path") {
         std::printf("%s\n", store.path().c_str());
         return 0;
@@ -934,7 +954,8 @@ cmdServe(CommandLine &cmd)
                     "<d>/<batch>.worker-<k>.json",
                     options.profileDir),
          Flag::text("--stats-out", "<f>",
-                    "serve.* stats JSON on shutdown", statsOut)}}))
+                    "the stats op's reply, written on shutdown",
+                    statsOut)}}))
         return cmd.status;
     options.workerExe = selfExecutable();
 
@@ -948,9 +969,6 @@ cmdServe(CommandLine &cmd)
         std::fprintf(stderr, "serve: %s\n", error.c_str());
         return 1;
     }
-
-    stats::StatRegistry reg;
-    server.registerStats(reg);
 
     gServeInstance = &server;
     std::signal(SIGTERM, serveSignalHandler);
@@ -968,7 +986,7 @@ cmdServe(CommandLine &cmd)
 
     if (!statsOut.empty()) {
         std::ofstream out(statsOut, std::ios::trunc);
-        out << reg.toJson() << "\n";
+        out << server.statsJson() << "\n";
     }
     if (!traceOut.empty() && trace.writeTo(traceOut)) {
         std::printf("trace: %s (%zu events)\n", traceOut.c_str(),
@@ -1135,7 +1153,8 @@ cmdTop(CommandLine &cmd)
                                               once)})}))
         return cmd.status;
     if (interval <= 0.0)
-        interval = 2.0;
+        critics_fatal("--interval wants a number of seconds > 0, got ",
+                      interval);
 
     serve::ServeClient client;
     if (!daemon.connect(client))
@@ -1166,12 +1185,10 @@ cmdTop(CommandLine &cmd)
             std::printf("\x1b[H\x1b[2J");
 
         std::string runningBatch = "-";
-        if (const auto *serve = doc->find("serve")) {
-            if (const auto *batch = serve->find("runningBatch")) {
-                const auto name = batch->asString().value_or("");
-                if (!name.empty())
-                    runningBatch = name;
-            }
+        if (const auto *batch = doc->find("runningBatch")) {
+            const auto name = batch->asString().value_or("");
+            if (!name.empty())
+                runningBatch = name;
         }
         std::printf("critics serve @ %s — up %s\n", daemon.host.c_str(),
                     fmtUs(serveStat(*doc, "uptimeUs")).c_str());

@@ -10,6 +10,8 @@
 # same worker processes serve them, check the served store holds each
 # job's record exactly once and that a batch leaves nothing in the
 # store's directory but the store, its lock sidecar and the manifests,
+# check the live `stats` reply renders the same serve.* keys as the
+# file --stats-out writes (the worker restart included),
 # SIGTERM-drain the daemon and demand it reaped every worker and that
 # the killed worker's respawn re-simulated no job whose event had
 # arrived (one job span per job), diff the served result store
@@ -169,6 +171,20 @@ cold_batch 2 "$VARIANTS2" smoke-2
 cold_batch 3 "$VARIANTS3" smoke-3
 
 # ---- 4. SIGTERM drain ------------------------------------------------
+# The live `stats` reply, just before the drain: the file --stats-out
+# writes on shutdown must render the same serve.* keys.
+python3 -c '
+import socket, sys
+conn = socket.create_connection(("127.0.0.1", int(open(sys.argv[1]).read())))
+conn.sendall(b"{\"op\":\"stats\"}\n")
+reply = b""
+while not reply.endswith(b"\n"):
+    chunk = conn.recv(65536)
+    if not chunk:
+        break
+    reply += chunk
+sys.stdout.write(reply.decode())
+' "$PORT_FILE" >"$WORK/stats_live.json"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 SERVER_PID=""
@@ -188,6 +204,18 @@ grep -Eq '[1-9][0-9]* worker restart' "$WORK/serve.log"
 grep -q "\"warmHits\":$JOBS" "$WORK/serve_stats.json"
 grep -q "\"simulated\":$((3 * JOBS))" "$WORK/serve_stats.json"
 grep -q '"failedJobs":0' "$WORK/serve_stats.json"
+# One registry behind both: the live reply has every key the shutdown
+# file has, the killed worker's respawn among them.
+python3 -c '
+import json, sys
+live = json.load(open(sys.argv[1]))["serve"]
+final = json.load(open(sys.argv[2]))["serve"]
+if set(live) != set(final):
+    sys.exit("stats op keys %s != --stats-out keys %s"
+             % (sorted(live), sorted(final)))
+if live["restartDelay"]["count"] < 1:
+    sys.exit("the kill -9 left no serve.restartDelay sample")
+' "$WORK/stats_live.json" "$WORK/serve_stats.json"
 # The killed worker's respawn simulated only the jobs without an event:
 # the merged trace holds one job span per job of the first batch.
 SPANS1="$(python3 -c '

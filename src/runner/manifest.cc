@@ -111,18 +111,10 @@ RunManifest::toJson() const
         .field("simInsts", totalSimInsts())
         .fieldReadable("instsPerSec", throughput())
         .endObject();
-    w.beginObject("runnerStats")
-        .field("cacheHits", runnerStats.cacheHits)
-        .field("cacheMisses", runnerStats.cacheMisses)
-        .field("cacheInserts", runnerStats.cacheInserts)
-        .field("cacheCollisions", runnerStats.cacheCollisions)
-        .field("poolTasks", runnerStats.poolTasks)
-        .field("poolThreads", runnerStats.poolThreads)
-        .field("verifyChecks", runnerStats.verifyChecks)
-        .field("verifyErrors", runnerStats.verifyErrors)
-        .field("verifyAdvisories", runnerStats.verifyAdvisories)
-        .endObject();
-    std::string out = w.beginArray("jobs").str();
+    std::string out = w.str();
+    if (!runnerStats.empty())
+        out += ",\"runnerStats\":" + runnerStats;
+    out += ",\"jobs\":[";
     for (std::size_t i = 0; i < jobs.size(); ++i)
         out += (i ? "," : "") + jobs[i].toJson();
     return out + "]}";
@@ -186,24 +178,6 @@ RunManifest::read(const std::string &path, RunManifest &out)
         out.interrupted = v->asBool().value_or(false);
     if (const json::JsonValue *v = doc->find("traceId"))
         out.traceId = v->asString().value_or("");
-    // Optional (absent in manifests written before the counters, and
-    // in interrupted heads).
-    if (const json::JsonValue *rs = doc->find("runnerStats");
-        rs && rs->isObject()) {
-        auto uint = [&](const char *key) {
-            const json::JsonValue *v = rs->find(key);
-            return v ? v->asUint().value_or(0) : 0;
-        };
-        out.runnerStats.cacheHits = uint("cacheHits");
-        out.runnerStats.cacheMisses = uint("cacheMisses");
-        out.runnerStats.cacheInserts = uint("cacheInserts");
-        out.runnerStats.cacheCollisions = uint("cacheCollisions");
-        out.runnerStats.poolTasks = uint("poolTasks");
-        out.runnerStats.poolThreads = uint("poolThreads");
-        out.runnerStats.verifyChecks = uint("verifyChecks");
-        out.runnerStats.verifyErrors = uint("verifyErrors");
-        out.runnerStats.verifyAdvisories = uint("verifyAdvisories");
-    }
     // Required: every job names its app, variant, hash and verdict; a
     // manifest that does not is rejected.
     const json::JsonValue *jobs = doc->find("jobs");

@@ -2,7 +2,8 @@
  * @file
  * Run manifests: one JSON document per orchestrated batch recording
  * provenance (git describe, schema, config), per-job wall time and
- * simulation throughput, cache activity, and every failed-job record.
+ * simulation throughput, the runner's stat registry (cache, pool, job
+ * wall time, verifier), and every failed-job record.
  * `scripts/reproduce_all.sh` and `critics_cli report` consume these to
  * gate on failures and to report suite timing in one format.
  */
@@ -40,22 +41,6 @@ struct JobRecord
     std::string toJson() const;
 };
 
-/** Runner-infrastructure counters snapshotted at batch end
- *  (process-cumulative: result-cache traffic, pool activity, and pass
- *  verification work — observability only, never part of a result). */
-struct RunnerCounters
-{
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t cacheInserts = 0;
-    std::uint64_t cacheCollisions = 0;
-    std::uint64_t poolTasks = 0;
-    std::uint64_t poolThreads = 0;
-    std::uint64_t verifyChecks = 0;     ///< structural post-condition walks
-    std::uint64_t verifyErrors = 0;
-    std::uint64_t verifyAdvisories = 0; ///< warnings + advisory lints
-};
-
 struct RunManifest
 {
     std::string batch;
@@ -68,7 +53,12 @@ struct RunManifest
      *  ("" for direct runs): the key tying this manifest to the spans
      *  in the daemon's merged Chrome trace. */
     std::string traceId;
-    RunnerCounters runnerStats;
+    /** The runner's infrastructure stats at batch end, rendered as one
+     *  JSON object by the stat registry (Runner::registerStats plus
+     *  verify::registerStats; process-cumulative, observability only,
+     *  never part of a result).  "" leaves the key out.  Written only:
+     *  read() does not parse it back. */
+    std::string runnerStats;
     std::vector<JobRecord> jobs;
 
     std::size_t cachedCount() const;

@@ -398,26 +398,11 @@ Runner::run(const std::string &batchName,
     phase.emplace(obs::Stage::None, "manifest", "phase");
     batch.manifest.wallSeconds = secondsSince(startWall);
     batch.manifest.interrupted = SigintGuard::interrupted();
-    if (store_) {
-        batch.manifest.runnerStats.cacheHits = store_->hits();
-        batch.manifest.runnerStats.cacheMisses = store_->misses();
-        batch.manifest.runnerStats.cacheInserts = store_->inserts();
-        batch.manifest.runnerStats.cacheCollisions = store_->collisions();
-    }
-    batch.manifest.runnerStats.poolTasks =
-        ThreadPool::shared().tasksSubmitted();
-    batch.manifest.runnerStats.poolThreads =
-        ThreadPool::shared().threadCount();
     {
-        const verify::Counters &vc = verify::counters();
-        auto relaxed = [](const std::atomic<std::uint64_t> &v) {
-            return v.load(std::memory_order_relaxed);
-        };
-        batch.manifest.runnerStats.verifyChecks =
-            relaxed(vc.structuralChecks);
-        batch.manifest.runnerStats.verifyErrors = relaxed(vc.errors);
-        batch.manifest.runnerStats.verifyAdvisories =
-            relaxed(vc.warnings) + relaxed(vc.advisories);
+        stats::StatRegistry reg;
+        registerStats(reg);
+        verify::registerStats(reg);
+        batch.manifest.runnerStats = reg.toJson();
     }
     batch.manifest.jobs.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)

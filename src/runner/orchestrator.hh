@@ -142,7 +142,9 @@ class Runner
     /** Register the runner's infrastructure counters: the result
      *  cache (if any) under "runner.cache", the pool under
      *  "runner.pool", and the per-job wall-time latency histogram as
-     *  "runner.jobWall".  The Runner must outlive the registry. */
+     *  "runner.jobWall".  Each batch's manifest renders these, plus
+     *  verify::registerStats, as its runnerStats.  The Runner must
+     *  outlive the registry. */
     void registerStats(stats::StatRegistry &reg) const;
 
   private:

@@ -536,13 +536,6 @@ ResultStore::size() const
 }
 
 std::uint64_t
-ResultStore::hits() const
-{
-    std::lock_guard<std::mutex> guard(lock_);
-    return hits_;
-}
-
-std::uint64_t
 ResultStore::misses() const
 {
     std::lock_guard<std::mutex> guard(lock_);

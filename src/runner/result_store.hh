@@ -201,7 +201,6 @@ class ResultStore
     const std::string &path() const { return path_; }
 
     // Lifetime counters (process-cumulative, not persisted).
-    std::uint64_t hits() const;
     std::uint64_t misses() const;
     std::uint64_t inserts() const;
     /** Lookups whose hash matched but stored spec differed (a true

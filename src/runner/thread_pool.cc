@@ -60,13 +60,6 @@ ThreadPool::ThreadPool(std::size_t threads)
     threadCount64_ = threads_.size();
 }
 
-std::uint64_t
-ThreadPool::tasksSubmitted() const
-{
-    std::lock_guard<std::mutex> guard(lock_);
-    return tasksSubmitted_;
-}
-
 void
 ThreadPool::registerStats(stats::StatRegistry &reg,
                           const std::string &prefix) const

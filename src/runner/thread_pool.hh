@@ -60,9 +60,6 @@ class ThreadPool
 
     std::size_t threadCount() const { return threads_.size(); }
 
-    /** Work units enqueued via submit() over the pool's lifetime. */
-    std::uint64_t tasksSubmitted() const;
-
     /** Register pool counters under `prefix` (e.g. "runner.pool");
      *  the pool must outlive the registry. */
     void registerStats(stats::StatRegistry &reg,

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -67,12 +68,16 @@ Server::stateName(Batch::State state)
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), store_(options_.cachePath),
+      manifestDir_(
+          std::filesystem::path(store_.path()).parent_path().string() +
+          "/manifests"),
       started_(std::chrono::steady_clock::now()),
       epochUs_(obs::monotonicMicros())
 {
     if (::pipe2(wakePipe_, O_CLOEXEC) != 0)
         critics_fatal("serve: cannot create wake pipe: ",
                       std::strerror(errno));
+    registerStats();
 }
 
 Server::~Server()
@@ -144,6 +149,11 @@ Server::start(std::string *error)
         std::ofstream out(options_.portFile, std::ios::trunc);
         out << boundPort_ << "\n";
     }
+    // Made here, not by the first manifest: a batch's done line
+    // reaches its waiters before its manifest is written, and the
+    // store's directory should not change shape under them.
+    std::error_code ec;
+    std::filesystem::create_directories(manifestDir_, ec);
 
     workers_ = std::make_unique<WorkerSupervisor>(
         std::vector<std::string>{options_.workerExe, "serve-worker",
@@ -311,56 +321,7 @@ Server::handleRequest(int fd, const std::string &line)
           return alive;
       }
       case Request::Op::Stats: {
-          json::JsonWriter w;
-          {
-              std::lock_guard<std::mutex> lock(lock_);
-              std::string runningBatch;
-              std::uint64_t activeWorkers = 0;
-              for (const auto &[id, batch] : batches_) {
-                  if (batch->state != Batch::State::Running)
-                      continue;
-                  runningBatch = id;
-                  for (const pid_t pid : batch->workerPids)
-                      activeWorkers += pid > 0 ? 1 : 0;
-              }
-              w.beginObject().field("ok", true).beginObject("serve");
-              w.field("submitted", submitted_)
-                  .field("completed", completed_)
-                  .field("queueDepth",
-                         static_cast<std::uint64_t>(queue_.size()))
-                  .field("warmHits", warmHits_)
-                  .field("simulated", simulated_)
-                  .field("failedJobs", failedJobs_)
-                  .field("workerCrashes", workerCrashes_)
-                  .field("workerRestarts", workerRestarts_)
-                  .field("inFlightShards", inFlightShards_)
-                  .field("requests", requests_)
-                  .field("badRequests", badRequests_);
-              const double answered =
-                  static_cast<double>(warmHits_ + simulated_);
-              w.fieldReadable("warmHitRatio",
-                              answered > 0
-                                  ? static_cast<double>(warmHits_) /
-                                        answered
-                                  : 0.0)
-                  .field("activeWorkers", activeWorkers)
-                  .field("runningBatch", runningBatch)
-                  .field("uptimeUs", nowMicros());
-              w.beginObject("jobLatency")
-                  .field("count", jobLatency_.count())
-                  .fieldReadable("meanUs", jobLatency_.mean())
-                  .fieldReadable("p50Us", jobLatency_.percentile(0.50))
-                  .fieldReadable("p90Us", jobLatency_.percentile(0.90))
-                  .fieldReadable("p99Us", jobLatency_.percentile(0.99))
-                  .endObject();
-              w.beginObject("queueWait")
-                  .field("count", queueWait_.count())
-                  .fieldReadable("p50Us", queueWait_.percentile(0.50))
-                  .fieldReadable("p99Us", queueWait_.percentile(0.99))
-                  .endObject();
-              w.endObject().endObject();
-          }
-          const bool alive = sendLine(fd, w.str());
+          const bool alive = sendLine(fd, statsJson());
           traceSpan("stats", startUs);
           return alive;
       }
@@ -720,12 +681,13 @@ Server::writeBatchManifest(const std::shared_ptr<Batch> &batch,
         manifest.batch = batch->request.batch + "." + batch->id;
         manifest.traceId = batch->traceId;
         manifest.startedUnix = batch->startedUnix;
-        manifest.jobs = batch->records;
+        // No event arrives after this: what only served the batch while
+        // it ran goes, and the event log stays for status/wait replays.
+        manifest.jobs = std::exchange(batch->records, {});
+        batch->coldSpecs = std::vector<runner::JobSpec>();
+        batch->seen = std::unordered_set<std::string>();
     }
-    const std::string dir =
-        std::filesystem::path(store_.path()).parent_path().string() +
-        "/manifests";
-    if (manifest.write(dir).empty()) {
+    if (manifest.write(manifestDir_).empty()) {
         critics_warn("serve: cannot write batch manifest for '",
                      manifest.batch, "'");
     }
@@ -909,9 +871,36 @@ Server::traceSpan(const char *op, std::uint64_t startUs)
                              obs::obsThreadId());
 }
 
-void
-Server::registerStats(stats::StatRegistry &reg) const
+const Server::Batch *
+Server::runningLocked() const
 {
+    for (const auto &[id, batch] : batches_) {
+        if (batch->state == Batch::State::Running)
+            return batch.get();
+    }
+    return nullptr;
+}
+
+std::string
+Server::statsJson() const
+{
+    std::lock_guard<std::mutex> lock(lock_);
+    const Batch *running = runningLocked();
+    json::JsonWriter w;
+    w.beginObject()
+        .field("ok", true)
+        .field("runningBatch", running ? running->id : std::string());
+    stats_.writeJson(w);
+    w.endObject();
+    return w.str();
+}
+
+void
+Server::registerStats()
+{
+    // Views and formulas read lock_-guarded state without taking
+    // lock_: statsJson() holds it while it renders them.
+    stats::StatRegistry &reg = stats_;
     reg.addCounter("serve.submitted", submitted_,
                    "batches accepted over the protocol");
     reg.addCounter("serve.completed", completed_,
@@ -930,29 +919,35 @@ Server::registerStats(stats::StatRegistry &reg) const
                    "protocol requests received");
     reg.addCounter("serve.badRequests", badRequests_,
                    "protocol requests rejected");
+    reg.addCounter("serve.inFlightShards", inFlightShards_,
+                   "worker shards currently executing");
     reg.addFormula(
         "serve.queueDepth",
-        [this] {
-            std::lock_guard<std::mutex> lock(lock_);
-            return static_cast<double>(queue_.size());
-        },
+        [this] { return static_cast<double>(queue_.size()); },
         "batches waiting for the scheduler");
-    reg.addFormula(
-        "serve.inFlightShards",
-        [this] {
-            std::lock_guard<std::mutex> lock(lock_);
-            return static_cast<double>(inFlightShards_);
-        },
-        "worker shards currently executing");
     reg.addFormula(
         "serve.warmHitRatio",
         [this] {
-            std::lock_guard<std::mutex> lock(lock_);
             const double answered =
                 static_cast<double>(warmHits_ + simulated_);
             return answered > 0 ? warmHits_ / answered : 0.0;
         },
         "warm fraction of all answered jobs");
+    reg.addFormula(
+        "serve.activeWorkers",
+        [this] {
+            double live = 0;
+            if (const Batch *running = runningLocked()) {
+                for (const pid_t pid : running->workerPids)
+                    live += pid > 0 ? 1 : 0;
+            }
+            return live;
+        },
+        "live worker processes of the running batch");
+    reg.addFormula(
+        "serve.uptimeUs",
+        [this] { return static_cast<double>(nowMicros()); },
+        "time since the daemon started (us)");
     reg.addLatency("serve.jobLatency", jobLatency_,
                    "wall time of jobs executed for this daemon (us)");
     reg.addLatency("serve.queueWait", queueWait_,

@@ -30,6 +30,12 @@
  *     connection past maxClients is refused with a reason, and a
  *     submit's insts is at most runner::kMaxInsts.
  *
+ * Observability: the serve.* counters, gauges and latency histograms
+ * are registered once in a stat registry, and statsJson() renders it
+ * for both the `stats` op and `serve --stats-out`.  Each batch also
+ * leaves a manifest (job rows and trace id, no runnerStats: the
+ * daemon runs no Runner) in the store's manifests directory.
+ *
  * Threading: one accept loop, one scheduler (batches execute one at a
  * time — simulator jobs already saturate the machine through the
  * worker pool), one detached thread per client connection, at most
@@ -60,11 +66,11 @@
 #include "runner/manifest.hh"
 #include "runner/result_store.hh"
 #include "serve/protocol.hh"
+#include "stats/registry.hh"
 #include "support/histogram.hh"
 
 namespace critics::stats
 {
-class StatRegistry;
 class TraceEventWriter;
 }
 
@@ -145,9 +151,10 @@ class Server
     /** Block until the drain completes and every thread is joined. */
     void wait();
 
-    /** Register the serve.* counters/formulas; the server must
-     *  outlive the registry. */
-    void registerStats(stats::StatRegistry &reg) const;
+    /** The `stats` op's reply, which `serve --stats-out` also writes:
+     *  `{"ok":true,"runningBatch":"<id or empty>","serve":{...}}`,
+     *  the serve.* registry rendered under lock_. */
+    std::string statsJson() const;
 
     // Lifetime counters (exposed for tests; see registerStats).
     std::uint64_t warmHits() const { return warmHits_; }
@@ -172,6 +179,10 @@ class Server
          *  batch — server-side and worker-side — carries it. */
         std::string traceId;
         SubmitRequest request;
+        /** The jobs the store could not answer at submit.  This, seen
+         *  and records are released once the batch's manifest is
+         *  written; a batch's entry itself lives as long as the daemon
+         *  so status/wait can replay its events. */
         std::vector<runner::JobSpec> coldSpecs;
         State state = State::Queued;
         std::string error; ///< batch-level failure (shutdown, spawn)
@@ -226,6 +237,11 @@ class Server
                            bool warmOrigin);
 
     std::string statusJson(const Batch &batch) const; ///< caller locks
+    /** The batch the scheduler is running, nullptr when idle; caller
+     *  locks. */
+    const Batch *runningLocked() const;
+    /** Fill stats_ with the serve.* stats (from the constructor). */
+    void registerStats();
     std::uint64_t nowMicros() const;
     void traceSpan(const char *op, std::uint64_t startUs);
     /** Stitch one worker span line into the merged trace under the
@@ -238,6 +254,7 @@ class Server
 
     ServerOptions options_;
     runner::ResultStore store_;
+    std::string manifestDir_; ///< `<store dir>/manifests`
     std::chrono::steady_clock::time_point started_;
     /** obs::monotonicMicros() captured together with started_ — the
      *  offset that maps workers' absolute CLOCK_MONOTONIC span
@@ -262,6 +279,8 @@ class Server
     std::atomic<std::uint64_t> activeClients_{0};
 
     // serve.* stats (all guarded by lock_ except the atomics above).
+    /** Their one registry; only statsJson() renders it, under lock_. */
+    stats::StatRegistry stats_;
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t warmHits_ = 0;

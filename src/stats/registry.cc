@@ -9,6 +9,28 @@
 namespace critics::stats
 {
 
+namespace
+{
+
+/** A Latency stat's leaves after `count`, in export order: the one
+ *  list both snapshot() and writeJson() name them by.  A Latency
+ *  histogram holds µs, so every leaf says so. */
+struct LatencyLeaf
+{
+    const char *name;
+    double (*get)(const LatencyHistogram &);
+};
+
+constexpr LatencyLeaf kLatencyLeaves[] = {
+    {"meanUs", [](const LatencyHistogram &h) { return h.mean(); }},
+    {"maxUs", [](const LatencyHistogram &h) { return h.max(); }},
+    {"p50Us", [](const LatencyHistogram &h) { return h.percentile(0.50); }},
+    {"p90Us", [](const LatencyHistogram &h) { return h.percentile(0.90); }},
+    {"p99Us", [](const LatencyHistogram &h) { return h.percentile(0.99); }},
+};
+
+} // namespace
+
 double
 VectorElem::eval() const
 {
@@ -180,13 +202,9 @@ StatRegistry::snapshot() const
           case StatKind::Latency:
             out.emplace_back(def.name + ".count",
                              static_cast<double>(def.latency->count()));
-            out.emplace_back(def.name + ".mean", def.latency->mean());
-            out.emplace_back(def.name + ".p50",
-                             def.latency->percentile(0.50));
-            out.emplace_back(def.name + ".p90",
-                             def.latency->percentile(0.90));
-            out.emplace_back(def.name + ".p99",
-                             def.latency->percentile(0.99));
+            for (const auto &leaf : kLatencyLeaves)
+                out.emplace_back(def.name + "." + leaf.name,
+                                 leaf.get(*def.latency));
             break;
           default:
             out.emplace_back(def.name, def.eval());
@@ -222,11 +240,8 @@ writeLeaf(json::JsonWriter &w, const char *key, const StatDef &def)
       case StatKind::Latency: {
         w.beginObject(key);
         w.field("count", def.latency->count());
-        w.fieldReadable("mean", def.latency->mean());
-        w.fieldReadable("max", def.latency->max());
-        w.fieldReadable("p50", def.latency->percentile(0.50));
-        w.fieldReadable("p90", def.latency->percentile(0.90));
-        w.fieldReadable("p99", def.latency->percentile(0.99));
+        for (const auto &leaf : kLatencyLeaves)
+            w.fieldReadable(leaf.name, leaf.get(*def.latency));
         w.endObject();
         break;
       }

@@ -4,8 +4,9 @@
  * typed stats under dotted names — `cpu.fetch.stallForI.icache`,
  * `mem.l1i.misses`, `runner.cache.hits` — and every exporter (the sim
  * JSON report, the interval time-series sampler, the result-diff
- * harness, the result store's record codec) walks the one registry
- * instead of hand-rolling field lists.
+ * harness, the result store's record codec, a run manifest's
+ * `runnerStats`, the serve daemon's `stats` op and `--stats-out`)
+ * walks the one registry instead of hand-rolling field lists.
  *
  * Stats are *views*: a registered stat references storage owned by the
  * component (a struct field, a histogram, a closure over both), so the
@@ -21,7 +22,8 @@
  *   - Vector:       a named tuple of counter/value elements under one
  *                   name (e.g. a stage-residency breakdown)
  *   - Latency:      a support/LatencyHistogram (log-bucketed µs
- *                   distribution exporting count/mean/p50/p90/p99)
+ *                   distribution exporting count, meanUs, maxUs,
+ *                   p50Us, p90Us and p99Us)
  */
 
 #ifndef CRITICS_STATS_REGISTRY_HH
@@ -113,7 +115,8 @@ class StatRegistry
     /**
      * Flat numeric snapshot in name order: Counter/Value/Formula as
      * (name, value); Vector elements as name.elem; Latency histograms
-     * as name.count / name.mean / name.p50 / name.p90 / name.p99.
+     * as name.count and name.meanUs / maxUs / p50Us / p90Us / p99Us,
+     * the leaves writeJson() gives them.
      * This is the surface the interval sampler and the diff harness
      * consume.
      */

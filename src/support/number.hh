@@ -13,6 +13,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -73,13 +74,15 @@ uintFlag(const std::string &flag, const std::string &value,
     return *parsed;
 }
 
-/** The value of `flag` as parseDouble() reads it; fatal if not one. */
+/** The value of `flag` as parseDouble() reads it; fatal if not one or
+ *  not finite (a nan threshold compares false with everything, so it
+ *  would quietly pass every check). */
 inline double
 doubleFlag(const std::string &flag, const std::string &value)
 {
     const auto parsed = parseDouble(value);
-    if (!parsed)
-        critics_fatal(flag, " wants a number, got '", value, "'");
+    if (!parsed || !std::isfinite(*parsed))
+        critics_fatal(flag, " wants a finite number, got '", value, "'");
     return *parsed;
 }
 

@@ -26,8 +26,8 @@
  * its counters never enter a RunResult — a fully-verified run and an
  * unverified run of the same job must stay bit-identical in the result
  * cache (the same rule that keeps RunHooks out of job specs).  The
- * process-wide counters surface through RunnerCounters in manifests
- * and registerStats() for ad-hoc registries.
+ * process-wide counters surface through registerStats(), which every
+ * run manifest's `runnerStats` renders as `verify.*`.
  */
 
 #ifndef CRITICS_VERIFY_VERIFY_HH

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -478,12 +479,15 @@ TEST(ServeObs, StatsOpReportsLatencyAndBatchManifestCarriesTraceId)
         latency->find("p99Us")->asDouble().value_or(0.0);
     EXPECT_GT(p50, 0.0);
     EXPECT_GE(p99, p50);
-    ASSERT_NE(serveStats->find("queueWait"), nullptr);
-    EXPECT_EQ(serveStats->find("queueWait")
-                  ->find("count")
-                  ->asUint()
-                  .value_or(0),
-              1u);
+    const auto *queueWait = serveStats->find("queueWait");
+    ASSERT_NE(queueWait, nullptr);
+    EXPECT_EQ(queueWait->find("count")->asUint().value_or(0), 1u);
+    // Every latency histogram carries the registry's one leaf list.
+    for (const auto *h : {latency, queueWait}) {
+        for (const char *leaf : {"meanUs", "maxUs", "p50Us", "p90Us",
+                                 "p99Us"})
+            EXPECT_NE(h->find(leaf), nullptr) << leaf;
+    }
 
     ASSERT_TRUE(client.sendLine("{\"op\":\"shutdown\"}"));
     (void)client.readLine(5000);
@@ -529,6 +533,16 @@ TEST(ServeObs, StatsOpReportsLatencyAndBatchManifestCarriesTraceId)
         << manifestPath;
     EXPECT_EQ(manifest.traceId, traceId);
     EXPECT_EQ(manifest.jobs.size(), 2u);
+    // The daemon runs no Runner, so its manifest has no runnerStats
+    // (not a block of zeros).
+    {
+        std::ifstream in(manifestPath);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        const auto doc = json::parseJson(text);
+        ASSERT_TRUE(doc.has_value());
+        EXPECT_EQ(doc->find("runnerStats"), nullptr) << text;
+    }
     for (const auto &job : manifest.jobs) {
         EXPECT_TRUE(job.ok);
         EXPECT_FALSE(job.fromCache);

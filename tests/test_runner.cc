@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -121,6 +122,20 @@ memberAt(json::JsonValue &doc, const std::string &path)
         object = &it->second;
     }
     return {nullptr, 0};
+}
+
+/** The member at dotted `path` of a parsed object; nullptr when
+ *  there is none. */
+const json::JsonValue *
+findDotted(const json::JsonValue &doc, const std::string &path)
+{
+    const json::JsonValue *node = &doc;
+    for (const auto &part : stats::splitDots(path)) {
+        node = node->find(part);
+        if (node == nullptr)
+            return nullptr;
+    }
+    return node;
 }
 
 } // namespace
@@ -370,10 +385,54 @@ TEST(Runner, NoCacheRunnerOpensNoStore)
     ASSERT_TRUE(batch.allOk());
     EXPECT_EQ(executed.load(), 1);
     EXPECT_FALSE(batch.outcomes[0].fromCache);
-    EXPECT_EQ(batch.manifest.runnerStats.cacheHits, 0u);
-    EXPECT_EQ(batch.manifest.runnerStats.cacheMisses, 0u);
-    EXPECT_EQ(batch.manifest.runnerStats.cacheInserts, 0u);
     EXPECT_EQ(std::filesystem::file_size(file.str()), fileSize);
+    // Its manifest renders the same registry: no cache, so no
+    // runner.cache, and the rest of the runner as ever.
+    const auto rendered = json::parseJson(batch.manifest.runnerStats);
+    ASSERT_TRUE(rendered.has_value()) << batch.manifest.runnerStats;
+    EXPECT_EQ(findDotted(*rendered, "runner.cache"), nullptr);
+    EXPECT_NE(findDotted(*rendered, "runner.jobWall"), nullptr);
+    EXPECT_NE(findDotted(*rendered, "runner.pool"), nullptr);
+}
+
+TEST(Runner, ManifestRunnerStatsRenderTheRunnerAndVerifierRegistries)
+{
+    TempPath file("critics-runner-stats");
+    TempPath dir("critics-runner-stats-manifests");
+    RunnerOptions options = testOptions(file.str());
+    options.writeManifest = true;
+    options.manifestDir = dir.str();
+    Runner runner(options);
+    const auto batch = runner.run(
+        "stats", {tinySpec("Acrobat", sim::Transform::CritIc)});
+    ASSERT_TRUE(batch.allOk());
+    ASSERT_FALSE(batch.manifestPath.empty());
+
+    std::ifstream in(batch.manifestPath);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto doc = json::parseJson(text);
+    ASSERT_TRUE(doc.has_value());
+    const json::JsonValue *rendered = doc->find("runnerStats");
+    ASSERT_NE(rendered, nullptr) << text;
+    // Runner::registerStats: the per-job wall-time histogram (with the
+    // registry's latency leaves), the store and the pool.
+    const json::JsonValue *jobWall = findDotted(*rendered, "runner.jobWall");
+    ASSERT_NE(jobWall, nullptr) << text;
+    EXPECT_EQ(jobWall->find("count")->asUint().value_or(0), 1u);
+    for (const char *leaf : {"meanUs", "maxUs", "p50Us", "p90Us", "p99Us"})
+        EXPECT_NE(jobWall->find(leaf), nullptr) << leaf;
+    const json::JsonValue *inserts =
+        findDotted(*rendered, "runner.cache.inserts");
+    ASSERT_NE(inserts, nullptr) << text;
+    EXPECT_EQ(inserts->asUint().value_or(0), 1u);
+    EXPECT_NE(findDotted(*rendered, "runner.cache.parsedLines"), nullptr);
+    EXPECT_NE(findDotted(*rendered, "runner.pool.tasks"), nullptr);
+    // verify::registerStats, every counter of it.
+    for (const char *name : {"verify.structChecks", "verify.globalChecks",
+                             "verify.errors", "verify.warnings",
+                             "verify.advisories"})
+        EXPECT_NE(findDotted(*rendered, name), nullptr) << name;
 }
 
 TEST(Runner, PhaseAndJobSpansGoThroughTheSpanSink)
@@ -697,11 +756,27 @@ TEST(Manifest, WriteReadRoundTrip)
     bad.attempts = 2;
     bad.error = "it \"broke\"\nbadly";
     manifest.jobs = {good, bad};
+    manifest.runnerStats = R"({"runner":{"pool":{"threads":4}}})";
 
     const std::string path = manifest.write(dir.str());
     ASSERT_FALSE(path.empty());
+    {
+        // runnerStats is written as the rendered object it holds, and
+        // an empty one leaves the key out.
+        std::ifstream in(path);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_NE(text.find(R"("runnerStats":{"runner":{"pool":)"
+                            R"({"threads":4}}},"jobs":[)"),
+                  std::string::npos)
+            << text;
+        RunManifest bare = manifest;
+        bare.runnerStats.clear();
+        EXPECT_EQ(bare.toJson().find("runnerStats"), std::string::npos);
+    }
     RunManifest restored;
     ASSERT_TRUE(RunManifest::read(path, restored));
+    EXPECT_TRUE(restored.runnerStats.empty()); // written, never read
     EXPECT_EQ(restored.batch, "unit");
     EXPECT_EQ(restored.gitDescribe, "deadbeef");
     ASSERT_EQ(restored.jobs.size(), 2u);
@@ -759,10 +834,17 @@ TEST(Manifest, StrictReaderRejectsMalformedJobs)
         RunManifest manifest;
         return RunManifest::read(path, manifest);
     };
-    // Accepted: runnerStats is optional, as are the job's other
-    // fields, and an unknown key is ignored (manifests written by the
-    // retired process sharding carry a "shard" object).
+    // Accepted: runnerStats is optional and never parsed (the flat
+    // counter block of older manifests and the rendered registry of
+    // newer ones alike), as are the job's other fields, and an unknown
+    // key is ignored (manifests written by the retired process
+    // sharding carry a "shard" object).
     EXPECT_TRUE(readsAs(R"({"batch":"b","jobs":[)" "{" + job + "}]}"));
+    EXPECT_TRUE(readsAs(R"({"batch":"b","runnerStats":{"cacheHits":3},)"
+                        R"("jobs":[)" "{" + job + "}]}"));
+    EXPECT_TRUE(readsAs(R"({"batch":"b","runnerStats":{"runner":)"
+                        R"({"jobWall":{"count":1}}},"jobs":[)" "{" + job +
+                        "}]}"));
     EXPECT_TRUE(readsAs(R"({"batch":"b","jobs":[]})"));
     EXPECT_TRUE(readsAs(R"({"batch":"b","shard":{"index":2,"count":3,)"
                         R"("totalJobs":7},"jobs":[)" "{" + job + "}]}"));

@@ -1439,6 +1439,142 @@ TEST(ServeServer, KillingAnIdleWorkerCostsOneRespawnAndNoFailedJob)
     server.wait();
 }
 
+namespace
+{
+
+/** The keys of a parsed JSON object. */
+std::set<std::string>
+keysOf(const json::JsonValue &object)
+{
+    std::set<std::string> keys;
+    for (const auto &member : object.members)
+        keys.insert(member.first);
+    return keys;
+}
+
+} // namespace
+
+TEST(ServeServer, StatsOpRendersEveryServeStatAsStatsOutDoes)
+{
+    setQuiet(true);
+    TempPath dir("critics-serve-stats");
+    std::filesystem::create_directories(dir.str());
+    ServerOptions options;
+    options.workers = 1;
+    options.workerExe = CRITICS_CLI;
+    options.cachePath = dir.str() + "/results.jsonl";
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+        << error;
+
+    // A killed idle worker makes the next batch's respawn a
+    // restart-delay sample.
+    json::JsonValue done;
+    const std::string first =
+        submitAndWait(client, grid("Office", "baseline"), &done);
+    ASSERT_FALSE(first.empty());
+    const auto pids = statusPids(client, first);
+    ASSERT_EQ(pids.size(), 1u);
+    ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
+    ASSERT_FALSE(
+        submitAndWait(client, grid("Office", "critic"), &done).empty());
+
+    ASSERT_TRUE(client.sendLine("{\"op\":\"stats\"}"));
+    const auto reply = parsedReply(client.readLine(5000));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(boolField(*reply, "ok"));
+    EXPECT_EQ(stringField(*reply, "runningBatch"), ""); // idle
+    const auto *serve = reply->find("serve");
+    ASSERT_NE(serve, nullptr);
+    // Every stat the server registers, and nothing else.
+    const std::set<std::string> registered{
+        "activeWorkers", "badRequests",    "completed",
+        "failedJobs",    "inFlightShards", "jobLatency",
+        "queueDepth",    "queueWait",      "requests",
+        "restartDelay",  "simulated",      "submitted",
+        "uptimeUs",      "warmHitRatio",   "warmHits",
+        "workerCrashes", "workerRestarts"};
+    EXPECT_EQ(keysOf(*serve), registered);
+    // A latency histogram has one leaf list, in µs, wherever it shows.
+    const std::set<std::string> leaves{"count", "maxUs", "meanUs",
+                                       "p50Us", "p90Us", "p99Us"};
+    for (const char *histogram : {"jobLatency", "queueWait",
+                                  "restartDelay"}) {
+        const auto *h = serve->find(histogram);
+        ASSERT_NE(h, nullptr) << histogram;
+        EXPECT_EQ(keysOf(*h), leaves) << histogram;
+    }
+    EXPECT_EQ(uintField(*serve->find("restartDelay"), "count"), 1u);
+    EXPECT_EQ(uintField(*serve, "workerRestarts"), 1u);
+    EXPECT_EQ(uintField(*serve->find("jobLatency"), "count"), 2u);
+
+    server.requestShutdown();
+    server.wait();
+    // What `serve --stats-out` writes has the same keys.
+    const auto written = parsedReply(server.statsJson());
+    ASSERT_TRUE(written.has_value());
+    EXPECT_EQ(keysOf(*written), keysOf(*reply));
+    ASSERT_NE(written->find("serve"), nullptr);
+    EXPECT_EQ(keysOf(*written->find("serve")), registered);
+}
+
+TEST(ServeServer, StatsAnswersWhileABatchRuns)
+{
+    // statsJson() renders the registry under the server lock, so no
+    // registered formula may take that lock again.
+    setQuiet(true);
+    TempPath dir("critics-serve-stats-busy");
+    std::filesystem::create_directories(dir.str());
+    ServerOptions options;
+    options.workers = 1;
+    options.workerExe = CRITICS_CLI;
+    options.cachePath = dir.str() + "/results.jsonl";
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+        << error;
+
+    Request submit;
+    submit.op = Request::Op::Submit;
+    submit.submit = grid("Acrobat", "baseline");
+    submit.submit.sleepMs = 1500;
+    ASSERT_TRUE(client.sendLine(renderRequest(submit)));
+    const auto ack = parsedReply(client.readLine(30000));
+    ASSERT_TRUE(ack.has_value());
+    const std::string job = stringField(*ack, "job");
+    ASSERT_FALSE(job.empty());
+
+    bool sawRunning = false;
+    for (int poll = 0; poll < 100 && !sawRunning; ++poll) {
+        ASSERT_TRUE(client.sendLine("{\"op\":\"stats\"}"));
+        const auto reply = parsedReply(client.readLine(5000));
+        ASSERT_TRUE(reply.has_value()) << "no stats reply mid-batch";
+        ASSERT_NE(reply->find("serve"), nullptr);
+        sawRunning = stringField(*reply, "runningBatch") == job;
+        if (!sawRunning)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(sawRunning);
+
+    Request wait;
+    wait.op = Request::Op::Wait;
+    wait.job = job;
+    ASSERT_TRUE(client.sendLine(renderRequest(wait)));
+    for (;;) {
+        const auto doc = parsedReply(client.readLine(120000));
+        ASSERT_TRUE(doc.has_value()) << "stream ended early";
+        if (stringField(*doc, "event") == "done")
+            break;
+    }
+    server.requestShutdown();
+    server.wait();
+}
+
 TEST(ServeServer, DrainReapsEveryWorker)
 {
     setQuiet(true);

@@ -92,6 +92,36 @@ TEST(StatRegistry, SnapshotFlattensVectorsAndDistributions)
     EXPECT_DOUBLE_EQ(value("cpu.stage.execute"), 2.5);
 }
 
+TEST(StatRegistry, LatencyLeavesAreNamedAlikeInSnapshotAndJson)
+{
+    LatencyHistogram wall;
+    wall.add(100.0);
+    wall.add(300.0);
+    StatRegistry reg;
+    reg.addLatency("runner.jobWall", wall);
+
+    std::vector<std::string> snapped;
+    for (const auto &[name, value] : reg.snapshot())
+        snapped.push_back(name);
+    const std::vector<std::string> leaves{"count", "meanUs", "maxUs",
+                                          "p50Us", "p90Us", "p99Us"};
+    std::vector<std::string> expected;
+    for (const auto &leaf : leaves)
+        expected.push_back("runner.jobWall." + leaf);
+    EXPECT_EQ(snapped, expected);
+
+    const auto doc = json::parseJson(reg.toJson());
+    ASSERT_TRUE(doc.has_value());
+    const auto *h = doc->find("runner")->find("jobWall");
+    ASSERT_NE(h, nullptr);
+    std::vector<std::string> written;
+    for (const auto &member : h->members)
+        written.push_back(member.first);
+    EXPECT_EQ(written, leaves);
+    EXPECT_EQ(h->find("count")->asUint().value_or(0), 2u);
+    EXPECT_DOUBLE_EQ(h->find("maxUs")->asDouble().value_or(0.0), 300.0);
+}
+
 TEST(StatRegistry, ToJsonNestsGroupsAndParses)
 {
     std::uint64_t hits = 3, misses = 1;
